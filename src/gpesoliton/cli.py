@@ -54,6 +54,9 @@ def write_csv(path, columns, rows, note=UNITS_NOTE):
     with open(path, "w", newline="\n") as fh:
         fh.write(f"# {note}\n")
         fh.write(",".join(columns) + "\n")
+        if isinstance(rows, np.ndarray):  # a float table, one row per line
+            np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
+            return
         for row in rows:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
@@ -136,7 +139,9 @@ def add_grid_args(p, conv):
 
 
 def add_solver_args(p, conv):
-    _add(p, conv, "--step-size", type=float, default=None)
+    _add(p, conv, "--step-size", type=float, default=None,
+         help="relaxation step tau along the preconditioned gradient (default 1; "
+              "halved after any energy rise)")
     _add(p, conv, "--max-iters", type=int, default=None)
     _add(p, conv, "--energy-tol", type=float, default=None)
     _add(p, conv, "--residual-tol", type=float, default=None)
@@ -151,7 +156,7 @@ def _fill_defaults(args, defaults):
 
 GRID_DEFAULTS = {"geometry": "cylindrical", "rho_max": 6.0, "n_rho": 96,
                  "n_s": 384, "r_max": 6.0, "n_r": 512}
-SOLVER_DEFAULTS = {"step_size": 1e-3, "max_iters": 200_000, "energy_tol": 1e-10,
+SOLVER_DEFAULTS = {"step_size": 1.0, "max_iters": 200_000, "energy_tol": 1e-10,
                    "residual_tol": 1e-5, "collapse_guard": 5.0}
 
 
@@ -202,22 +207,17 @@ def external_from_args(args) -> ExternalPotential | None:
 
 def write_state_csv(path, u: Wavefunction):
     grid = u.grid
-    rows = []
+    v = np.ravel(u.values)
+    nan = np.full(v.size, np.nan)
     if grid.kind is Geometry.CYLINDRICAL:
-        for i, rho in enumerate(grid.rho):
-            for j, s in enumerate(grid.s):
-                v = u.values[i, j]
-                rows.append((rho, s, v.real, v.imag))
+        rho, s = np.repeat(grid.rho, grid.s.size), np.tile(grid.s, grid.rho.size)
     elif grid.kind is Geometry.LINE:
-        for j, s in enumerate(grid.s):
-            v = u.values[j]
-            rows.append((float("nan"), s, v.real, v.imag))
+        rho, s = nan, grid.s
     else:
-        for i, r in enumerate(grid.r):
-            v = u.values[i]
-            rows.append((r, float("nan"), v.real, v.imag))
+        rho, s = grid.r, nan
     note = UNITS_NOTE + "; rho column holds r on spherical grids, nan on line grids"
-    write_csv(path, ("rho", "s", "re_u", "im_u"), rows, note=note)
+    write_csv(path, ("rho", "s", "re_u", "im_u"),
+              np.column_stack((rho, s, v.real, v.imag)), note=note)
 
 
 def ground_summary_row(Q, lambda_z, res):
@@ -378,7 +378,7 @@ def cmd_evolve(args):
                             sponge_width=args.sponge_width)
     snap_times = sorted(_float_list(args.snapshot_times))
     out = Path(args.out)
-    records = []
+    legs = []
     if snap_times:
         u, t_done = u0, 0.0
         for k, t_snap in enumerate(snap_times + [args.t_final]):
@@ -392,23 +392,30 @@ def cmd_evolve(args):
                                             sponge_strength=cfg.sponge_strength,
                                             sponge_width=cfg.sponge_width)
                 leg, u = propagate(u, trap, Q, ext, leg_cfg)
-                for rec in leg if not records else leg[1:]:
+                for rec in leg:
                     rec.tau += t_done
-                    records.append(rec)
+                legs.append(leg)
                 t_done = t_snap
             if k < len(snap_times):
                 write_state_csv(out.parent / f"{out.stem}.snapshot_{t_snap:g}.csv", u)
     else:
-        records, u = propagate(u0, trap, Q, ext, cfg)
+        legs.append(propagate(u0, trap, Q, ext, cfg)[0])
+    # each leg opens with a record of the state the previous leg closed with
+    records = [rec for k, leg in enumerate(legs) for rec in leg[1 if k else 0:]]
     write_csv(out, ObservableRecord.csv_columns(), [r.csv_row() for r in records])
     write_manifest(out, resolved_dict(args, vars(args).keys() - {"func", "config"}))
-    if len(records) >= 5:
+    # a leg ends at its snapshot time, off the sampling cadence of the next leg,
+    # so the centroid laws are checked leg by leg
+    for leg in legs:
+        if len(leg) < 5:
+            continue
+        span = f"tau in [{leg[0].tau:g}, {leg[-1].tau:g}]"
         try:
-            rep = ehrenfest_check(records, trap, ext)
-            log.info("ehrenfest: |dX/dt - <P>| <= %.3e, |d2X/dt2 + <dV/ds>| <= %.3e",
-                     rep.max_velocity_mismatch, rep.max_force_mismatch)
+            rep = ehrenfest_check(leg, trap, ext)
+            log.info("ehrenfest on %s: |dX/dt - <P>| <= %.3e, |d2X/dt2 + <dV/ds>| <= %.3e",
+                     span, rep.max_velocity_mismatch, rep.max_force_mismatch)
         except DomainError as exc:
-            log.info("ehrenfest check skipped: %s", exc)
+            log.info("ehrenfest check on %s skipped: %s", span, exc)
     return 0
 
 

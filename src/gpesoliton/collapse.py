@@ -2,9 +2,9 @@
 
 Bisection on Q with full relaxation probes; each probe is warm-started from
 the converged state at the nearest interaction strength.  "Collapse" is the
-relaxation module's numerical proxy (amplitude ceiling / accelerating
-unbounded descent), since the physical blowup lies outside the validity of
-the mean-field model.
+relaxation module's numerical proxy (the amplitude ceiling over the analytic
+peak), since the physical blowup lies outside the validity of the mean-field
+model.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from scipy.optimize import curve_fit
 
 from .energy import TrapSpec, hamiltonian, trap_potential, quartic_coefficient
 from .errors import BlowupError, DomainError, StepSizeError
-from .grid import Geometry, Grid, Wavefunction
+from .grid import Geometry, Grid, Wavefunction, solve_tridiagonal
 from .observables import ObservableRecord, moments
 from .potentials import ExternalPotential
 
@@ -86,24 +86,6 @@ class _CayleyFactor:
         return out.T
 
 
-def _thomas(lower, diag, upper, rhs):
-    """Stacked tridiagonal solve along the last axis (Thomas algorithm)."""
-    n = rhs.shape[-1]
-    cp = np.empty_like(rhs)
-    dp = np.empty_like(rhs)
-    cp[..., 0] = upper[..., 0] / diag[..., 0]
-    dp[..., 0] = rhs[..., 0] / diag[..., 0]
-    for k in range(1, n):
-        den = diag[..., k] - lower[..., k] * cp[..., k - 1]
-        cp[..., k] = upper[..., k] / den
-        dp[..., k] = (rhs[..., k] - lower[..., k] * dp[..., k - 1]) / den
-    out = np.empty_like(rhs)
-    out[..., -1] = dp[..., -1]
-    for k in range(n - 2, -1, -1):
-        out[..., k] = dp[..., k] - cp[..., k] * out[..., k + 1]
-    return out
-
-
 class _VaryingCayleyFactor:
     """Cayley step for per-line operators K + diag(W/2) with W varying per line."""
 
@@ -112,15 +94,15 @@ class _VaryingCayleyFactor:
         self.m_lo = -z * lower
         self.m_di = 1.0 - z * (diag + w_half)
         self.m_up = -z * upper
-        self.p_lo = z * np.broadcast_to(lower, w_half.shape).copy()
+        self.p_lo = z * lower
         self.p_di = 1.0 + z * (diag + w_half)
-        self.p_up = z * np.broadcast_to(upper, w_half.shape).copy()
+        self.p_up = z * upper
 
     def apply(self, rhs_axis_last):
         work = self.m_di * rhs_axis_last
         work[..., :-1] += self.m_up[..., :-1] * rhs_axis_last[..., 1:]
         work[..., 1:] += self.m_lo[..., 1:] * rhs_axis_last[..., :-1]
-        return _thomas(self.p_lo, self.p_di, self.p_up, work)
+        return solve_tridiagonal(self.p_lo, self.p_di, self.p_up, work)
 
 
 def _sponge_mask(grid: Grid, width: float):

@@ -16,6 +16,7 @@ import enum
 import math
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .analytic import soliton_width
 from .errors import DomainError, GridMismatchError
@@ -144,10 +145,13 @@ class Grid:
         out[:-1] += self._rad_up[:-1] * field[1:]
         return out
 
-    # -- 1-D operator diagonals for implicit time stepping ------------------
+    # -- 1-D operator diagonals for implicit solves ---------------------------
 
     def laplacian_diagonals(self, direction: str):
-        """(lower, diag, upper) of the 1-D Laplacian factor along 's' or 'rho'."""
+        """(lower, diag, upper) of the 1-D Laplacian factor along 's', 'rho' or 'r'.
+
+        lower[0] and upper[-1] are zero (Dirichlet outer edge, vanishing axis face).
+        """
         if direction == "s":
             if self.kind not in (Geometry.LINE, Geometry.CYLINDRICAL):
                 raise DomainError("no s direction on this grid")
@@ -155,21 +159,35 @@ class Grid:
             lower = np.full(n, 1.0 / self.ds ** 2)
             upper = np.full(n, 1.0 / self.ds ** 2)
             diag = np.full(n, -2.0 / self.ds ** 2)
-            lower[0] = 0.0
-            upper[-1] = 0.0
-            return lower, diag, upper
-        if direction == "rho":
-            if self.kind is not Geometry.CYLINDRICAL:
-                raise DomainError("no rho direction on this grid")
-            up = self._rad_up[:, 0]
-            dn = self._rad_dn[:, 0]
-            lower = dn.copy()
-            upper = up.copy()
-            diag = -(up + dn)
-            lower[0] = 0.0
-            upper[-1] = 0.0
-            return lower, diag, upper
-        raise DomainError(f"unknown direction {direction!r}")
+        elif direction in ("rho", "r"):
+            radial = Geometry.CYLINDRICAL if direction == "rho" else Geometry.SPHERICAL_RADIAL
+            if self.kind is not radial:
+                raise DomainError(f"no {direction} direction on this grid")
+            upper = self._rad_up.ravel().copy()
+            lower = self._rad_dn.ravel().copy()
+            diag = -(upper + lower)
+        else:
+            raise DomainError(f"unknown direction {direction!r}")
+        lower[0] = 0.0
+        upper[-1] = 0.0
+        return lower, diag, upper
+
+
+def solve_tridiagonal(lower, diag, upper, rhs):
+    """Solve independent tridiagonal systems along the last axis of `rhs`.
+
+    lower, diag and upper broadcast against rhs; lower[..., 0] and
+    upper[..., -1] are ignored.  All lines go to LAPACK (gtsv) as one banded
+    system whose couplings between consecutive lines are zero.
+    """
+    rhs = np.asarray(rhs)
+    ab = np.zeros((3,) + rhs.shape, dtype=np.result_type(lower, diag, upper))
+    ab[0, ..., 1:] = np.broadcast_to(upper, rhs.shape)[..., :-1]
+    ab[1] = diag
+    ab[2, ..., :-1] = np.broadcast_to(lower, rhs.shape)[..., 1:]
+    out = solve_banded((1, 1), ab.reshape(3, -1), rhs.reshape(-1), overwrite_ab=True,
+                       check_finite=False)
+    return out.reshape(rhs.shape)
 
 
 def _check_resolution(n, name):

@@ -1,12 +1,15 @@
-"""Constrained energy minimization by normalized steepest descent.
+"""Constrained energy minimization by preconditioned normalized gradient descent.
 
-The iteration is plain gradient flow u <- u - dtau * grad(E) with a
-renormalization after every step (imaginary-time relaxation).  The step is
-clamped to an explicit stability estimate and halved automatically whenever
-the energy rises for ten consecutive steps; collapse is flagged through an
-amplitude ceiling relative to the analytic profiles plus an
-accelerating-descent watchdog, since the physical blowup lies outside the
-validity of the mean-field model.
+Each iteration takes the functional gradient g (doubled convention), its
+tangent part r = g - <u, g> u, and the Sobolev direction d = P^{-1} r with
+P = 1 - lap + V, projected back onto the tangent space of the unit sphere; the
+state moves to u - tau * d and is renormalized (Bao & Du, SIAM J. Sci. Comput.
+25, 1674, 2004; Antoine, Levitt & Tang, J. Comput. Phys. 343, 92, 2017).  The
+shift 1 keeps P positive definite on the trap-free line, and because the trap
+is separable on every grid, P^{-1} is applied exactly with banded solves.  A
+step that raises the energy is rejected and retried at half the size.  Collapse
+is flagged by an amplitude ceiling relative to the analytic profiles, since the
+physical blowup lies outside the validity of the mean-field model.
 """
 
 from __future__ import annotations
@@ -16,23 +19,30 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from . import analytic
-from .energy import EnergyBreakdown, TrapSpec, hamiltonian, gradient
+from .energy import (EnergyBreakdown, TrapSpec, gradient, hamiltonian, quartic_coefficient,
+                     trap_potential)
 from .errors import DomainError, StepSizeError
-from .grid import Geometry, Grid, Wavefunction
+from .grid import Geometry, Grid, Wavefunction, solve_tridiagonal
 
 log = logging.getLogger(__name__)
 
-_INSTABILITY_RUN = 10     # consecutive energy increases that trigger a halving
 _MAX_HALVINGS = 30
-_SNAPSHOT_EVERY = 100
-_WINDOW = 200             # iterations per energy-slope window
 
 
 @dataclass(frozen=True)
 class DescentConfig:
-    step_size: float = 1e-3      # pseudo-time step (upper bound; clamped for stability)
+    """Settings of `relax`.
+
+    step_size is the fixed step tau along the preconditioned direction.  P^{-1}
+    times the gradient is close to the identity at short wavelengths, so tau = 1
+    removes the stiff part of the error in one step on any grid spacing.  Each
+    rejected step halves tau for the rest of the run.
+    """
+
+    step_size: float = 1.0
     max_iters: int = 200_000
     energy_tol: float = 1e-10    # relative energy change per iteration
     residual_tol: float = 1e-5   # L2 eigenresidual target
@@ -58,7 +68,7 @@ class GroundStateResult:
     collapsed: bool
     residual: float
     final_step_size: float
-    energy_increases: int  # accepted steps where energy rose beyond round-off
+    energy_increases: int  # steps rejected for raising the energy beyond round-off
 
 
 def reference_peak(grid: Grid, trap: TrapSpec, Q: float) -> float:
@@ -100,28 +110,49 @@ def default_initial(grid: Grid, trap: TrapSpec, Q: float) -> Wavefunction:
     return Wavefunction(grid, values).normalized()
 
 
-def stability_step_limit(grid: Grid, trap: TrapSpec) -> float:
-    """Largest stable descent step, from the stencil eigenvalue bound plus trap maximum."""
-    lam = 0.0
-    if grid.kind in (Geometry.LINE, Geometry.CYLINDRICAL):
-        lam += 4.0 / grid.ds ** 2
-    if grid.kind is Geometry.CYLINDRICAL:
-        lam += 4.0 / grid.drho ** 2
-    if grid.kind is Geometry.SPHERICAL_RADIAL:
-        lam += 4.0 / grid.dr ** 2
-    from .energy import trap_potential  # local import avoids a cycle at module load
+class SobolevPreconditioner:
+    """Exact inverse of P = 1 - lap + V (doubled trap potential) by banded solves.
 
-    lam += float(np.max(trap_potential(grid, trap)))
-    return 1.8 / lam
+    Line and spherical grids need one tridiagonal solve.  On cylindrical grids
+    the rho factor -lap_rho + rho^2 is diagonalized once (its diagonals made
+    symmetric by sqrt(rho), the square root of the radial weight), which leaves
+    one s-line system per rho mode; all of them are solved in one call.
+    """
+
+    def __init__(self, grid: Grid, trap: TrapSpec):
+        self.to_modes = self.from_modes = None
+        if grid.kind is Geometry.CYLINDRICAL:
+            lo, di, up = grid.laplacian_diagonals("rho")
+            theta, vecs = eigh_tridiagonal(grid.rho ** 2 - di, -np.sqrt(up[:-1] * lo[1:]))
+            sqrt_w = np.sqrt(grid.rho)
+            self.to_modes = vecs.T * sqrt_w
+            self.from_modes = vecs / sqrt_w[:, None]
+            shift = theta[:, None] + (trap.lambda_z * grid.s) ** 2
+            direction = "s"
+        else:
+            shift = trap_potential(grid, trap)
+            direction = "s" if grid.kind is Geometry.LINE else "r"
+        lo, di, up = grid.laplacian_diagonals(direction)
+        self.bands = (-lo, 1.0 + shift - di, -up)
+
+    def solve(self, rhs):
+        """P^{-1} rhs for a field on the grid."""
+        if self.to_modes is None:
+            return solve_tridiagonal(*self.bands, rhs)
+        return self.from_modes @ solve_tridiagonal(*self.bands, self.to_modes @ rhs)
 
 
 def relax(initial: Wavefunction, trap: TrapSpec, Q: float,
           cfg: DescentConfig = DescentConfig()) -> GroundStateResult:
-    """Relax an initial state to the constrained minimizer (or detect collapse)."""
+    """Relax an initial state to the constrained minimizer (or detect collapse).
+
+    Raises StepSizeError when the energy rises even after _MAX_HALVINGS
+    halvings of the step.
+    """
     if Q < 0:
         raise DomainError(f"Q must be non-negative, got {Q}")
     grid = initial.grid
-    if abs(initial.norm() - 1.0) > 1e-8:
+    if not abs(initial.norm() - 1.0) <= 1e-8:
         raise DomainError("initial state must have norm 1; call .normalized() first")
 
     # real descent when the seed is real: the flow preserves reality
@@ -133,98 +164,51 @@ def relax(initial: Wavefunction, trap: TrapSpec, Q: float,
     ceiling = math.inf
     if Q > 0:
         ceiling = cfg.collapse_guard * reference_peak(grid, trap, Q)
-
-    dtau = min(cfg.step_size, stability_step_limit(grid, trap))
+    c = quartic_coefficient(grid.kind, Q)
+    precond = SobolevPreconditioner(grid, trap)
     w = grid.weights
+
+    def inner(a, b):
+        return float(np.real(np.sum(w * np.conj(a) * b)))
+
+    tau = cfg.step_size
+    rejected = 0
+    v_prev = d = None
     energy_prev = math.inf
-    rises = 0
-    halvings = 0
-    increases_beyond_tol = 0
-    snapshot = v.copy()
-    collapsed = False
-    converged = False
+    converged = collapsed = False
     residual = math.inf
-    window_drop_prev = 0.0
-    window_energy_start = None
-    accelerating = 0
     iterations = 0
 
     while iterations < cfg.max_iters:
         iterations += 1
         g = gradient(v, grid, trap, Q)
-        vg = float(np.real(np.sum(w * np.conj(v) * g)))
-        quartic = float(np.sum(w * np.abs(v) ** 4))
-        energy = vg + quartic * (0.5 * Q if grid.kind is not Geometry.LINE
-                                 else Q / (4.0 * math.pi))
-        mu = 0.5 * vg
-        res_vec = 0.5 * g - mu * v
-        residual = math.sqrt(float(np.sum(w * np.abs(res_vec) ** 2)))
-
-        if not math.isfinite(energy):
-            v = snapshot.copy()
-            dtau *= 0.5
-            halvings += 1
-            rises = 0
-            energy_prev = math.inf
-            if halvings > _MAX_HALVINGS:
-                raise StepSizeError(
-                    "descent unstable even at the minimum step size; reduce step_size")
-            continue
-
+        vg = inner(v, g)
+        energy = vg + c * float(np.sum(w * np.abs(v) ** 4))
         scale = max(abs(energy), 1.0)
-        if energy > energy_prev + 1e-12 * scale:
-            increases_beyond_tol += 1
-            rises += 1
-            if rises >= _INSTABILITY_RUN:
-                v = snapshot.copy()
-                dtau *= 0.5
-                halvings += 1
-                rises = 0
-                increases_beyond_tol -= _INSTABILITY_RUN
-                energy_prev = math.inf
-                if halvings > _MAX_HALVINGS:
-                    raise StepSizeError(
-                        "descent unstable even at the minimum step size; reduce step_size")
-                continue
+        if not energy <= energy_prev + 1e-12 * scale:  # a rise, or a non-finite energy
+            rejected += 1
+            if v_prev is None or rejected > _MAX_HALVINGS:
+                raise StepSizeError(f"the energy still rose at step size {tau:g} "
+                                    f"after {rejected - 1} halvings")
+            tau *= 0.5
         else:
-            rises = 0
-
-        if (abs(energy - energy_prev) < cfg.energy_tol * scale
-                and residual < cfg.residual_tol):
-            converged = True
-            break
-        energy_prev = energy
-
-        peak = float(np.max(np.abs(v)))
-        if peak > ceiling:
-            collapsed = True
-            break
-
-        # accelerating unbounded descent is the other collapse signature
-        if Q > 0 and iterations % _WINDOW == 0:
-            if window_energy_start is not None:
-                drop = window_energy_start - energy
-                if drop > 0 and window_drop_prev > 0 and drop > 1.5 * window_drop_prev:
-                    accelerating += 1
-                    if accelerating >= 3 and peak > reference_peak(grid, trap, Q):
-                        collapsed = True
-                        break
-                else:
-                    accelerating = 0
-                window_drop_prev = drop if drop > 0 else 0.0
-            window_energy_start = energy
-
-        if iterations % _SNAPSHOT_EVERY == 0:
-            snapshot = v.copy()
-
-        v -= dtau * g
-        nrm = math.sqrt(float(np.sum(w * np.abs(v) ** 2)))
-        v /= nrm
+            tangent = g - vg * v  # twice the eigenresidual g/2 - mu*u
+            residual = 0.5 * math.sqrt(inner(tangent, tangent))
+            if abs(energy - energy_prev) < cfg.energy_tol * scale \
+                    and residual < cfg.residual_tol:
+                converged = True
+                break
+            if float(np.max(np.abs(v))) > ceiling:
+                collapsed = True
+                break
+            d = precond.solve(tangent)
+            d -= inner(v, d) * v
+            v_prev, energy_prev = v, energy
+        v = v_prev - tau * d
+        v /= math.sqrt(inner(v, v))
 
     final = Wavefunction(grid, np.asarray(v, dtype=complex))
     breakdown = hamiltonian(final, trap, Q)
-    if converged:
-        collapsed = False
     log.debug("relax: Q=%g lambda_z=%g iters=%d converged=%s collapsed=%s residual=%.3e",
               Q, trap.lambda_z, iterations, converged, collapsed, residual)
     return GroundStateResult(
@@ -234,6 +218,6 @@ def relax(initial: Wavefunction, trap: TrapSpec, Q: float,
         converged=converged,
         collapsed=collapsed,
         residual=residual,
-        final_step_size=dtau,
-        energy_increases=increases_beyond_tol,
+        final_step_size=tau,
+        energy_increases=rejected,
     )

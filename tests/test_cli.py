@@ -1,0 +1,74 @@
+import logging
+import math
+
+import numpy as np
+import pytest
+
+from gpesoliton import cli
+from gpesoliton.grid import Geometry, Wavefunction, cylindrical_grid, line_grid, spherical_grid
+
+
+def row_loop_state_csv(path, u):
+    """The node-by-node writer that write_state_csv replaced; the byte reference."""
+    grid = u.grid
+    rows = []
+    if grid.kind is Geometry.CYLINDRICAL:
+        for i, rho in enumerate(grid.rho):
+            for j, s in enumerate(grid.s):
+                v = u.values[i, j]
+                rows.append((rho, s, v.real, v.imag))
+    elif grid.kind is Geometry.LINE:
+        for j, s in enumerate(grid.s):
+            v = u.values[j]
+            rows.append((float("nan"), s, v.real, v.imag))
+    else:
+        for i, r in enumerate(grid.r):
+            v = u.values[i]
+            rows.append((r, float("nan"), v.real, v.imag))
+    note = cli.UNITS_NOTE + "; rho column holds r on spherical grids, nan on line grids"
+    cli.write_csv(path, ("rho", "s", "re_u", "im_u"), rows, note=note)
+
+
+@pytest.mark.parametrize("grid", [
+    line_grid(-5.0, 5.0, 16),
+    cylindrical_grid(3.0, -4.0, 4.0, 16, 20),
+    spherical_grid(4.0, 16),
+], ids=lambda g: g.kind.value)
+def test_state_csv_matches_row_loop(tmp_path, grid):
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    values.flat[0] = -0.0 + 1e-300j  # a signed zero and a three-digit exponent
+    u = Wavefunction(grid, values)
+    cli.write_state_csv(tmp_path / "new.csv", u)
+    row_loop_state_csv(tmp_path / "ref.csv", u)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_ground_writes_outputs(tmp_path):
+    out = tmp_path / "g.csv"
+    argv = ["ground", "--q", "5", "--geometry", "line", "--n-s", "128", "--quiet",
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    for name in ("g.csv", "g.csv.summary", "g.csv.manifest"):
+        assert (tmp_path / name).stat().st_size > 0
+    lines = (tmp_path / "g.csv.summary").read_text().splitlines()
+    row = dict(zip(lines[1].split(","), lines[2].split(",")))
+    assert row["converged"] == "1" and row["collapsed"] == "0"
+    assert float(row["mu"]) == pytest.approx(-25 / (128 * math.pi ** 2), rel=5e-3)
+
+
+def test_unknown_geometry_fails(tmp_path, capsys):
+    argv = ["ground", "--q", "5", "--geometry", "torus", "--out", str(tmp_path / "g.csv")]
+    assert cli.main(argv) == 1
+    assert "unknown geometry 'torus'" in capsys.readouterr().err
+
+
+def test_ehrenfest_runs_with_off_cadence_snapshot(tmp_path, caplog):
+    # the snapshot at 0.335 ends the first leg off the 20-step sampling cadence
+    caplog.set_level(logging.INFO)
+    argv = ["evolve", "--geometry", "line", "--q", "5", "--initial", "composite",
+            "--t-final", "0.5", "--snapshot-times", "0.335", "--out", str(tmp_path / "e.csv")]
+    assert cli.main(argv) == 0
+    checks = [r.getMessage() for r in caplog.records if "ehrenfest" in r.getMessage()]
+    assert len(checks) == 2
+    assert not any("skipped" in m for m in checks)

@@ -1,0 +1,26 @@
+import math
+
+import pytest
+
+from gpesoliton.collapse import find_threshold
+from gpesoliton.errors import DomainError
+from gpesoliton.grid import spherical_grid
+
+# isotropic collapse threshold, Ruprecht et al., PRA 51, 4704 (1995)
+ISOTROPIC_QC = 8.0 * math.pi * 0.575
+
+
+class TestFindThreshold:
+    def test_spherical_bracket_contains_literature_value(self):
+        res = find_threshold(spherical_grid(6.0, 96), 1.0, (10.0, 25.0), 0.5)
+        assert res.q_hi - res.q_lo <= 0.5
+        assert res.q_lo < ISOTROPIC_QC < res.q_hi
+        assert all(t.resolved for t in res.trials)
+
+    @pytest.mark.parametrize("bracket,reason", [
+        ((20.0, 25.0), "q_min = 20.0 did not converge"),
+        ((5.0, 10.0), "q_max = 10.0 did not collapse"),
+    ])
+    def test_invalid_bracket_rejected(self, bracket, reason):
+        with pytest.raises(DomainError, match=reason):
+            find_threshold(spherical_grid(6.0, 64), 1.0, bracket, 0.5)

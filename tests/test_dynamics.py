@@ -25,8 +25,7 @@ def relaxed_iso():
     # tight discrete eigenstate on a small cylindrical grid
     g = cylindrical_grid(5.0, -5.0, 5.0, 48, 48)
     trap = TrapSpec(1.0)
-    cfg = DescentConfig(step_size=2e-3, residual_tol=1e-9,
-                        energy_tol=1e-14, max_iters=200_000)
+    cfg = DescentConfig(residual_tol=1e-9, energy_tol=1e-14, max_iters=200_000)
     res = relax(default_initial(g, trap, 0.0), trap, 0.0, cfg)
     assert res.converged
     return res
@@ -74,7 +73,7 @@ class TestStationaryStates:
         g = line_grid(-40.0, 40.0, 512)
         trap = TrapSpec(0.0)
         res = relax(default_initial(g, trap, 5.0), trap, 5.0,
-                    DescentConfig(step_size=5e-3, residual_tol=1e-8))
+                    DescentConfig(residual_tol=1e-8))
         assert res.converged
         u0 = res.wavefunction.normalized()
         _, fin = propagate(u0, trap, 5.0, None, PropagationConfig(t_final=2.0))
@@ -129,7 +128,7 @@ class TestDisplace:
         g = line_grid(-25.0, 25.0, 512)
         trap = TrapSpec(0.2)
         res = relax(default_initial(g, trap, 5.0), trap, 5.0,
-                    DescentConfig(step_size=3e-3, residual_tol=1e-6))
+                    DescentConfig(residual_tol=1e-6))
         d = displace(res.wavefunction.normalized(), 2.0)
         assert moments(d).x_s == pytest.approx(2.0, abs=g.ds / 10)
 
@@ -146,7 +145,7 @@ class TestEhrenfest:
         g = line_grid(-25.0, 25.0, 512)
         trap = TrapSpec(lz)
         res = relax(default_initial(g, trap, 5.0), trap, 5.0,
-                    DescentConfig(step_size=3e-3, residual_tol=1e-6))
+                    DescentConfig(residual_tol=1e-6))
         assert res.converged
         u0 = displace(res.wavefunction.normalized(), 2.0)
         period = 2 * math.pi / lz
@@ -181,7 +180,7 @@ class TestEhrenfest:
         g = line_grid(-25.0, 25.0, 512)
         trap = TrapSpec(lz)
         res = relax(default_initial(g, trap, 5.0), trap, 5.0,
-                    DescentConfig(step_size=3e-3, residual_tol=1e-6))
+                    DescentConfig(residual_tol=1e-6))
         u0 = displace(res.wavefunction.normalized(), 2.0)
 
         def residual(dt):

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from gpesoliton import analytic
-from gpesoliton.energy import TrapSpec, hamiltonian
+from gpesoliton.energy import TrapSpec, hamiltonian, trap_potential
 from gpesoliton.errors import DomainError
 from gpesoliton.grid import Wavefunction, cylindrical_grid, line_grid, spherical_grid
-from gpesoliton.groundstate import (DescentConfig, default_initial, reference_peak,
-                                    relax, stability_step_limit)
+from gpesoliton.groundstate import (DescentConfig, SobolevPreconditioner, default_initial,
+                                    reference_peak, relax)
 from gpesoliton.observables import ProfileSection, compare_profiles, moments
 
-FAST = DescentConfig(step_size=3e-3, residual_tol=1e-5, max_iters=120_000)
+FAST = DescentConfig(residual_tol=1e-5, max_iters=120_000)
 
 
 class TestDefaultInitial:
@@ -68,7 +68,7 @@ class TestRelax:
         # gaussian and soliton seeds land on the same minimizer
         g = line_grid(-25.0, 25.0, 256)
         trap = TrapSpec(0.0)
-        cfg = DescentConfig(step_size=3e-3, residual_tol=1e-8, max_iters=400_000)
+        cfg = DescentConfig(residual_tol=1e-8, max_iters=400_000)
         a = relax(default_initial(g, trap, 5.0), trap, 5.0, cfg)
         gauss = Wavefunction(g, np.exp(-0.25 * g.s ** 2)).normalized()
         b = relax(gauss, trap, 5.0, cfg)
@@ -121,22 +121,44 @@ class TestRelax:
         with pytest.raises(DomainError):
             relax(bad, TrapSpec(0.0), 1.0, FAST)
 
+    def test_rejects_nan_initial(self):
+        g = line_grid(-10.0, 10.0, 64)
+        with pytest.raises(DomainError, match="norm 1"):
+            relax(Wavefunction(g, np.full(g.shape, np.nan)), TrapSpec(0.0), 1.0, FAST)
+
     def test_oversized_step_recovers_by_halving(self):
         g = line_grid(-25.0, 25.0, 256)
         trap = TrapSpec(0.0)
-        cfg = DescentConfig(step_size=1.0, residual_tol=1e-5, max_iters=120_000)
+        cfg = DescentConfig(step_size=8.0, residual_tol=1e-5, max_iters=120_000)
         res = relax(default_initial(g, trap, 5.0), trap, 5.0, cfg)
         assert res.converged
-        assert res.final_step_size < 1.0
+        assert res.final_step_size < 8.0
+
+    def test_iteration_budget(self):
+        # the preconditioned step needs about 90 iterations here on any node
+        # count from 128 to 4096
+        g = line_grid(-25.0, 25.0, 256)
+        trap = TrapSpec(0.0)
+        res = relax(default_initial(g, trap, 5.0), trap, 5.0)
+        assert res.converged
+        assert res.iterations < 200
+
+
+class TestPreconditioner:
+    @pytest.mark.parametrize("grid,trap", [
+        (line_grid(-20.0, 20.0, 128), TrapSpec(0.0)),
+        (spherical_grid(6.0, 96), TrapSpec(1.0)),
+        (cylindrical_grid(5.0, -10.0, 10.0, 24, 64), TrapSpec(0.0)),
+        (cylindrical_grid(5.0, -10.0, 10.0, 24, 64), TrapSpec(0.4)),
+    ], ids=["line", "spherical", "cylindrical-0", "cylindrical-0.4"])
+    def test_exact_inverse(self, grid, trap):
+        rhs = np.random.default_rng(3).standard_normal(grid.shape)
+        x = SobolevPreconditioner(grid, trap).solve(rhs)
+        px = x - grid.laplacian(x) + trap_potential(grid, trap) * x
+        assert grid.norm(px - rhs) <= 1e-12 * grid.norm(rhs)
 
 
 class TestHelpers:
-    def test_stability_limit_scales_with_spacing(self):
-        coarse = line_grid(-10.0, 10.0, 64)
-        fine = line_grid(-10.0, 10.0, 256)
-        assert stability_step_limit(fine, TrapSpec(0.0)) < \
-            stability_step_limit(coarse, TrapSpec(0.0))
-
     def test_reference_peak_covers_gaussian_regime(self):
         # the ceiling must not sit below the noninteracting peak at small Q
         g = cylindrical_grid(5.0, -6.0, 6.0, 32, 32)
