@@ -13,8 +13,8 @@ from __future__ import annotations
 import argparse
 import logging
 import math
-import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +334,16 @@ def cmd_ground(args):
     return 0
 
 
+def _lattice_step(t, dt) -> int:
+    """The step count k with k * dt = t; DomainError when t is off that lattice."""
+    k = round(t / dt)
+    if abs(t - k * dt) > 1e-9 * dt:
+        raise DomainError(f"snapshot time {t:g} is off the dt = {dt:g} lattice; the "
+                          f"nearest lattice times are {math.floor(t / dt) * dt:.12g} "
+                          f"and {math.ceil(t / dt) * dt:.12g}")
+    return k
+
+
 def cmd_evolve(args):
     _fill_defaults(args, GRID_DEFAULTS)
     _fill_defaults(args, SOLVER_DEFAULTS)
@@ -376,27 +386,23 @@ def cmd_evolve(args):
                             scheme=schemes[args.scheme],
                             sponge_strength=args.sponge_strength,
                             sponge_width=args.sponge_width)
-    snap_times = sorted(_float_list(args.snapshot_times))
+    snaps = [(_lattice_step(t, cfg.dt), t) for t in sorted(_float_list(args.snapshot_times))]
     out = Path(args.out)
     legs = []
-    if snap_times:
-        u, t_done = u0, 0.0
-        for k, t_snap in enumerate(snap_times + [args.t_final]):
-            span = t_snap - t_done
-            if span < -1e-12:
-                raise DomainError("snapshot times must lie within [0, t_final]")
-            if span > 1e-12:
-                leg_cfg = PropagationConfig(t_final=span, dt=cfg.dt,
-                                            observe_every=cfg.observe_every,
-                                            scheme=cfg.scheme,
-                                            sponge_strength=cfg.sponge_strength,
-                                            sponge_width=cfg.sponge_width)
+    if snaps:
+        n_final = int(round(cfg.t_final / cfg.dt))
+        if snaps[0][0] < 0 or snaps[-1][0] > n_final:
+            raise DomainError("snapshot times must lie within [0, t_final]")
+        u, k_done = u0, 0
+        for k_snap, t_snap in snaps + [(n_final, None)]:
+            if k_snap > k_done:
+                leg_cfg = replace(cfg, t_final=(k_snap - k_done) * cfg.dt)
                 leg, u = propagate(u, trap, Q, ext, leg_cfg)
                 for rec in leg:
-                    rec.tau += t_done
+                    rec.tau += k_done * cfg.dt
                 legs.append(leg)
-                t_done = t_snap
-            if k < len(snap_times):
+                k_done = k_snap
+            if t_snap is not None:
                 write_state_csv(out.parent / f"{out.stem}.snapshot_{t_snap:g}.csv", u)
     else:
         legs.append(propagate(u0, trap, Q, ext, cfg)[0])
@@ -512,9 +518,6 @@ def build_parser():
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", default=None,
                        help="flat key = value file; flags override it")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker cap (GPE_THREADS fallback; current solvers are serial)")
-        conv["threads"] = int
         p.add_argument("--quiet", action="store_true", default=False)
         conv["quiet"] = lambda v: v.strip().lower() in ("1", "true", "yes")
         p.set_defaults(func=fn)
@@ -604,11 +607,6 @@ def main(argv=None) -> int:
     try:
         if args.config:
             apply_config(args, load_config(args.config), converters[args.command])
-        if args.threads is None:
-            env = os.environ.get("GPE_THREADS")
-            args.threads = int(env) if env else 1
-        if args.threads < 1:
-            raise DomainError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
     except GpeError as exc:
         print(f"error: {exc}", file=sys.stderr)

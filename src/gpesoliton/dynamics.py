@@ -1,11 +1,18 @@
 """Real-time propagation with Strang splitting or lagged Crank-Nicolson.
 
 Both schemes are built from Cayley (Crank-Nicolson) factors of Hermitian
-1-D operators, so the discrete norm is conserved to round-off:
+1-D operators, so the discrete norm is conserved to round-off.  A Cayley
+factor is applied as (1 + zK)^{-1}(1 - zK) = 2(1 + zK)^{-1} - 1, one
+tridiagonal solve and no explicit multiply.
 
-* split-step: exact pointwise half-steps of the potential+cubic phase around
-  a kinetic step; on cylindrical grids the kinetic step itself is split per
-  direction (half rho, full s, half rho), each direction a tridiagonal solve.
+* split-step: half-steps of the pointwise potential+cubic phase around a
+  kinetic step.  Between records the trailing half-phase of one step and the
+  leading half-phase of the next are merged into one full phase, which is
+  exact (with a sponge, the cubic term sees the mean of the undamped and the
+  damped density).  The kinetic factor along s is LU-factored once and solved
+  for all lines per step.  On cylindrical grids the two rho half-steps of the
+  splitting (half rho, full s, half rho) commute with the s step, so they are
+  taken together as one diagonal factor in the radial eigenbasis of K_rho.
 * semi-implicit: the full operator with the cubic term frozen at the current
   step enters the Cayley factors (split per direction on cylindrical grids).
 
@@ -20,13 +27,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 from scipy.interpolate import CubicSpline
 from scipy.optimize import curve_fit
 
 from .energy import TrapSpec, hamiltonian, trap_potential, quartic_coefficient
 from .errors import BlowupError, DomainError, StepSizeError
-from .grid import Geometry, Grid, Wavefunction, solve_tridiagonal
+from .grid import Geometry, Grid, TridiagonalFactor, Wavefunction, solve_tridiagonal
 from .observables import ObservableRecord, moments
 from .potentials import ExternalPotential
 
@@ -58,51 +64,16 @@ class PropagationConfig:
             raise DomainError("sponge parameters must be non-negative")
 
 
-def _banded(lower, diag, upper):
-    n = diag.size
-    ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    return ab
+def _cayley_plus(grid: Grid, direction: str, w_half, dt):
+    """(lower, diag, upper) of 1 + i*dt/2*K for K = -lap/2 + w_half along `direction`."""
+    lo, di, up = grid.laplacian_diagonals(direction)
+    z = 0.5j * dt
+    return -0.5 * z * lo, 1.0 + z * (w_half - 0.5 * di), -0.5 * z * up
 
 
-class _CayleyFactor:
-    """Unitary step exp(-i*dt*K) ~ (1 + i*dt*K/2)^{-1} (1 - i*dt*K/2) for a
-    tridiagonal Hermitian-in-the-weighted-inner-product operator K."""
-
-    def __init__(self, lower, diag, upper, dt):
-        z = 0.5j * dt
-        self.minus = (-z * lower, 1.0 - z * diag, -z * upper)
-        self.plus_ab = _banded(z * lower, 1.0 + z * diag, z * upper)
-
-    def apply(self, rhs_axis_last):
-        lo, di, up = self.minus
-        work = di * rhs_axis_last
-        work[..., :-1] += up[:-1] * rhs_axis_last[..., 1:]
-        work[..., 1:] += lo[1:] * rhs_axis_last[..., :-1]
-        out = solve_banded((1, 1), self.plus_ab, work.T, overwrite_b=True,
-                           check_finite=False)
-        return out.T
-
-
-class _VaryingCayleyFactor:
-    """Cayley step for per-line operators K + diag(W/2) with W varying per line."""
-
-    def __init__(self, lower, diag, upper, w_half, dt):
-        z = 0.5j * dt
-        self.m_lo = -z * lower
-        self.m_di = 1.0 - z * (diag + w_half)
-        self.m_up = -z * upper
-        self.p_lo = z * lower
-        self.p_di = 1.0 + z * (diag + w_half)
-        self.p_up = z * upper
-
-    def apply(self, rhs_axis_last):
-        work = self.m_di * rhs_axis_last
-        work[..., :-1] += self.m_up[..., :-1] * rhs_axis_last[..., 1:]
-        work[..., 1:] += self.m_lo[..., 1:] * rhs_axis_last[..., :-1]
-        return solve_tridiagonal(self.p_lo, self.p_di, self.p_up, work)
+def _cayley(grid: Grid, direction: str, w_half, dt, v):
+    """Cayley step of K = -lap/2 + w_half along `direction`, the last axis of v."""
+    return 2.0 * solve_tridiagonal(*_cayley_plus(grid, direction, w_half, dt), v) - v
 
 
 def _sponge_mask(grid: Grid, width: float):
@@ -141,35 +112,67 @@ class _Propagator:
         self.sponge = None
         if cfg.sponge_strength > 0 and cfg.sponge_width > 0:
             self.sponge = cfg.sponge_strength * _sponge_mask(grid, cfg.sponge_width)
-        dt = cfg.dt
         if cfg.scheme is PropagationScheme.SPLIT_STEP:
-            lo, di, up = grid.laplacian_diagonals("s")
-            self.kin_s = _CayleyFactor(-0.5 * lo, -0.5 * di, -0.5 * up, dt)
-            if grid.kind is Geometry.CYLINDRICAL:
-                lo, di, up = grid.laplacian_diagonals("rho")
-                self.kin_rho = _CayleyFactor(-0.5 * lo, -0.5 * di, -0.5 * up, 0.5 * dt)
+            self._init_split_step(cfg.dt)
 
-    def _phase_half(self, v):
-        w = self.v3 - self.c3 * np.abs(v) ** 2
-        phase = np.exp(-0.5j * self.cfg.dt * w)
-        if self.sponge is not None:
-            phase = phase * np.exp(-0.5 * self.cfg.dt * self.sponge)
-        v *= phase
+    def _init_split_step(self, dt):
+        self.kin_s = TridiagonalFactor(*_cayley_plus(self.grid, "s", 0.0, dt))
+        if self.grid.kind is Geometry.CYLINDRICAL:
+            # eigenvalues of -lap_rho; two Cayley half-steps of K_rho = -lap_rho/2
+            eig, self.to_modes, self.from_modes = self.grid.radial_modes()
+            self.rho_factor = (((1.0 - 0.125j * dt * eig)
+                                / (1.0 + 0.125j * dt * eig)) ** 2)[:, None]
+        # (h, cubic, damping) of the phase exp(-i*h*(V - cubic*|v|^2)) * damping:
+        # a half-step, and a merged pair of half-steps whose second half sees
+        # the density damped by the first
+        damp = 1.0 if self.sponge is None else np.exp(-dt * self.sponge)
+        self.half_phase = (0.5 * dt, self.c3, None if self.sponge is None else np.sqrt(damp))
+        self.full_phase = (dt, 0.5 * self.c3 * (1.0 + damp),
+                           None if self.sponge is None else damp)
 
-    def step(self, v):
-        if self.cfg.scheme is PropagationScheme.SPLIT_STEP:
-            self._phase_half(v)
-            if self.grid.kind is Geometry.LINE:
-                v = self.kin_s.apply(v)
-            else:
-                v = self.kin_rho.apply(v.T).T
-                v = self.kin_s.apply(v)
-                v = self.kin_rho.apply(v.T).T
-            self._phase_half(v)
+    def _kick(self, v, phase):
+        h, cubic, damping = phase
+        theta = v.real * v.real
+        theta += v.imag * v.imag
+        theta *= cubic
+        theta -= self.v3
+        theta *= h
+        factor = np.empty_like(v)
+        np.cos(theta, out=factor.real)
+        np.sin(theta, out=factor.imag)
+        if damping is not None:
+            factor *= damping
+        v *= factor
+
+    def _kinetic(self, v):
+        if self.grid.kind is Geometry.LINE:
+            return 2.0 * self.kin_s.solve(v) - v
+        w = (self.to_modes @ v.view(np.float64)).view(np.complex128)
+        x = self.kin_s.solve(w)  # one right-hand side per rho mode
+        x *= 2.0
+        x -= w
+        del w  # one field fewer alive during the transform back
+        x *= self.rho_factor
+        return (self.from_modes @ x.view(np.float64)).view(np.complex128)
+
+    def advance(self, v, n_steps):
+        """The state n_steps steps after v (a C-contiguous complex field)."""
+        if self.cfg.scheme is PropagationScheme.SEMI_IMPLICIT:
+            for _ in range(n_steps):
+                v = self._semi_implicit_step(v)
             return v
-        # semi-implicit: Cayley factors with the cubic term lagged, then one
-        # corrector pass at the midpoint density (keeps the energy error at
-        # second order; a single lagged pass drifts at first order)
+        self._kick(v, self.half_phase)
+        for k in range(n_steps):
+            if k:
+                self._kick(v, self.full_phase)
+            v = self._kinetic(v)
+        self._kick(v, self.half_phase)
+        return v
+
+    def _semi_implicit_step(self, v):
+        # Cayley factors with the cubic term lagged, then one corrector pass at
+        # the midpoint density (keeps the energy error at second order; a single
+        # lagged pass drifts at first order)
         dt = self.cfg.dt
         density = np.abs(v) ** 2
         pred = self._cayley_full(v, self.v3 - self.c3 * density, dt)
@@ -181,19 +184,11 @@ class _Propagator:
 
     def _cayley_full(self, v, w3, dt):
         if self.grid.kind is Geometry.LINE:
-            lo, di, up = self.grid.laplacian_diagonals("s")
-            fac = _VaryingCayleyFactor(-0.5 * lo, -0.5 * di, -0.5 * up, w3, dt)
-            return fac.apply(v)
-        lo_s, di_s, up_s = self.grid.laplacian_diagonals("s")
-        lo_r, di_r, up_r = self.grid.laplacian_diagonals("rho")
+            return _cayley(self.grid, "s", w3, dt, v)
         half_w = 0.5 * w3  # half of the potential in each direction factor
-        fac_r = _VaryingCayleyFactor(-0.5 * lo_r, -0.5 * di_r, -0.5 * up_r,
-                                     half_w.T, 0.5 * dt)
-        fac_s = _VaryingCayleyFactor(-0.5 * lo_s, -0.5 * di_s, -0.5 * up_s,
-                                     half_w, dt)
-        v = fac_r.apply(v.T).T
-        v = fac_s.apply(v)
-        return fac_r.apply(v.T).T
+        v = _cayley(self.grid, "rho", half_w.T, 0.5 * dt, v.T).T
+        v = _cayley(self.grid, "s", half_w, dt, v)
+        return _cayley(self.grid, "rho", half_w.T, 0.5 * dt, v.T).T
 
     def observe(self, v, tau):
         u = Wavefunction(self.grid, v)
@@ -227,21 +222,23 @@ def propagate(u0: Wavefunction, trap: TrapSpec, Q: float,
     if abs(u0.norm() - 1.0) > 1e-8:
         raise DomainError("initial state must have norm 1; call .normalized() first")
     prop = _Propagator(u0.grid, trap, Q, external, cfg)
-    v = np.asarray(u0.values, dtype=complex).copy()
+    v = np.array(u0.values, dtype=complex, order="C")
     n_steps = int(round(cfg.t_final / cfg.dt))
     records = [prop.observe(v, 0.0)]
-    for k in range(1, n_steps + 1):
-        v = prop.step(v)
+    k = 0
+    while k < n_steps:
+        span = min(cfg.observe_every, n_steps - k)  # steps up to the next record
+        v = prop.advance(v, span)
+        k += span
         tau = k * cfg.dt
-        if k % cfg.observe_every == 0 or k == n_steps:
-            if not np.all(np.isfinite(v)):
-                raise BlowupError(f"non-finite state at tau = {tau:g}", tau=tau)
-            rec = prop.observe(v, tau)
-            if prop.sponge is None and abs(rec.norm - 1.0) > NORM_DRIFT_LIMIT:
-                raise StepSizeError(
-                    f"norm drifted to {rec.norm:.9f} at tau = {tau:g}; reduce dt",
-                    tau=tau)
-            records.append(rec)
+        if not np.all(np.isfinite(v)):
+            raise BlowupError(f"non-finite state at tau = {tau:g}", tau=tau)
+        rec = prop.observe(v, tau)
+        if prop.sponge is None and abs(rec.norm - 1.0) > NORM_DRIFT_LIMIT:
+            raise StepSizeError(
+                f"norm drifted to {rec.norm:.9f} at tau = {tau:g}; reduce dt",
+                tau=tau)
+        records.append(rec)
     return records, Wavefunction(u0.grid, v)
 
 

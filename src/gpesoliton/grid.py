@@ -16,7 +16,7 @@ import enum
 import math
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
 
 from .analytic import soliton_width
 from .errors import DomainError, GridMismatchError
@@ -172,22 +172,70 @@ class Grid:
         upper[-1] = 0.0
         return lower, diag, upper
 
+    def radial_modes(self, potential=0.0):
+        """Eigenpairs of -lap_rho + potential on a cylindrical grid.
+
+        Returns (eigenvalues, to_modes, from_modes): to_modes @ field holds the
+        mode amplitudes of a (rho, s) field and from_modes @ amplitudes maps
+        them back.  The factor is made symmetric by sqrt(rho), the square root
+        of the radial weight, so both maps are real and exact inverses.
+        """
+        lo, di, up = self.laplacian_diagonals("rho")
+        eigenvalues, vecs = eigh_tridiagonal(potential - di, -np.sqrt(up[:-1] * lo[1:]))
+        # one Newton-Schulz step: the ~1e-15 departure from orthogonality would
+        # otherwise enter every round trip through the modes with the same sign
+        vecs = 1.5 * vecs - 0.5 * vecs @ (vecs.T @ vecs)
+        sqrt_w = np.sqrt(self.rho)
+        return eigenvalues, vecs.T * sqrt_w, vecs / sqrt_w[:, None]
+
+
+class TridiagonalFactor:
+    """LU factors (LAPACK gttrf) of tridiagonal systems along the last axis.
+
+    lower, diag and upper broadcast to the factor's shape (..., n), one
+    system per line; lower[..., 0] and upper[..., -1] are ignored.  All lines
+    are factored once as one system whose couplings between consecutive lines
+    are zero, which partial pivoting never crosses.  `solve` takes right-hand
+    sides whose trailing axes have the factor's shape; leading axes hold
+    further right-hand sides of the same systems (gttrs with nrhs > 1).
+    """
+
+    def __init__(self, lower, diag, upper):
+        self.shape = np.broadcast_shapes(np.shape(lower), np.shape(diag), np.shape(upper))
+        dtype = np.result_type(lower, diag, upper, np.float64)
+        bands = [np.broadcast_to(b, self.shape).astype(dtype) for b in (lower, diag, upper)]
+        bands[0][..., 0] = 0.0
+        bands[2][..., -1] = 0.0
+        lo, di, up = (b.ravel() for b in bands)
+        gttrf, self._gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=dtype)
+        *self._lu, info = gttrf(lo[1:], di, up[:-1], overwrite_dl=True, overwrite_d=True,
+                                overwrite_du=True)
+        if info > 0:
+            raise DomainError(f"singular tridiagonal system (zero pivot {info})")
+        self.size = di.size
+
+    def solve(self, rhs, overwrite=False):
+        """The solution for `rhs`; overwrite=True lets it reuse rhs's memory."""
+        rhs = np.asarray(rhs)
+        if rhs.shape[rhs.ndim - len(self.shape):] != self.shape:
+            raise GridMismatchError(f"right-hand side {rhs.shape} does not end in {self.shape}")
+        if np.iscomplexobj(rhs) and not np.iscomplexobj(self._lu[1]):
+            return self.solve(rhs.real) + 1j * self.solve(rhs.imag)
+        b = np.ascontiguousarray(rhs).reshape(-1, self.size).T
+        x, _ = self._gttrs(*self._lu, b, overwrite_b=overwrite)
+        return x.T.reshape(rhs.shape)
+
 
 def solve_tridiagonal(lower, diag, upper, rhs):
     """Solve independent tridiagonal systems along the last axis of `rhs`.
 
     lower, diag and upper broadcast against rhs; lower[..., 0] and
-    upper[..., -1] are ignored.  All lines go to LAPACK (gtsv) as one banded
-    system whose couplings between consecutive lines are zero.
+    upper[..., -1] are ignored.
     """
     rhs = np.asarray(rhs)
-    ab = np.zeros((3,) + rhs.shape, dtype=np.result_type(lower, diag, upper))
-    ab[0, ..., 1:] = np.broadcast_to(upper, rhs.shape)[..., :-1]
-    ab[1] = diag
-    ab[2, ..., :-1] = np.broadcast_to(lower, rhs.shape)[..., 1:]
-    out = solve_banded((1, 1), ab.reshape(3, -1), rhs.reshape(-1), overwrite_ab=True,
-                       check_finite=False)
-    return out.reshape(rhs.shape)
+    shape = np.broadcast_shapes(np.shape(lower), np.shape(diag), np.shape(upper), rhs.shape)
+    return TridiagonalFactor(*(np.broadcast_to(b, shape) for b in (lower, diag, upper))
+                             ).solve(rhs)
 
 
 def _check_resolution(n, name):

@@ -19,13 +19,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from . import analytic
 from .energy import (EnergyBreakdown, TrapSpec, gradient, hamiltonian, quartic_coefficient,
                      trap_potential)
 from .errors import DomainError, StepSizeError
-from .grid import Geometry, Grid, Wavefunction, solve_tridiagonal
+from .grid import Geometry, Grid, TridiagonalFactor, Wavefunction
 
 log = logging.getLogger(__name__)
 
@@ -114,32 +113,28 @@ class SobolevPreconditioner:
     """Exact inverse of P = 1 - lap + V (doubled trap potential) by banded solves.
 
     Line and spherical grids need one tridiagonal solve.  On cylindrical grids
-    the rho factor -lap_rho + rho^2 is diagonalized once (its diagonals made
-    symmetric by sqrt(rho), the square root of the radial weight), which leaves
-    one s-line system per rho mode; all of them are solved in one call.
+    the rho factor -lap_rho + rho^2 is diagonalized once (`Grid.radial_modes`),
+    which leaves one s-line system per rho mode.  P is factored once; each
+    solve is one gttrs call over all lines.
     """
 
     def __init__(self, grid: Grid, trap: TrapSpec):
         self.to_modes = self.from_modes = None
         if grid.kind is Geometry.CYLINDRICAL:
-            lo, di, up = grid.laplacian_diagonals("rho")
-            theta, vecs = eigh_tridiagonal(grid.rho ** 2 - di, -np.sqrt(up[:-1] * lo[1:]))
-            sqrt_w = np.sqrt(grid.rho)
-            self.to_modes = vecs.T * sqrt_w
-            self.from_modes = vecs / sqrt_w[:, None]
+            theta, self.to_modes, self.from_modes = grid.radial_modes(grid.rho ** 2)
             shift = theta[:, None] + (trap.lambda_z * grid.s) ** 2
             direction = "s"
         else:
             shift = trap_potential(grid, trap)
             direction = "s" if grid.kind is Geometry.LINE else "r"
         lo, di, up = grid.laplacian_diagonals(direction)
-        self.bands = (-lo, 1.0 + shift - di, -up)
+        self.factor = TridiagonalFactor(-lo, 1.0 + shift - di, -up)
 
     def solve(self, rhs):
         """P^{-1} rhs for a field on the grid."""
         if self.to_modes is None:
-            return solve_tridiagonal(*self.bands, rhs)
-        return self.from_modes @ solve_tridiagonal(*self.bands, self.to_modes @ rhs)
+            return self.factor.solve(rhs)
+        return self.from_modes @ self.factor.solve(self.to_modes @ rhs, overwrite=True)
 
 
 def relax(initial: Wavefunction, trap: TrapSpec, Q: float,

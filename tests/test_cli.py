@@ -72,3 +72,20 @@ def test_ehrenfest_runs_with_off_cadence_snapshot(tmp_path, caplog):
     checks = [r.getMessage() for r in caplog.records if "ehrenfest" in r.getMessage()]
     assert len(checks) == 2
     assert not any("skipped" in m for m in checks)
+    lines = (tmp_path / "e.csv").read_text().splitlines()[1:]
+    col = lines[0].split(",").index("tau")
+    taus = [float(line.split(",")[col]) for line in lines[1:]]
+    steps = list(range(0, 670, 20)) + [670] + list(range(690, 1000, 20)) + [1000]
+    assert taus == pytest.approx([k * 5e-4 for k in steps], abs=1e-15)
+
+
+def test_off_lattice_snapshot_time_rejected(tmp_path, capsys):
+    # 0.3352 lies between steps 670 and 671 of dt = 5e-4
+    argv = ["evolve", "--geometry", "line", "--n-s", "256", "--q", "5", "--initial",
+            "composite", "--t-final", "0.5", "--snapshot-times", "0.3352",
+            "--out", str(tmp_path / "e.csv")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "snapshot time 0.3352 is off the dt = 0.0005 lattice" in err
+    assert "nearest lattice times are 0.335 and 0.3355" in err
+    assert not (tmp_path / "e.csv").exists()

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from gpesoliton import analytic
 from gpesoliton.dynamics import (EhrenfestReport, PropagationConfig,
-                                 PropagationScheme, boost, displace,
-                                 ehrenfest_check, propagate)
-from gpesoliton.energy import TrapSpec
+                                 PropagationScheme, _Propagator, _sponge_mask, boost,
+                                 displace, ehrenfest_check, propagate)
+from gpesoliton.energy import TrapSpec, quartic_coefficient, trap_potential
 from gpesoliton.errors import BlowupError, DomainError
 from gpesoliton.grid import Wavefunction, cylindrical_grid, line_grid
 from gpesoliton.groundstate import DescentConfig, default_initial, relax
@@ -80,6 +81,82 @@ class TestStationaryStates:
         peak = np.abs(u0.values).max()
         drift = np.max(np.abs(np.abs(fin.values) - np.abs(u0.values)))
         assert drift < 1e-6 * peak
+
+
+def banded_cayley(grid, direction, dt):
+    """exp(-i*dt*K) ~ (1 + i*dt*K/2)^{-1} (1 - i*dt*K/2) for K = -lap/2 along the
+    last axis: an explicit (1 - zK) multiply and a solve_banded solve."""
+    lo, di, up = (-0.5 * d for d in grid.laplacian_diagonals(direction))
+    z = 0.5j * dt
+    ab = np.zeros((3, di.size), dtype=complex)
+    ab[0, 1:], ab[1], ab[2, :-1] = z * up[:-1], 1.0 + z * di, z * lo[1:]
+
+    def apply(x):
+        work = (1.0 - z * di) * x
+        work[..., :-1] -= z * up[:-1] * x[..., 1:]
+        work[..., 1:] -= z * lo[1:] * x[..., :-1]
+        return solve_banded((1, 1), ab, work.T).T
+    return apply
+
+
+def reference_strang(u0, trap, Q, cfg, n_steps):
+    """Unmerged Strang steps: half-phase, Cayley factors (half rho, s, half rho
+    on cylindrical grids), half-phase."""
+    grid, dt = u0.grid, cfg.dt
+    c, v3 = quartic_coefficient(grid.kind, Q), 0.5 * trap_potential(grid, trap)
+    damp = 1.0
+    if cfg.sponge_strength > 0:
+        damp = np.exp(-0.5 * dt * cfg.sponge_strength * _sponge_mask(grid, cfg.sponge_width))
+    kin_s = banded_cayley(grid, "s", dt)
+    cylindrical = grid.rho is not None
+    kin_rho = banded_cayley(grid, "rho", 0.5 * dt) if cylindrical else None
+    v = np.asarray(u0.values, dtype=complex)
+    for _ in range(n_steps):
+        v = v * np.exp(-0.5j * dt * (v3 - c * np.abs(v) ** 2)) * damp
+        if cylindrical:
+            v = kin_rho(kin_s(kin_rho(v.T).T).T).T
+        else:
+            v = kin_s(v)
+        v = v * np.exp(-0.5j * dt * (v3 - c * np.abs(v) ** 2)) * damp
+    return v
+
+
+def small_soliton(cylindrical):
+    if cylindrical:
+        g = cylindrical_grid(4.0, -12.0, 12.0, 16, 96)
+    else:
+        g = line_grid(-12.0, 12.0, 256)
+    return boost(default_initial(g, TrapSpec(0.0), 5.0), 1.5).normalized()
+
+
+class TestMergedSplitStep:
+    @pytest.mark.parametrize("sponge", [0.0, 5.0], ids=["free", "sponge"])
+    @pytest.mark.parametrize("cylindrical", [False, True], ids=["line", "cylindrical"])
+    def test_matches_unmerged_strang(self, cylindrical, sponge):
+        u0 = small_soliton(cylindrical)
+        trap = TrapSpec(0.3)
+        cfg = PropagationConfig(t_final=0.2, dt=1e-3, observe_every=50,
+                                sponge_strength=sponge, sponge_width=4.0)
+        _, fin = propagate(u0, trap, 5.0, None, cfg)
+        ref = reference_strang(u0, trap, 5.0, cfg, 200)
+        if sponge:
+            assert fin.norm() < 1.0 - 1e-6  # the sponge layer was reached
+        assert np.max(np.abs(fin.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_records_on_cadence_and_at_the_end(self):
+        u0 = small_soliton(False)
+        cfg = PropagationConfig(t_final=21 * 5e-4, dt=5e-4, observe_every=4)
+        records, _ = propagate(u0, TrapSpec(0.0), 5.0, None, cfg)
+        assert [r.tau for r in records] == [k * 5e-4 for k in (0, 4, 8, 12, 16, 20, 21)]
+
+    def test_modal_kinetic_step_conserves_norm(self):
+        u0 = small_soliton(True)
+        prop = _Propagator(u0.grid, TrapSpec(0.0), 5.0, None, PropagationConfig(t_final=1.0))
+        v = np.array(u0.values, dtype=complex)
+        for _ in range(20):
+            before = u0.grid.norm(v)
+            v = prop._kinetic(v)
+            assert abs(u0.grid.norm(v) - before) <= 1e-13
 
 
 class TestGalileanTransport:

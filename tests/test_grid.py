@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from gpesoliton import analytic
 from gpesoliton.errors import DomainError, GridMismatchError
-from gpesoliton.grid import (Geometry, Wavefunction, build_grid, cylindrical_grid,
-                             default_half_extent_s, line_grid, spherical_grid)
+from gpesoliton.grid import (Geometry, TridiagonalFactor, Wavefunction, build_grid,
+                             cylindrical_grid, default_half_extent_s, line_grid,
+                             solve_tridiagonal, spherical_grid)
 
 
 class TestConstruction:
@@ -127,6 +129,59 @@ class TestLaplacian:
         b = g.inner(g.laplacian(f), h)
         assert abs(a - b) / abs(a) < 1e-10
         assert np.real(g.inner(f, g.laplacian(f))) < 1e-10
+
+
+def banded_solve(lower, diag, upper, rhs):
+    """One solve_banded call per line: the reference for the stacked solvers."""
+    ab = np.zeros((3, diag.size), dtype=np.result_type(lower, diag, upper))
+    ab[0, 1:], ab[1], ab[2, :-1] = upper[:-1], diag, lower[1:]
+    return solve_banded((1, 1), ab, rhs)
+
+
+def random_bands(rng, shape, dtype):
+    def draw():
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if dtype is complex else x
+    lower, upper = draw(), draw()
+    return lower, 4.0 + draw(), upper  # some pivoting, never singular
+
+
+class TestTridiagonalFactor:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stacked_lines_match_solve_banded(self, dtype):
+        rng = np.random.default_rng(3)
+        bands = random_bands(rng, (5, 17), dtype)
+        rhs = rng.standard_normal((5, 17)) + 1j * rng.standard_normal((5, 17))
+        ref = np.array([banded_solve(*(b[i] for b in bands), rhs[i]) for i in range(5)])
+        got = TridiagonalFactor(*bands).solve(rhs)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        got = solve_tridiagonal(*bands, rhs)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_many_right_hand_sides_match_solve_banded(self, dtype):
+        rng = np.random.default_rng(4)
+        bands = random_bands(rng, (23,), dtype)
+        rhs = rng.standard_normal((3, 6, 23)).astype(dtype)
+        ref = banded_solve(*bands, rhs.reshape(-1, 23).T).T.reshape(rhs.shape)
+        factor = TridiagonalFactor(*bands)
+        for overwrite in (False, True):
+            got = factor.solve(rhs.copy(), overwrite=overwrite)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_rejects_mismatched_rhs(self):
+        factor = TridiagonalFactor(*random_bands(np.random.default_rng(5), (4, 8), float))
+        with pytest.raises(GridMismatchError):
+            factor.solve(np.ones((8, 4)))
+
+
+def test_radial_modes_diagonalize_the_rho_factor():
+    g = cylindrical_grid(4.0, -1.0, 1.0, 24, 16)
+    eig, to_modes, from_modes = g.radial_modes(g.rho ** 2)
+    lo, di, up = g.laplacian_diagonals("rho")
+    op = np.diag(g.rho ** 2 - di) - np.diag(up[:-1], 1) - np.diag(lo[1:], -1)
+    assert np.max(np.abs(from_modes @ to_modes - np.eye(24))) < 1e-14
+    assert np.max(np.abs(to_modes @ op @ from_modes - np.diag(eig))) < 1e-11 * eig.max()
 
 
 class TestWavefunction:

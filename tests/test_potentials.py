@@ -188,7 +188,9 @@ def _reference_eval(node, s, params):
                 "sech": lambda t: 1.0 / math.cosh(t),
             }[node.fn](x)
         except (OverflowError, ValueError):
-            return math.nan if math.isnan(x) else math.inf
+            if math.isnan(x):
+                return math.nan
+            return 0.0 if node.fn == "sech" else math.inf  # cosh overflows: sech is 0
     a = _reference_eval(node.left, s, params)
     b = _reference_eval(node.right, s, params)
     try:
