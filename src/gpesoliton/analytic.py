@@ -5,15 +5,14 @@ dominance ratio, the noninteracting Gaussian ground state, the factorized
 sech x Gaussian 3-D profile, and the two-width Gaussian trial energy with
 its critical interaction strength all live here.  Everything is a pure
 function of scalars (vectorized over coordinates via numpy).
+scipy.optimize is imported in `variational_minimum`, its only user, to keep it out of CLI startup.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DomainError
 
@@ -69,28 +68,6 @@ def soliton_second_moment(Q: float) -> float:
     """Axial second moment <s^2> = 16*pi^4/(3*Q^2)."""
     _require_positive_q(Q)
     return 16.0 * math.pi ** 4 / (3.0 * Q ** 2)
-
-
-@dataclass(frozen=True)
-class SolitonProfile:
-    """Line soliton for a given interaction strength."""
-
-    Q: float
-    amplitude: float
-    inverse_width: float
-    phase_rate: float
-
-    @classmethod
-    def from_q(cls, Q: float) -> "SolitonProfile":
-        return cls(
-            Q=Q,
-            amplitude=soliton_amplitude(Q),
-            inverse_width=soliton_inverse_width(Q),
-            phase_rate=soliton_phase_rate(Q),
-        )
-
-    def __call__(self, s):
-        return self.amplitude / np.cosh(self.inverse_width * np.asarray(s, dtype=float))
 
 
 def dominance_ratio(Q: float, rho, s):
@@ -182,17 +159,6 @@ def _variational_energy_log(x, Q, lambda_z):
     return e, np.array([de_dwr * wr, de_dws * ws])
 
 
-@dataclass(frozen=True)
-class VariationalSurface:
-    """Two-width Gaussian trial energy for fixed interaction strength and anisotropy."""
-
-    Q: float
-    lambda_z: float
-
-    def energy(self, w_rho: float, w_s: float) -> float:
-        return variational_energy(self.Q, self.lambda_z, w_rho, w_s)
-
-
 def variational_minimum(
     Q: float, lambda_z: float, start: tuple[float, float] | None = None
 ) -> tuple[float, float] | None:
@@ -212,6 +178,9 @@ def variational_minimum(
             if Q == 0:
                 return None  # axial energy has no finite minimizer without trap or attraction
             start = (1.0, max(2.0, 1.0 / (_GAUSS_QUARTIC * Q)))
+    # deferred: scipy.optimize is slow to import, and only this function uses it
+    from scipy.optimize import minimize
+
     x0 = np.log(np.asarray(start, dtype=float))
     bounds = [(-12.0, 30.0), (-12.0, 30.0)]
     res = minimize(

@@ -334,11 +334,11 @@ def cmd_ground(args):
     return 0
 
 
-def _lattice_step(t, dt) -> int:
-    """The step count k with k * dt = t; DomainError when t is off that lattice."""
+def _lattice_step(t, dt, what) -> int:
+    """The step count k with k * dt = t; DomainError naming `what` when t is off that lattice."""
     k = round(t / dt)
     if abs(t - k * dt) > 1e-9 * dt:
-        raise DomainError(f"snapshot time {t:g} is off the dt = {dt:g} lattice; the "
+        raise DomainError(f"{what} {t:g} is off the dt = {dt:g} lattice; the "
                           f"nearest lattice times are {math.floor(t / dt) * dt:.12g} "
                           f"and {math.ceil(t / dt) * dt:.12g}")
     return k
@@ -355,6 +355,20 @@ def cmd_evolve(args):
         raise DomainError("evolve requires --t-final")
     if args.geometry == "spherical":
         raise DomainError("evolve supports line and cylindrical geometry")
+    schemes = {s.value: s for s in PropagationScheme}
+    if args.scheme not in schemes:
+        raise DomainError(f"unknown scheme {args.scheme!r}; "
+                          f"choose from {', '.join(schemes)}")
+    cfg = PropagationConfig(t_final=args.t_final, dt=args.dt,
+                            observe_every=args.observe_every,
+                            scheme=schemes[args.scheme],
+                            sponge_strength=args.sponge_strength,
+                            sponge_width=args.sponge_width)
+    n_final = _lattice_step(cfg.t_final, cfg.dt, "t_final")
+    snaps = [(_lattice_step(t, cfg.dt, "snapshot time"), t)
+             for t in sorted(_float_list(args.snapshot_times))]
+    if snaps and (snaps[0][0] < 0 or snaps[-1][0] > n_final):
+        raise DomainError("snapshot times must lie within [0, t_final]")
     Q, lambda_z = args.q, args.lambda_z
     grid = build_run_grid(args, Q, lambda_z)
     trap = TrapSpec(lambda_z)
@@ -377,22 +391,9 @@ def cmd_evolve(args):
         u0 = boost(u0, args.boost)
     u0 = u0.normalized()
     ext = external_from_args(args)
-    schemes = {s.value: s for s in PropagationScheme}
-    if args.scheme not in schemes:
-        raise DomainError(f"unknown scheme {args.scheme!r}; "
-                          f"choose from {', '.join(schemes)}")
-    cfg = PropagationConfig(t_final=args.t_final, dt=args.dt,
-                            observe_every=args.observe_every,
-                            scheme=schemes[args.scheme],
-                            sponge_strength=args.sponge_strength,
-                            sponge_width=args.sponge_width)
-    snaps = [(_lattice_step(t, cfg.dt), t) for t in sorted(_float_list(args.snapshot_times))]
     out = Path(args.out)
     legs = []
     if snaps:
-        n_final = int(round(cfg.t_final / cfg.dt))
-        if snaps[0][0] < 0 or snaps[-1][0] > n_final:
-            raise DomainError("snapshot times must lie within [0, t_final]")
         u, k_done = u0, 0
         for k_snap, t_snap in snaps + [(n_final, None)]:
             if k_snap > k_done:
@@ -568,14 +569,16 @@ def build_parser():
                    help="name=value binding for the potential (repeatable)")
     conv["param"] = lambda v: [tok.strip() for tok in v.split(",")]
     _add(p, conv, "--dt", type=float, default=None)
-    _add(p, conv, "--t-final", type=float, default=None)
+    _add(p, conv, "--t-final", type=float, default=None,
+         help="final time, a whole number of --dt steps")
     _add(p, conv, "--observe-every", type=int, default=None)
     _add(p, conv, "--scheme", type=str, default=None,
          help="split-step (default) or semi-implicit")
     _add(p, conv, "--sponge-strength", type=float, default=None)
     _add(p, conv, "--sponge-width", type=float, default=None)
     _add(p, conv, "--snapshot-times", type=str, default=None,
-         help="comma list of times at which to write state snapshots")
+         help="comma list of times at which to write state snapshots, "
+              "each a whole number of --dt steps")
     _add(p, conv, "--out", type=str, required=True)
 
     p, conv = new_sub("collapse", cmd_collapse, "critical Q by bisection")

@@ -18,6 +18,9 @@ tridiagonal solve and no explicit multiply.
 
 Optional sponge layers damp outgoing radiation near the axial edges; they
 intentionally absorb norm, so runs with a sponge skip the norm-drift guard.
+
+scipy.interpolate and scipy.optimize are imported in `displace` and `_fit_oscillation`,
+their only users, to keep them out of CLI startup.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import curve_fit
 
 from .energy import TrapSpec, hamiltonian, trap_potential, quartic_coefficient
 from .errors import BlowupError, DomainError, StepSizeError
@@ -209,6 +210,8 @@ def propagate(u0: Wavefunction, trap: TrapSpec, Q: float,
               cfg: PropagationConfig | None = None):
     """Propagate a unit-norm state; returns (records, final wavefunction).
 
+    `cfg.t_final` is rounded to the nearest whole number of steps of `cfg.dt`
+    (the `evolve` command rejects a t_final off that lattice instead).
     Records are taken at tau = 0, every `observe_every` steps, and always at
     the final step, which falls off that cadence when the step count is not a
     multiple of `observe_every`.
@@ -264,6 +267,9 @@ def displace(u: Wavefunction, ds: float, max_norm_loss: float = 1e-8) -> Wavefun
         raise DomainError("displace applies to line and cylindrical grids")
     if ds == 0.0:
         return u.copy()
+    # deferred: scipy.interpolate is slow to import, and only displace uses it
+    from scipy.interpolate import CubicSpline
+
     values = np.asarray(u.values, dtype=complex)
     axis = 0 if grid.kind is Geometry.LINE else 1
     spline = CubicSpline(grid.s, values, axis=axis, bc_type="natural")
@@ -297,6 +303,9 @@ class EhrenfestReport:
 
 
 def _fit_oscillation(tau, x):
+    # deferred: scipy.optimize is slow to import, and only this fit uses it
+    from scipy.optimize import curve_fit
+
     x = np.asarray(x)
     mean = float(np.mean(x))
     # frequency seed from the discrete spectrum, refined by least squares

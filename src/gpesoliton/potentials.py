@@ -225,9 +225,6 @@ class PotentialExpr:
         d = _diff(self.root, var)
         return PotentialExpr(d, f"d/d{var}({self.source})")
 
-    def to_string(self) -> str:
-        return _render(self.root)
-
 
 def parse(text: str) -> PotentialExpr:
     """Parse an expression; raises ParseError with a byte offset on bad input."""
@@ -405,6 +402,7 @@ def _diff(node, var):
 
 
 def _render(node):
+    """Fully parenthesised source text of a node; parse(_render(n)).root == n."""
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, (Var, Param)):

@@ -34,10 +34,8 @@ class TestSolitonProfile:
         with pytest.raises(DomainError):
             analytic.soliton_profile(0.0, 1.0)
 
-    def test_dataclass_wrapper(self):
-        prof = analytic.SolitonProfile.from_q(5.0)
-        assert prof(0.3) == pytest.approx(float(analytic.soliton_profile(5.0, 0.3)))
-        assert prof.phase_rate == pytest.approx(25 / (128 * PI ** 2), rel=1e-12)
+    def test_phase_rate(self):
+        assert analytic.soliton_phase_rate(5.0) == pytest.approx(25 / (128 * PI ** 2), rel=1e-12)
 
 
 class TestSolitonWidth:

@@ -1,5 +1,9 @@
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,3 +93,27 @@ def test_off_lattice_snapshot_time_rejected(tmp_path, capsys):
     assert "snapshot time 0.3352 is off the dt = 0.0005 lattice" in err
     assert "nearest lattice times are 0.335 and 0.3355" in err
     assert not (tmp_path / "e.csv").exists()
+
+
+def test_off_lattice_t_final_rejected(tmp_path, capsys):
+    # 0.50021 lies between steps 1000 and 1001 of dt = 5e-4
+    argv = ["evolve", "--geometry", "line", "--n-s", "256", "--q", "5", "--initial",
+            "composite", "--t-final", "0.50021", "--out", str(tmp_path / "e.csv")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "t_final 0.50021 is off the dt = 0.0005 lattice" in err
+    assert "nearest lattice times are 0.5 and 0.5005" in err
+    assert not (tmp_path / "e.csv").exists()
+
+
+def test_cli_import_loads_only_scipy_linalg():
+    # scipy.optimize and scipy.interpolate cost most of the startup; they are
+    # imported inside the few functions that use them
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, gpesoliton.cli; "
+            "print(' '.join(sorted({m.split('.')[1] for m in sys.modules "
+            "if m.startswith('scipy.') and not m.split('.')[1].startswith('_')})))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.split() == ["linalg", "version"]

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from gpesoliton.collapse import find_threshold
+from gpesoliton.collapse import find_threshold, optimality_scan
 from gpesoliton.errors import DomainError
 from gpesoliton.grid import spherical_grid
 
@@ -24,3 +24,17 @@ class TestFindThreshold:
     def test_invalid_bracket_rejected(self, bracket, reason):
         with pytest.raises(DomainError, match=reason):
             find_threshold(spherical_grid(6.0, 64), 1.0, bracket, 0.5)
+
+
+class TestOptimalityScan:
+    def test_threshold_falls_toward_the_isotropic_trap(self):
+        scan = optimality_scan([0.5, 1.0], (8.0, 30.0), 0.5)
+        assert scan.monotone_nonincreasing
+        (lz_half, half), (lz_iso, iso) = scan.table
+        assert (lz_half, lz_iso) == (0.5, 1.0)
+        assert iso.q_lo < ISOTROPIC_QC < iso.q_hi
+        assert half.midpoint > iso.midpoint
+
+    def test_lambda_above_one_rejected(self):
+        with pytest.raises(DomainError, match="lambda_z values must lie in"):
+            optimality_scan([1.5], (8.0, 30.0), 0.5)
