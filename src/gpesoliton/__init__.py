@@ -12,7 +12,7 @@ from .dynamics import (PropagationConfig, PropagationScheme, boost, displace,
 from .observables import ObservableRecord, ProfileSection, compare_profiles, moments
 from .potentials import ExternalPotential, parse
 from .collapse import ThresholdResult, find_threshold, optimality_scan
-from .units import DimensionlessParams, PhysicalParams, n_from_q, oscillator_length, q_from_n
+from .units import PhysicalParams, n_from_q, oscillator_length, q_from_n
 
 __all__ = [
     "EnergyBreakdown", "TrapSpec", "hamiltonian",
@@ -24,6 +24,5 @@ __all__ = [
     "ObservableRecord", "ProfileSection", "compare_profiles", "moments",
     "ExternalPotential", "parse",
     "ThresholdResult", "find_threshold", "optimality_scan",
-    "DimensionlessParams", "PhysicalParams", "n_from_q", "oscillator_length",
-    "q_from_n",
+    "PhysicalParams", "n_from_q", "oscillator_length", "q_from_n",
 ]

@@ -78,16 +78,6 @@ def dominance_ratio(Q: float, rho, s):
     return 16.0 * math.pi ** 2 * rho ** 2 * np.exp(rho ** 2) * np.cosh(b * s) / Q ** 2
 
 
-def transverse_trap_dominates(Q: float, threshold: float = 10.0) -> bool:
-    """Whether 32*pi^2/Q^2 exceeds the threshold, so the factorized profile is trustworthy.
-
-    Uses sech <= 1 (its true bound), so the worst-case ratio at rho = 1 is
-    32*pi^2/Q^2 up to the e^{rho^2} enhancement.
-    """
-    _require_positive_q(Q)
-    return 32.0 * math.pi ** 2 / Q ** 2 >= threshold
-
-
 def gaussian_ground_state(lambda_z: float, rho, s):
     """Noninteracting ground state lambda_z^{1/4} pi^{-3/4} exp(-rho^2/2 - lambda_z*s^2/2).
 

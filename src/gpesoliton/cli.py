@@ -5,7 +5,8 @@ is comma-separated with 17 significant digits, preceded by a comment line
 naming the columns and the dimensionless conventions (lengths in a0, time in
 1/omega, energies in hbar*omega, doubled energy functional, mu = GPE
 eigenvalue).  Every run writes a `<out>.manifest` echoing the fully resolved
-configuration, so reruns are reproducible bit for bit.
+configuration, so reruns are reproducible bit for bit, with the numpy version
+and the LAPACK that served the run.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analytic, units
+from . import grid as grid_module
 from .collapse import find_threshold, optimality_scan
 from .dynamics import (PropagationConfig, PropagationScheme, boost, displace,
                        ehrenfest_check, propagate)
@@ -62,6 +64,9 @@ def write_csv(path, columns, rows, note=UNITS_NOTE):
 
 
 def write_manifest(out_path, resolved: dict):
+    """`key = value` lines of `resolved`, plus the numpy version and the LAPACK used."""
+    resolved = dict(resolved, numpy=np.__version__,
+                    lapack="scipy" if grid_module._bundled_lapack() is None else "numpy-openblas")
     path = Path(str(out_path) + ".manifest")
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:

@@ -8,15 +8,24 @@ Laplacian is the matching finite-volume stencil: symmetric negative
 semidefinite under the weight inner product, with homogeneous Dirichlet
 (zero ghost) beyond the outer edges and the axis handled by the vanishing
 inner face area.
+
+Tridiagonal LU (LAPACK gttrf/gttrs) is called through ctypes in the OpenBLAS
+that the numpy wheel bundles and has already loaded, so importing this module
+loads no scipy: `import scipy.linalg` alone costs more than most solves.  Where
+that library or its symbols are missing (conda, MKL or non-Linux numpy
+builds), `TridiagonalFactor` falls back to scipy's LAPACK wrappers, imported
+on first use.
 """
 
 from __future__ import annotations
 
+import ctypes
 import enum
+import functools
 import math
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
 
 from .analytic import soliton_width
 from .errors import DomainError, GridMismatchError
@@ -181,12 +190,86 @@ class Grid:
         of the radial weight, so both maps are real and exact inverses.
         """
         lo, di, up = self.laplacian_diagonals("rho")
-        eigenvalues, vecs = eigh_tridiagonal(potential - di, -np.sqrt(up[:-1] * lo[1:]))
+        off = -np.sqrt(up[:-1] * lo[1:])
+        eigenvalues, vecs = np.linalg.eigh(np.diag(potential - di) + np.diag(off, 1)
+                                           + np.diag(off, -1))
         # one Newton-Schulz step: the ~1e-15 departure from orthogonality would
         # otherwise enter every round trip through the modes with the same sign
         vecs = 1.5 * vecs - 0.5 * vecs @ (vecs.T @ vecs)
         sqrt_w = np.sqrt(self.rho)
         return eigenvalues, vecs.T * sqrt_w, vecs / sqrt_w[:, None]
+
+
+@functools.cache
+def _bundled_lapack():
+    """{d,z}gttrf/gttrs of the OpenBLAS bundled in the numpy wheel, keyed by dtype.
+
+    None when the wheel has no such library or it lacks the symbols.  The
+    library is the ILP64 build numpy links against (64-bit integers, scipy_
+    prefix and 64_ suffix on the Fortran names); dlopen returns the copy numpy
+    has already loaded.
+    """
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                  .glob("libscipy_openblas64_*.so"))
+    if not libs:
+        return None
+    try:
+        lib = ctypes.CDLL(str(libs[0]))
+        routines = {t: (getattr(lib, f"scipy_{t}gttrf_64_"), getattr(lib, f"scipy_{t}gttrs_64_"))
+                    for t in "dz"}
+    except (OSError, AttributeError):
+        return None
+    # every Fortran argument by reference; gttrs ends with the hidden length of
+    # the TRANS string
+    int_p, buf_p = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    for gttrf, gttrs in routines.values():
+        gttrf.argtypes = [int_p] + [buf_p] * 5 + [int_p]  # n, dl, d, du, du2, ipiv, info
+        # trans, n, nrhs, dl, d, du, du2, ipiv, b, ldb, info, len(trans)
+        gttrs.argtypes = ([ctypes.c_char_p, int_p, int_p] + [buf_p] * 6
+                          + [int_p, int_p, ctypes.c_size_t])
+        gttrf.restype = gttrs.restype = None
+    return {np.dtype(np.float64): routines["d"], np.dtype(np.complex128): routines["z"]}
+
+
+class _BundledLU:
+    """gttrf of one set of bands, and gttrs on it, through `_bundled_lapack`."""
+
+    def __init__(self, routines, lo, di, up):
+        gttrf, self._gttrs = routines
+        n = di.size
+        # the LU buffers stay referenced here while LAPACK holds their addresses
+        self._lu = (lo[1:], di, up[:-1], np.empty(max(n - 2, 1), di.dtype),
+                    np.empty(n, np.int64))
+        self._lu_ptrs = [ctypes.c_void_p(a.ctypes.data) for a in self._lu]
+        self._n = ctypes.c_int64(n)
+        self._info = ctypes.c_int64()
+        gttrf(self._n, *self._lu_ptrs, self._info)
+        self.info = self._info.value
+
+    def solve(self, b, nrhs):
+        """Solve in place for b, C-contiguous with nrhs rows of n: column-major with ldb = n.
+
+        gttrs reports only invalid arguments, which `TridiagonalFactor.solve`
+        rules out, so its info is not read.
+        """
+        self._gttrs(b"N", self._n, ctypes.c_int64(nrhs), *self._lu_ptrs,
+                    ctypes.byref(ctypes.c_char.from_buffer(b)), self._n, self._info, 1)
+        return b
+
+
+class _ScipyLU:
+    """`_BundledLU` through scipy's LAPACK wrappers."""
+
+    def __init__(self, lo, di, up):
+        # deferred: scipy.linalg is slow to import, and only this fallback uses it
+        from scipy.linalg import get_lapack_funcs
+        gttrf, self._gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=di.dtype)
+        *self._lu, self.info = gttrf(lo[1:], di, up[:-1], overwrite_dl=True,
+                                     overwrite_d=True, overwrite_du=True)
+
+    def solve(self, b, nrhs):
+        x = self._gttrs(*self._lu, b.reshape(nrhs, -1).T, overwrite_b=True)[0]
+        return x.T.reshape(b.shape)
 
 
 class TridiagonalFactor:
@@ -198,32 +281,37 @@ class TridiagonalFactor:
     are zero, which partial pivoting never crosses.  `solve` takes right-hand
     sides whose trailing axes have the factor's shape; leading axes hold
     further right-hand sides of the same systems (gttrs with nrhs > 1).
+
+    LAPACK is the numpy wheel's own OpenBLAS, bound with ctypes (see the
+    module docstring); scipy's wrappers serve only where that library is
+    missing.  Both run LAPACK's gttrf/gttrs on the same column-major layout.
     """
 
     def __init__(self, lower, diag, upper):
         self.shape = np.broadcast_shapes(np.shape(lower), np.shape(diag), np.shape(upper))
-        dtype = np.result_type(lower, diag, upper, np.float64)
-        bands = [np.broadcast_to(b, self.shape).astype(dtype) for b in (lower, diag, upper)]
+        self.dtype = np.result_type(lower, diag, upper, np.float64)
+        bands = [np.broadcast_to(b, self.shape).astype(self.dtype) for b in (lower, diag, upper)]
         bands[0][..., 0] = 0.0
         bands[2][..., -1] = 0.0
         lo, di, up = (b.ravel() for b in bands)
-        gttrf, self._gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=dtype)
-        *self._lu, info = gttrf(lo[1:], di, up[:-1], overwrite_dl=True, overwrite_d=True,
-                                overwrite_du=True)
-        if info > 0:
-            raise DomainError(f"singular tridiagonal system (zero pivot {info})")
         self.size = di.size
+        lapack = _bundled_lapack()
+        self._lu = (_ScipyLU(lo, di, up) if lapack is None
+                    else _BundledLU(lapack[self.dtype], lo, di, up))
+        if self._lu.info > 0:
+            raise DomainError(f"singular tridiagonal system (zero pivot {self._lu.info})")
 
     def solve(self, rhs, overwrite=False):
         """The solution for `rhs`; overwrite=True lets it reuse rhs's memory."""
         rhs = np.asarray(rhs)
         if rhs.shape[rhs.ndim - len(self.shape):] != self.shape:
             raise GridMismatchError(f"right-hand side {rhs.shape} does not end in {self.shape}")
-        if np.iscomplexobj(rhs) and not np.iscomplexobj(self._lu[1]):
+        if rhs.dtype.kind == "c" and self.dtype.kind != "c":
             return self.solve(rhs.real) + 1j * self.solve(rhs.imag)
-        b = np.ascontiguousarray(rhs).reshape(-1, self.size).T
-        x, _ = self._gttrs(*self._lu, b, overwrite_b=overwrite)
-        return x.T.reshape(rhs.shape)
+        # a C-contiguous, writeable copy in the factor's dtype unless rhs is one
+        b = np.array(rhs, dtype=self.dtype, order="C",
+                     copy=None if overwrite and rhs.flags.writeable else True)
+        return self._lu.solve(b, b.size // self.size)
 
 
 def solve_tridiagonal(lower, diag, upper, rhs):

@@ -8,7 +8,7 @@ parameter is Q = 8*pi*|a|*N/a0 for scattering length a < 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError, UnsupportedRegimeError
 
@@ -55,19 +55,6 @@ class PhysicalParams:
             )
 
 
-@dataclass(frozen=True)
-class DimensionlessParams:
-    """Solver-side parameters derived from a PhysicalParams."""
-
-    Q: float
-    lambda_z: float
-    a0: float = field(metadata={"unit": "m"})
-
-    def __post_init__(self):
-        if self.a0 <= 0:
-            raise DomainError(f"oscillator length must be positive, got {self.a0}")
-
-
 def angular_frequency(p: PhysicalParams) -> float:
     """Radial angular frequency in rad/s under the chosen convention."""
     if p.frequency_convention == ANGULAR:
@@ -100,10 +87,6 @@ def n_from_q(Q: float, p: PhysicalParams) -> float:
     if Q < 0:
         raise DomainError(f"Q must be non-negative, got {Q}")
     return Q * oscillator_length(p) / (8.0 * math.pi * abs(p.scattering_length_a))
-
-
-def to_dimensionless(p: PhysicalParams) -> DimensionlessParams:
-    return DimensionlessParams(Q=q_from_n(p), lambda_z=p.lambda_z, a0=oscillator_length(p))
 
 
 def lithium7_params(

@@ -73,11 +73,6 @@ class TestDominanceRatio:
         vals = analytic.dominance_ratio(5.0, 1.0, np.array([0.0, 10.0, 50.0]))
         assert vals[0] < vals[1] < vals[2]
 
-    def test_dominance_predicate_threshold(self):
-        # 32 pi^2 / Q^2 = 10 at Q ~ 5.62
-        assert analytic.transverse_trap_dominates(5.6)
-        assert not analytic.transverse_trap_dominates(5.7)
-
 
 class TestGaussianGroundState:
     def test_norm_on_grid(self):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gpesoliton import cli
+from gpesoliton import grid as grid_module
 from gpesoliton.grid import Geometry, Wavefunction, cylindrical_grid, line_grid, spherical_grid
 
 
@@ -59,6 +60,19 @@ def test_ground_writes_outputs(tmp_path):
     row = dict(zip(lines[1].split(","), lines[2].split(",")))
     assert row["converged"] == "1" and row["collapsed"] == "0"
     assert float(row["mu"]) == pytest.approx(-25 / (128 * math.pi ** 2), rel=5e-3)
+    manifest = (tmp_path / "g.csv.manifest").read_text().splitlines()
+    assert f"numpy = {np.__version__}" in manifest
+    lapack = "scipy" if grid_module._bundled_lapack() is None else "numpy-openblas"
+    assert f"lapack = {lapack}" in manifest
+
+
+def test_manifest_names_the_scipy_fallback(tmp_path, monkeypatch):
+    monkeypatch.setattr(grid_module, "_bundled_lapack", lambda: None)
+    out = tmp_path / "g.csv"
+    argv = ["ground", "--q", "5", "--geometry", "line", "--n-s", "128", "--quiet",
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert "lapack = scipy" in (tmp_path / "g.csv.manifest").read_text().splitlines()
 
 
 def test_unknown_geometry_fails(tmp_path, capsys):
@@ -106,14 +120,37 @@ def test_off_lattice_t_final_rejected(tmp_path, capsys):
     assert not (tmp_path / "e.csv").exists()
 
 
-def test_cli_import_loads_only_scipy_linalg():
-    # scipy.optimize and scipy.interpolate cost most of the startup; they are
-    # imported inside the few functions that use them
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys, gpesoliton.cli; "
-            "print(' '.join(sorted({m.split('.')[1] for m in sys.modules "
-            "if m.startswith('scipy.') and not m.split('.')[1].startswith('_')})))")
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120).stdout
-    assert out.split() == ["linalg", "version"]
+IMPORT_PROBE = """
+import sys
+import numpy as np
+import gpesoliton.cli
+from gpesoliton import grid
+if {force_fallback}:
+    grid._bundled_lapack = lambda: None
+grid.TridiagonalFactor(-1.0, np.full(16, 4.0), -1.0).solve(np.ones(16))
+grid.cylindrical_grid(3.0, -4.0, 4.0, 16, 20).radial_modes()
+print("scipy" if grid._bundled_lapack() is None else "numpy-openblas",
+      *sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_cli_import_loads_no_scipy():
+    # with the numpy wheel's OpenBLAS, the CLI and its tridiagonal solves load
+    # no scipy at all; the scipy fallback loads scipy.linalg and nothing else
+    # public.  scipy.optimize and scipy.interpolate are imported inside the few
+    # functions that use them.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    found = "scipy" if grid_module._bundled_lapack() is None else "numpy-openblas"
+    for force_fallback in (False, True):
+        out = subprocess.run([sys.executable, "-c",
+                              IMPORT_PROBE.format(force_fallback=force_fallback)],
+                             env=env, capture_output=True, text=True, check=True,
+                             timeout=120).stdout
+        lapack, *loaded = out.split()
+        assert lapack == ("scipy" if force_fallback else found)
+        if lapack == "numpy-openblas":
+            assert loaded == []
+        else:
+            public = {m.split(".")[1] for m in loaded
+                      if "." in m and not m.split(".")[1].startswith("_")}
+            assert public == {"linalg", "version"}

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from gpesoliton import analytic
+from gpesoliton import grid as grid_module
 from gpesoliton.errors import DomainError, GridMismatchError
 from gpesoliton.grid import (Geometry, TridiagonalFactor, Wavefunction, build_grid,
                              cylindrical_grid, default_half_extent_s, line_grid,
@@ -138,12 +139,14 @@ def banded_solve(lower, diag, upper, rhs):
     return solve_banded((1, 1), ab, rhs)
 
 
+def draw_like(rng, shape, dtype):
+    x = rng.standard_normal(shape)
+    return x + 1j * rng.standard_normal(shape) if dtype is complex else x
+
+
 def random_bands(rng, shape, dtype):
-    def draw():
-        x = rng.standard_normal(shape)
-        return x + 1j * rng.standard_normal(shape) if dtype is complex else x
-    lower, upper = draw(), draw()
-    return lower, 4.0 + draw(), upper  # some pivoting, never singular
+    lower, upper = draw_like(rng, shape, dtype), draw_like(rng, shape, dtype)
+    return lower, 4.0 + draw_like(rng, shape, dtype), upper  # some pivoting, never singular
 
 
 class TestTridiagonalFactor:
@@ -173,6 +176,74 @@ class TestTridiagonalFactor:
         factor = TridiagonalFactor(*random_bands(np.random.default_rng(5), (4, 8), float))
         with pytest.raises(GridMismatchError):
             factor.solve(np.ones((8, 4)))
+
+
+def both_backends(monkeypatch, build):
+    """build() through the bundled OpenBLAS (scipy where there is none) and the scipy fallback."""
+    bundled = build()
+    with monkeypatch.context() as m:
+        m.setattr(grid_module, "_bundled_lapack", lambda: None)
+        return bundled, build()
+
+
+class TestLapackBackends:
+    @pytest.mark.parametrize("overwrite", [False, True])
+    @pytest.mark.parametrize("shape, rhs_shape", [((5, 17), (5, 17)), ((23,), (3, 6, 23))],
+                             ids=["stacked", "nrhs"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_factor_matches_scipy_fallback(self, monkeypatch, dtype, shape, rhs_shape,
+                                           overwrite):
+        rng = np.random.default_rng(11)
+        bands = random_bands(rng, shape, dtype)
+        rhs = draw_like(rng, rhs_shape, dtype)
+        got = []
+        for factor in both_backends(monkeypatch, lambda: TridiagonalFactor(*bands)):
+            b = rhs.copy()
+            got.append(factor.solve(b, overwrite=overwrite))
+            if not overwrite:
+                assert np.array_equal(b, rhs)
+        assert np.max(np.abs(got[0] - got[1])) <= 1e-14 * np.max(np.abs(got[1]))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_converted_rhs_matches_float64_contiguous(self, monkeypatch, dtype):
+        # float32, strided, Fortran-ordered and read-only right-hand sides are
+        # copied, never handed to LAPACK as they are
+        rng = np.random.default_rng(12)
+        bands = random_bands(rng, (4, 9), dtype)
+        read_only = rng.standard_normal((4, 9))
+        read_only.flags.writeable = False
+        cases = [rng.standard_normal((4, 9)).astype(np.float32),
+                 rng.standard_normal((4, 18))[:, ::2],
+                 np.asfortranarray(rng.standard_normal((4, 9))),
+                 read_only]
+        for factor in both_backends(monkeypatch, lambda: TridiagonalFactor(*bands)):
+            for rhs in cases:
+                before = rhs.copy()
+                want = factor.solve(np.ascontiguousarray(rhs, dtype=np.float64))
+                for overwrite in (False, True):
+                    got = factor.solve(rhs, overwrite=overwrite)
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+                    assert np.array_equal(rhs, before)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_singular_system_raises_on_both(self, monkeypatch, dtype):
+        diag = np.ones(8, dtype=dtype)
+        diag[3] = 0.0
+
+        def build():
+            with pytest.raises(DomainError, match="zero pivot 4"):
+                TridiagonalFactor(0.0, diag, 0.0)
+
+        both_backends(monkeypatch, build)
+
+
+def test_radial_modes_match_eigh_tridiagonal():
+    g = cylindrical_grid(6.0, -1.0, 1.0, 96, 16)
+    lo, di, up = g.laplacian_diagonals("rho")
+    for potential in (0.0, g.rho ** 2):
+        eig = g.radial_modes(potential)[0]
+        ref = eigh_tridiagonal(potential - di, -np.sqrt(up[:-1] * lo[1:]), eigvals_only=True)
+        assert np.max(np.abs(eig - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_radial_modes_diagonalize_the_rho_factor():

@@ -78,9 +78,3 @@ class TestInteractionStrength:
         p_half_a = units.PhysicalParams(0.5 * units.LI7_SCATTERING_LENGTH,
                                         units.LI7_MASS, 150.0, 900.0)
         assert units.q_from_n(p_half_a) == pytest.approx(0.5 * q2, rel=1e-12)
-
-    def test_to_dimensionless(self):
-        d = units.to_dimensionless(li7(N=850.4, lambda_z=0.2))
-        assert d.lambda_z == 0.2
-        assert 9.5 < d.Q < 10.5
-        assert d.a0 == pytest.approx(units.oscillator_length(li7()), rel=1e-15)
