@@ -23,8 +23,7 @@ import numpy as np
 from . import __version__, analytic, units
 from . import grid as grid_module
 from .collapse import find_threshold, optimality_scan
-from .dynamics import (PropagationConfig, PropagationScheme, boost, displace,
-                       ehrenfest_check, propagate)
+from .dynamics import PropagationConfig, boost, displace, ehrenfest_check, propagate
 from .energy import TrapSpec
 from .errors import DomainError, GpeError
 from .grid import (Geometry, Grid, Wavefunction, cylindrical_grid,
@@ -176,8 +175,7 @@ def build_run_grid(args, Q, lambda_z) -> Grid:
     if half is None:
         half = default_half_extent_s(Q, lambda_z)
     if kind is Geometry.LINE:
-        n_s = args.n_s if args.n_s is not None else 1024
-        return line_grid(-half, half, n_s)
+        return line_grid(-half, half, args.n_s)
     return cylindrical_grid(args.rho_max, -half, half, args.n_rho, args.n_s)
 
 
@@ -272,7 +270,17 @@ def cmd_units(args):
 def _float_list(spec):
     if not spec:
         return []
-    return [float(tok) for tok in str(spec).split(",") if tok.strip()]
+    try:
+        return [float(tok) for tok in str(spec).split(",") if tok.strip()]
+    except ValueError as exc:
+        raise DomainError(f"expected a comma list of numbers, got {spec!r}") from exc
+
+
+def _single_q(args) -> float:
+    qs = _float_list(args.q)
+    if len(qs) != 1:
+        raise DomainError(f"--q takes one value here, got {args.q!r}")
+    return qs[0]
 
 
 def _emit_table(args, columns, rows):
@@ -290,7 +298,7 @@ def cmd_analytic(args):
     what = args.what
     if what == "profile":
         _fill_defaults(args, {"q": 5.0, "s_extent": None, "n_s": 512})
-        Q = args.q
+        Q = _single_q(args)
         half = args.s_extent or default_half_extent_s(Q, 0.0)
         s = np.linspace(-half, half, args.n_s)
         phi = analytic.soliton_profile(Q, s)
@@ -303,7 +311,7 @@ def cmd_analytic(args):
         _emit_table(args, ("Q", "W_s", "s2_moment"), rows)
     elif what == "ratio":
         _fill_defaults(args, {"q": 5.0})
-        Q = float(args.q) if not isinstance(args.q, str) else _float_list(args.q)[0]
+        Q = _single_q(args)
         rhos = _float_list(args.rho) or [0.5, 1.0, 2.0]
         ss = _float_list(args.s) or [0.0, 1.0, 5.0]
         rows = [(Q, rho, s, float(analytic.dominance_ratio(Q, rho, s)))
@@ -354,19 +362,13 @@ def cmd_evolve(args):
     _fill_defaults(args, SOLVER_DEFAULTS)
     _fill_defaults(args, {"lambda_z": 0.0, "q": 5.0, "initial": "ground",
                           "boost": 0.0, "displace": 0.0, "dt": 5e-4,
-                          "observe_every": 20, "scheme": "split-step",
-                          "sponge_strength": 0.0, "sponge_width": 0.0})
+                          "observe_every": 20, "sponge_strength": 0.0, "sponge_width": 0.0})
     if args.t_final is None:
         raise DomainError("evolve requires --t-final")
     if args.geometry == "spherical":
         raise DomainError("evolve supports line and cylindrical geometry")
-    schemes = {s.value: s for s in PropagationScheme}
-    if args.scheme not in schemes:
-        raise DomainError(f"unknown scheme {args.scheme!r}; "
-                          f"choose from {', '.join(schemes)}")
     cfg = PropagationConfig(t_final=args.t_final, dt=args.dt,
                             observe_every=args.observe_every,
-                            scheme=schemes[args.scheme],
                             sponge_strength=args.sponge_strength,
                             sponge_width=args.sponge_width)
     n_final = _lattice_step(cfg.t_final, cfg.dt, "t_final")
@@ -435,31 +437,27 @@ def cmd_collapse(args):
     _fill_defaults(args, GRID_DEFAULTS)
     _fill_defaults(args, SOLVER_DEFAULTS)
     _fill_defaults(args, {"lambda_z": 0.0, "q_min": 10.0, "q_max": 25.0, "tol": 0.5})
-    kind = GEOMETRIES.get(args.geometry)
-    if kind is None:
-        raise DomainError(f"unknown geometry {args.geometry!r}")
-    lambda_z = 1.0 if kind is Geometry.SPHERICAL_RADIAL else args.lambda_z
+    lambda_z = 1.0 if args.geometry == "spherical" else args.lambda_z
     cfg = descent_config(args)
     bracket = (args.q_min, args.q_max)
     scan_lzs = _float_list(args.scan_lambda_z)
-    rows = []
     if scan_lzs:
-        scan = optimality_scan(scan_lzs, bracket, args.tol, cfg, geometry=kind)
-        for lz, thr in scan.table:
-            for t in thr.trials:
-                rows.append((lz, t.Q, t.converged, t.collapsed, t.resolved,
-                             t.iterations, t.energy_total))
-            rows.append((lz, thr.midpoint, True, True, True, 0, float("nan")))
+        runs = [(lz, build_run_grid(args, args.q_min, lz)) for lz in scan_lzs]
+        scan = optimality_scan(runs, bracket, args.tol, cfg)
+        table = scan.table
         log.info("optimality scan monotone non-increasing: %s",
                  scan.monotone_nonincreasing)
     else:
         grid = build_run_grid(args, args.q_min, lambda_z)
         thr = find_threshold(grid, lambda_z, bracket, args.tol, cfg)
-        for t in thr.trials:
-            rows.append((lambda_z, t.Q, t.converged, t.collapsed, t.resolved,
-                         t.iterations, t.energy_total))
-        rows.append((lambda_z, thr.midpoint, True, True, True, 0, float("nan")))
+        table = [(lambda_z, thr)]
         log.info("threshold bracket: [%.4f, %.4f]", thr.q_lo, thr.q_hi)
+    rows = []
+    for lz, thr in table:
+        for t in thr.trials:
+            rows.append((lz, t.Q, t.converged, t.collapsed, t.resolved,
+                         t.iterations, t.energy_total))
+        rows.append((lz, thr.midpoint, True, True, True, 0, float("nan")))
     write_csv(args.out,
               ("lambda_z", "Q", "converged", "collapsed", "resolved",
                "iterations", "energy_total"),
@@ -577,8 +575,6 @@ def build_parser():
     _add(p, conv, "--t-final", type=float, default=None,
          help="final time, a whole number of --dt steps")
     _add(p, conv, "--observe-every", type=int, default=None)
-    _add(p, conv, "--scheme", type=str, default=None,
-         help="split-step (default) or semi-implicit")
     _add(p, conv, "--sponge-strength", type=float, default=None)
     _add(p, conv, "--sponge-width", type=float, default=None)
     _add(p, conv, "--snapshot-times", type=str, default=None,

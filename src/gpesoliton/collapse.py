@@ -1,10 +1,10 @@
 """Critical interaction strength above which no stable ground state exists.
 
-Bisection on Q with full relaxation probes; each probe is warm-started from
-the converged state at the nearest interaction strength.  "Collapse" is the
-relaxation module's numerical proxy (the amplitude ceiling over the analytic
-peak), since the physical blowup lies outside the validity of the mean-field
-model.
+Bisection on Q with full relaxation probes on a grid the caller supplies; each
+probe is warm-started from the converged state at the nearest interaction
+strength.  "Collapse" is the relaxation module's numerical proxy (the
+amplitude ceiling over the analytic peak), since the physical blowup lies
+outside the validity of the mean-field model.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 from .energy import TrapSpec
 from .errors import DomainError
-from .grid import (Geometry, Grid, default_cylindrical_grid, default_line_grid,
-                   default_spherical_grid)
+from .grid import Geometry, Grid
 from .groundstate import DescentConfig, GroundStateResult, default_initial, relax
 
 log = logging.getLogger(__name__)
@@ -44,16 +43,6 @@ class ThresholdResult:
         return 0.5 * (self.q_lo + self.q_hi)
 
 
-def _default_grid(geometry: Geometry, lambda_z: float, q_min: float) -> Grid:
-    # the widest state in the bracket (smallest Q) sizes the axial box once,
-    # so every warm start lives on the same grid
-    if geometry is Geometry.CYLINDRICAL:
-        return default_cylindrical_grid(q_min, lambda_z)
-    if geometry is Geometry.SPHERICAL_RADIAL:
-        return default_spherical_grid()
-    return default_line_grid(q_min, lambda_z)
-
-
 def _probe(grid: Grid, trap: TrapSpec, Q: float, cfg: DescentConfig, seed):
     result = relax(seed, trap, Q, cfg)
     trial = ThresholdTrial(
@@ -67,10 +56,9 @@ def _probe(grid: Grid, trap: TrapSpec, Q: float, cfg: DescentConfig, seed):
     return result, trial
 
 
-def find_threshold(geometry: Geometry | Grid, lambda_z: float,
-                   bracket: tuple[float, float], tol: float,
+def find_threshold(grid: Grid, lambda_z: float, bracket: tuple[float, float], tol: float,
                    cfg: DescentConfig = DescentConfig()) -> ThresholdResult:
-    """Bracketed bisection for the critical Q on the given geometry.
+    """Bracketed bisection for the critical Q on `grid`, which every probe shares.
 
     Probes that exhaust max_iters without converging or collapsing count as
     converged (no collapse signature appeared) but are recorded as unresolved;
@@ -81,8 +69,6 @@ def find_threshold(geometry: Geometry | Grid, lambda_z: float,
         raise DomainError(f"need 0 < q_min < q_max, got {bracket}")
     if tol <= 0:
         raise DomainError(f"tol must be positive, got {tol}")
-    grid = geometry if isinstance(geometry, Grid) else _default_grid(
-        geometry, lambda_z, q_min)
     if grid.kind is Geometry.SPHERICAL_RADIAL and lambda_z != 1.0:
         raise DomainError("spherical-radial thresholds model the isotropic trap "
                           "(lambda_z = 1)")
@@ -136,17 +122,17 @@ class OptimalityScan:
     monotone_nonincreasing: bool
 
 
-def optimality_scan(lambda_zs, bracket: tuple[float, float], tol: float,
-                    cfg: DescentConfig = DescentConfig(),
-                    geometry: Geometry = Geometry.CYLINDRICAL,
-                    grid: Grid | None = None) -> OptimalityScan:
-    """Threshold per anisotropy plus a monotonicity report (cigar optimality)."""
+def optimality_scan(runs: list[tuple[float, Grid]], bracket: tuple[float, float], tol: float,
+                    cfg: DescentConfig = DescentConfig()) -> OptimalityScan:
+    """Threshold per anisotropy plus a monotonicity report (cigar optimality).
+
+    `runs` holds (lambda_z, grid) pairs; each threshold is found on its grid.
+    """
     rows = []
-    for lz in lambda_zs:
+    for lz, grid in runs:
         if not 0.0 <= lz <= 1.0:
             raise DomainError(f"lambda_z values must lie in [0, 1], got {lz}")
-        g = grid if grid is not None else _default_grid(geometry, lz, bracket[0])
-        rows.append((lz, find_threshold(g, lz, bracket, tol, cfg)))
+        rows.append((lz, find_threshold(grid, lz, bracket, tol, cfg)))
     mids = [r.midpoint for _, r in rows]
     order = sorted(range(len(rows)), key=lambda k: rows[k][0])
     monotone = all(mids[order[k + 1]] <= mids[order[k]] + 1e-12

@@ -1,20 +1,18 @@
-"""Real-time propagation with Strang splitting or lagged Crank-Nicolson.
+"""Real-time propagation by Strang splitting with Crank-Nicolson kinetic steps.
 
-Both schemes are built from Cayley (Crank-Nicolson) factors of Hermitian
-1-D operators, so the discrete norm is conserved to round-off.  A Cayley
-factor is applied as (1 + zK)^{-1}(1 - zK) = 2(1 + zK)^{-1} - 1, one
-tridiagonal solve and no explicit multiply.
+The kinetic steps are Cayley (Crank-Nicolson) factors of Hermitian 1-D
+operators, so the discrete norm is conserved to round-off.  A Cayley factor is
+applied as (1 + zK)^{-1}(1 - zK) = 2(1 + zK)^{-1} - 1, one tridiagonal solve
+and no explicit multiply.
 
-* split-step: half-steps of the pointwise potential+cubic phase around a
-  kinetic step.  Between records the trailing half-phase of one step and the
-  leading half-phase of the next are merged into one full phase, which is
-  exact (with a sponge, the cubic term sees the mean of the undamped and the
-  damped density).  The kinetic factor along s is LU-factored once and solved
-  for all lines per step.  On cylindrical grids the two rho half-steps of the
-  splitting (half rho, full s, half rho) commute with the s step, so they are
-  taken together as one diagonal factor in the radial eigenbasis of K_rho.
-* semi-implicit: the full operator with the cubic term frozen at the current
-  step enters the Cayley factors (split per direction on cylindrical grids).
+Half-steps of the pointwise potential+cubic phase sit around each kinetic
+step.  Between records the trailing half-phase of one step and the leading
+half-phase of the next are merged into one full phase, which is exact (with a
+sponge, the cubic term sees the mean of the undamped and the damped density).
+The kinetic factor along s is LU-factored once and solved for all lines per
+step.  On cylindrical grids the two rho half-steps of the splitting (half rho,
+full s, half rho) commute with the s step, so they are taken together as one
+diagonal factor in the radial eigenbasis of K_rho.
 
 Optional sponge layers damp outgoing radiation near the axial edges; they
 intentionally absorb norm, so runs with a sponge skip the norm-drift guard.
@@ -25,7 +23,6 @@ their only users, to keep them out of CLI startup.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -33,16 +30,11 @@ import numpy as np
 
 from .energy import TrapSpec, hamiltonian, trap_potential, quartic_coefficient
 from .errors import BlowupError, DomainError, StepSizeError
-from .grid import Geometry, Grid, TridiagonalFactor, Wavefunction, solve_tridiagonal
+from .grid import Geometry, Grid, TridiagonalFactor, Wavefunction
 from .observables import ObservableRecord, moments
 from .potentials import ExternalPotential
 
 NORM_DRIFT_LIMIT = 1e-6
-
-
-class PropagationScheme(enum.Enum):
-    SPLIT_STEP = "split-step"
-    SEMI_IMPLICIT = "semi-implicit"
 
 
 @dataclass(frozen=True)
@@ -50,7 +42,6 @@ class PropagationConfig:
     t_final: float
     dt: float = 5e-4
     observe_every: int = 20
-    scheme: PropagationScheme = PropagationScheme.SPLIT_STEP
     sponge_strength: float = 0.0
     sponge_width: float = 0.0  # absolute width of each absorbing edge layer
 
@@ -63,18 +54,6 @@ class PropagationConfig:
             raise DomainError(f"observe_every must be >= 1, got {self.observe_every}")
         if self.sponge_strength < 0 or self.sponge_width < 0:
             raise DomainError("sponge parameters must be non-negative")
-
-
-def _cayley_plus(grid: Grid, direction: str, w_half, dt):
-    """(lower, diag, upper) of 1 + i*dt/2*K for K = -lap/2 + w_half along `direction`."""
-    lo, di, up = grid.laplacian_diagonals(direction)
-    z = 0.5j * dt
-    return -0.5 * z * lo, 1.0 + z * (w_half - 0.5 * di), -0.5 * z * up
-
-
-def _cayley(grid: Grid, direction: str, w_half, dt, v):
-    """Cayley step of K = -lap/2 + w_half along `direction`, the last axis of v."""
-    return 2.0 * solve_tridiagonal(*_cayley_plus(grid, direction, w_half, dt), v) - v
 
 
 def _sponge_mask(grid: Grid, width: float):
@@ -98,7 +77,6 @@ class _Propagator:
         self.grid = grid
         self.trap = trap
         self.Q = Q
-        self.cfg = cfg
         # half of energy.gradient is the physical operator -lap/2 + V/2 - c|u|^2,
         # so the cubic coefficient is c itself; the flow then conserves
         # hamiltonian(...).total
@@ -113,14 +91,14 @@ class _Propagator:
         self.sponge = None
         if cfg.sponge_strength > 0 and cfg.sponge_width > 0:
             self.sponge = cfg.sponge_strength * _sponge_mask(grid, cfg.sponge_width)
-        if cfg.scheme is PropagationScheme.SPLIT_STEP:
-            self._init_split_step(cfg.dt)
-
-    def _init_split_step(self, dt):
-        self.kin_s = TridiagonalFactor(*_cayley_plus(self.grid, "s", 0.0, dt))
-        if self.grid.kind is Geometry.CYLINDRICAL:
+        dt = cfg.dt
+        # bands of 1 + i*dt/2*K_s for K_s = -lap_s/2, the Cayley factor's denominator
+        lo, di, up = grid.laplacian_diagonals("s")
+        z = 0.5j * dt
+        self.kin_s = TridiagonalFactor(-0.5 * z * lo, 1.0 - 0.5 * z * di, -0.5 * z * up)
+        if grid.kind is Geometry.CYLINDRICAL:
             # eigenvalues of -lap_rho; two Cayley half-steps of K_rho = -lap_rho/2
-            eig, self.to_modes, self.from_modes = self.grid.radial_modes()
+            eig, self.to_modes, self.from_modes = grid.radial_modes()
             self.rho_factor = (((1.0 - 0.125j * dt * eig)
                                 / (1.0 + 0.125j * dt * eig)) ** 2)[:, None]
         # (h, cubic, damping) of the phase exp(-i*h*(V - cubic*|v|^2)) * damping:
@@ -158,10 +136,6 @@ class _Propagator:
 
     def advance(self, v, n_steps):
         """The state n_steps steps after v (a C-contiguous complex field)."""
-        if self.cfg.scheme is PropagationScheme.SEMI_IMPLICIT:
-            for _ in range(n_steps):
-                v = self._semi_implicit_step(v)
-            return v
         self._kick(v, self.half_phase)
         for k in range(n_steps):
             if k:
@@ -169,27 +143,6 @@ class _Propagator:
             v = self._kinetic(v)
         self._kick(v, self.half_phase)
         return v
-
-    def _semi_implicit_step(self, v):
-        # Cayley factors with the cubic term lagged, then one corrector pass at
-        # the midpoint density (keeps the energy error at second order; a single
-        # lagged pass drifts at first order)
-        dt = self.cfg.dt
-        density = np.abs(v) ** 2
-        pred = self._cayley_full(v, self.v3 - self.c3 * density, dt)
-        w_mid = self.v3 - self.c3 * 0.5 * (density + np.abs(pred) ** 2)
-        v = self._cayley_full(v, w_mid, dt)
-        if self.sponge is not None:
-            v = v * np.exp(-dt * self.sponge)
-        return v
-
-    def _cayley_full(self, v, w3, dt):
-        if self.grid.kind is Geometry.LINE:
-            return _cayley(self.grid, "s", w3, dt, v)
-        half_w = 0.5 * w3  # half of the potential in each direction factor
-        v = _cayley(self.grid, "rho", half_w.T, 0.5 * dt, v.T).T
-        v = _cayley(self.grid, "s", half_w, dt, v)
-        return _cayley(self.grid, "rho", half_w.T, 0.5 * dt, v.T).T
 
     def observe(self, v, tau):
         u = Wavefunction(self.grid, v)
@@ -217,7 +170,7 @@ def propagate(u0: Wavefunction, trap: TrapSpec, Q: float,
     multiple of `observe_every`.
 
     Raises StepSizeError when the norm drifts beyond 1e-6 (never expected with
-    these unitary schemes unless inputs are broken) and BlowupError on
+    this unitary scheme unless inputs are broken) and BlowupError on
     non-finite values.
     """
     if cfg is None:

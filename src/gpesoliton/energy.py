@@ -43,14 +43,6 @@ class EnergyBreakdown:
     chemical_potential: float
     external: float = 0.0
 
-    def csv_row(self):
-        return (self.kinetic, self.trap, self.interaction, self.external,
-                self.total, self.chemical_potential)
-
-    @staticmethod
-    def csv_columns():
-        return ("kinetic", "trap", "interaction", "external", "total", "mu")
-
 
 def quartic_coefficient(kind: Geometry, Q: float) -> float:
     """Coefficient c in the interaction term -c * int |u|^4 (doubled convention)."""

@@ -78,13 +78,6 @@ class Grid:
     def __repr__(self):
         return f"Grid({self.kind.value}, {self.extents})"
 
-    def matches(self, other: "Grid") -> bool:
-        return (
-            self.kind is other.kind
-            and self.shape == other.shape
-            and self.extents == other.extents
-        )
-
     # -- coordinate arrays broadcastable against fields -------------------
 
     def s_coords(self):
@@ -98,9 +91,6 @@ class Grid:
         if self.kind is Geometry.CYLINDRICAL:
             return self.rho[:, None]
         raise DomainError(f"{self.kind.value} grids have no rho coordinate")
-
-    def volume(self) -> float:
-        return float(np.sum(self.weights))
 
     # -- quadrature --------------------------------------------------------
 
@@ -314,18 +304,6 @@ class TridiagonalFactor:
         return self._lu.solve(b, b.size // self.size)
 
 
-def solve_tridiagonal(lower, diag, upper, rhs):
-    """Solve independent tridiagonal systems along the last axis of `rhs`.
-
-    lower, diag and upper broadcast against rhs; lower[..., 0] and
-    upper[..., -1] are ignored.
-    """
-    rhs = np.asarray(rhs)
-    shape = np.broadcast_shapes(np.shape(lower), np.shape(diag), np.shape(upper), rhs.shape)
-    return TridiagonalFactor(*(np.broadcast_to(b, shape) for b in (lower, diag, upper))
-                             ).solve(rhs)
-
-
 def _check_resolution(n, name):
     if n < MIN_RESOLUTION:
         raise DomainError(f"{name} must be at least {MIN_RESOLUTION}, got {n}")
@@ -374,18 +352,6 @@ def spherical_grid(r_max: float, n_r: int) -> Grid:
                 extents={"r_max": r_max, "n_r": n_r})
 
 
-def build_grid(kind: Geometry, **spec) -> Grid:
-    """Dispatching constructor; spec keys follow the per-geometry constructors."""
-    if kind is Geometry.LINE:
-        return line_grid(spec["s_min"], spec["s_max"], spec["n_s"])
-    if kind is Geometry.CYLINDRICAL:
-        return cylindrical_grid(spec["rho_max"], spec["s_min"], spec["s_max"],
-                                spec["n_rho"], spec["n_s"])
-    if kind is Geometry.SPHERICAL_RADIAL:
-        return spherical_grid(spec["r_max"], spec["n_r"])
-    raise DomainError(f"unknown geometry {kind!r}")
-
-
 def default_half_extent_s(Q: float, lambda_z: float) -> float:
     """Axial half-extent large enough for the widest state expected.
 
@@ -399,23 +365,6 @@ def default_half_extent_s(Q: float, lambda_z: float) -> float:
     if Q <= 0:
         raise DomainError("need Q > 0 to size a trap-free axial box")
     return max(6.0, 6.0 * soliton_width(Q))
-
-
-def default_cylindrical_grid(Q: float, lambda_z: float, n_rho: int = 96,
-                             n_s: int = 384, rho_max: float = 6.0,
-                             half_extent_s: float | None = None) -> Grid:
-    half = default_half_extent_s(Q, lambda_z) if half_extent_s is None else half_extent_s
-    return cylindrical_grid(rho_max, -half, half, n_rho, n_s)
-
-
-def default_line_grid(Q: float, lambda_z: float, n_s: int = 1024,
-                      half_extent_s: float | None = None) -> Grid:
-    half = default_half_extent_s(Q, lambda_z) if half_extent_s is None else half_extent_s
-    return line_grid(-half, half, n_s)
-
-
-def default_spherical_grid(n_r: int = 512, r_max: float = 6.0) -> Grid:
-    return spherical_grid(r_max, n_r)
 
 
 class Wavefunction:

@@ -1,15 +1,14 @@
-"""Scalar diagnostics: norm, moments, momentum, widths and profile comparisons."""
+"""Scalar diagnostics: norm, moments, momentum, widths and peak density."""
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .energy import EnergyBreakdown
-from .errors import DomainError, GridMismatchError
+from .errors import DomainError
 from .grid import Geometry, Wavefunction
 
 
@@ -78,45 +77,3 @@ def moments(u: Wavefunction) -> ObservableRecord:
         rec.w_rho = float("nan")
     return rec
 
-
-class ProfileSection(enum.Enum):
-    S_SECTION_AT_RHO_ZERO = "s-section"
-    RHO_SECTION_AT_S_ZERO = "rho-section"
-    FULL = "full"
-
-
-def _section(u: Wavefunction, mode: ProfileSection):
-    grid = u.grid
-    if mode is ProfileSection.FULL:
-        return np.abs(u.values), grid.weights
-    if grid.kind is Geometry.LINE:
-        if mode is ProfileSection.RHO_SECTION_AT_S_ZERO:
-            raise DomainError("line geometry has no rho section")
-        return np.abs(u.values), grid.weights
-    if grid.kind is not Geometry.CYLINDRICAL:
-        raise DomainError(f"no {mode.value} on {grid.kind.value} grids")
-    if mode is ProfileSection.S_SECTION_AT_RHO_ZERO:
-        # first half-offset node stands in for the axis (no on-axis sample exists)
-        return np.abs(u.values[0, :]), np.full(grid.s.size, grid.ds)
-    j0 = int(np.argmin(np.abs(grid.s)))
-    return np.abs(u.values[:, j0]), 2.0 * math.pi * grid.rho * grid.drho
-
-
-def compare_profiles(u: Wavefunction, reference: Wavefunction,
-                     mode: ProfileSection = ProfileSection.FULL):
-    """Peak-normalized L_inf and weighted relative L_2 deviation of |u| from |reference|.
-
-    Returns a dict with keys 'linf_rel' and 'l2_rel'; the reference peak over
-    the selected section normalizes both.
-    """
-    if not u.grid.matches(reference.grid):
-        raise GridMismatchError("profiles must share a grid")
-    a, w = _section(u, mode)
-    b, _ = _section(reference, mode)
-    peak = float(b.max())
-    if peak == 0.0:
-        raise DomainError("reference section is identically zero")
-    diff = a - b
-    linf = float(np.max(np.abs(diff))) / peak
-    l2 = math.sqrt(float(np.sum(w * diff ** 2)) / float(np.sum(w * b ** 2)))
-    return {"linf_rel": linf, "l2_rel": l2}

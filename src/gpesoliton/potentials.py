@@ -1,4 +1,4 @@
-"""Parser, evaluator and symbolic differentiator for external-potential expressions.
+"""Parser and evaluator for external-potential expressions.
 
 Grammar (recursive descent, standard precedence):
 
@@ -12,30 +12,51 @@ Identifiers are the coordinates ``s`` and ``rho``, the functions sin, cos,
 exp, tanh, sech and abs, or free parameter names bound at evaluation time.
 Division is not policed at parse time; non-finite values are caught when an
 expression is sampled on a grid.
+
+The axial force dV/ds is a complex-step derivative, Im V(s + ih)/h: the
+evaluator runs on complex s, and with no difference of two samples there is no
+cancellation, so h can be tiny and the derivative is exact to round-off
+(Squire & Trapp, SIAM Rev. 40, 110, 1998).  abs and sech take analytic,
+overflow-free forms off the real axis; on it they are the plain numpy ones.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, GridMismatchError, ParseError,
-                     UnboundParameterError, UnknownIdentifierError)
+from .errors import DomainError, ParseError, UnboundParameterError, UnknownIdentifierError
 from .grid import Geometry, Grid
 
 FUNCTIONS = ("abs", "cos", "exp", "sech", "sin", "tanh")
 COORDINATES = ("s", "rho")
+
+_COMPLEX_STEP = 1e-30
+
+
+def _abs(x):
+    # x*sign(Re x) continues |x| analytically off the real axis
+    return x * np.sign(x.real) if np.iscomplexobj(x) else np.abs(x)
+
+
+def _sech(x):
+    if not np.iscomplexobj(x):
+        return 1.0 / np.cosh(x)
+    # cosh of a complex argument overflows to inf + inf*j for |Re x| > ~710,
+    # where 1/cosh gives nan; 2e/(1 + e^2) with e = exp(-x*sign(Re x)), |e| <= 1, cannot
+    e = np.exp(-_abs(x))
+    return 2.0 * e / (1.0 + e * e)
+
 
 _NUMPY_FUNCS = {
     "sin": np.sin,
     "cos": np.cos,
     "exp": np.exp,
     "tanh": np.tanh,
-    "sech": lambda x: 1.0 / np.cosh(x),
-    "abs": np.abs,
+    "sech": _sech,
+    "abs": _abs,
 }
 
 
@@ -208,9 +229,6 @@ class PotentialExpr:
     def parameters(self) -> frozenset[str]:
         return frozenset(_collect_params(self.root))
 
-    def variables(self) -> frozenset[str]:
-        return frozenset(_collect_vars(self.root))
-
     def __call__(self, s=None, rho=None, params=None):
         env = {}
         if s is not None:
@@ -218,12 +236,6 @@ class PotentialExpr:
         if rho is not None:
             env["rho"] = np.asarray(rho, dtype=float)
         return _eval(self.root, env, dict(params or {}))
-
-    def derivative(self, var: str = "s") -> "PotentialExpr":
-        if var not in COORDINATES:
-            raise DomainError(f"can only differentiate in {COORDINATES}, got {var!r}")
-        d = _diff(self.root, var)
-        return PotentialExpr(d, f"d/d{var}({self.source})")
 
 
 def parse(text: str) -> PotentialExpr:
@@ -244,18 +256,6 @@ def _collect_params(node):
         yield from _collect_params(node.right)
     elif isinstance(node, Call):
         yield from _collect_params(node.arg)
-
-
-def _collect_vars(node):
-    if isinstance(node, Var):
-        yield node.name
-    elif isinstance(node, Neg):
-        yield from _collect_vars(node.arg)
-    elif isinstance(node, Bin):
-        yield from _collect_vars(node.left)
-        yield from _collect_vars(node.right)
-    elif isinstance(node, Call):
-        yield from _collect_vars(node.arg)
 
 
 def _eval(node, env, params):
@@ -292,6 +292,11 @@ def _eval(node, env, params):
 
 def evaluate_on_grid(expr: PotentialExpr, grid: Grid, params=None):
     """Vectorized samples at every node; rejects non-finite values with coordinates."""
+    return _sample(expr, grid, params)
+
+
+def _sample(expr: PotentialExpr, grid: Grid, params, step=0.0):
+    """Samples of expr, or with step > 0 of d(expr)/ds by a complex step of that size."""
     params = dict(params or {})
     missing = expr.parameters() - set(params)
     if missing:
@@ -304,7 +309,11 @@ def evaluate_on_grid(expr: PotentialExpr, grid: Grid, params=None):
         env["rho"] = grid.rho_coords()
     else:
         raise DomainError("external potentials apply to line or cylindrical grids")
-    values = _eval(expr.root, env, params)
+    if step:
+        env["s"] = env["s"] + 1j * step
+        values = np.imag(_eval(expr.root, env, params)) / step
+    else:
+        values = _eval(expr.root, env, params)
     values = np.broadcast_to(np.asarray(values, dtype=float), grid.shape).copy()
     bad = ~np.isfinite(values)
     if np.any(bad):
@@ -313,92 +322,9 @@ def evaluate_on_grid(expr: PotentialExpr, grid: Grid, params=None):
             where = f"s = {grid.s[idx[0]]:g}"
         else:
             where = f"rho = {grid.rho[idx[0]]:g}, s = {grid.s[idx[1]]:g}"
-        raise DomainError(
-            f"potential '{expr.source}' is non-finite at node ({where})"
-        )
+        source = f"d/ds({expr.source})" if step else expr.source
+        raise DomainError(f"potential '{source}' is non-finite at node ({where})")
     return values
-
-
-# --- symbolic differentiation ------------------------------------------------
-
-_ZERO = Num(0.0)
-_ONE = Num(1.0)
-
-
-def _is_const(node, value):
-    return isinstance(node, Num) and node.value == value
-
-
-def _add(a, b):
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
-        return a
-    return Bin("+", a, b)
-
-
-def _sub(a, b):
-    if _is_const(b, 0.0):
-        return a
-    if _is_const(a, 0.0):
-        return Neg(b)
-    return Bin("-", a, b)
-
-
-def _mul(a, b):
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return _ZERO
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
-    return Bin("*", a, b)
-
-
-def _diff(node, var):
-    if isinstance(node, (Num, Param)):
-        return _ZERO
-    if isinstance(node, Var):
-        return _ONE if node.name == var else _ZERO
-    if isinstance(node, Neg):
-        d = _diff(node.arg, var)
-        return _ZERO if _is_const(d, 0.0) else Neg(d)
-    if isinstance(node, Call):
-        da = _diff(node.arg, var)
-        if _is_const(da, 0.0):
-            return _ZERO
-        a = node.arg
-        outer = {
-            "sin": lambda: Call("cos", a),
-            "cos": lambda: Neg(Call("sin", a)),
-            "exp": lambda: Call("exp", a),
-            "tanh": lambda: _sub(_ONE, Bin("^", Call("tanh", a), Num(2.0))),
-            "sech": lambda: Neg(_mul(Call("sech", a), Call("tanh", a))),
-            # derivative of |x| as x/|x|; non-finite at 0, caught on sampling
-            "abs": lambda: Bin("/", a, Call("abs", a)),
-        }[node.fn]()
-        return _mul(outer, da)
-    if node.op == "+":
-        return _add(_diff(node.left, var), _diff(node.right, var))
-    if node.op == "-":
-        return _sub(_diff(node.left, var), _diff(node.right, var))
-    if node.op == "*":
-        return _add(_mul(_diff(node.left, var), node.right),
-                    _mul(node.left, _diff(node.right, var)))
-    if node.op == "/":
-        num = _sub(_mul(_diff(node.left, var), node.right),
-                   _mul(node.left, _diff(node.right, var)))
-        if _is_const(num, 0.0):
-            return _ZERO
-        return Bin("/", num, Bin("^", node.right, Num(2.0)))
-    # d(f^g): general form f^g * (g'*ln f + g*f'/f); restrict to constant g,
-    # which covers the potentials this toolkit targets
-    if _is_const(_diff(node.right, var), 0.0):
-        df = _diff(node.left, var)
-        down = Bin("^", node.left, _sub(node.right, _ONE))
-        return _mul(_mul(node.right, down), df)
-    raise DomainError(
-        "cannot differentiate a power with a coordinate-dependent exponent")
 
 
 def _render(node):
@@ -434,8 +360,4 @@ class ExternalPotential:
         return evaluate_on_grid(self.expr, grid, self.params)
 
     def sample_gradient_s(self, grid: Grid):
-        return evaluate_on_grid(self.expr.derivative("s"), grid, self.params)
-
-    def describe(self) -> str:
-        bound = ", ".join(f"{k}={v:g}" for k, v in sorted(self.params.items()))
-        return self.expr.source + (f" [{bound}]" if bound else "")
+        return _sample(self.expr, grid, self.params, _COMPLEX_STEP)

@@ -154,3 +154,45 @@ def test_cli_import_loads_no_scipy():
             public = {m.split(".")[1] for m in loaded
                       if "." in m and not m.split(".")[1].startswith("_")}
             assert public == {"linalg", "version"}
+
+
+def test_lambda_scan_runs_on_the_manifest_grid(tmp_path, monkeypatch):
+    from gpesoliton import collapse
+
+    used, find_threshold = [], collapse.find_threshold
+
+    def recording_find_threshold(grid, *args, **kwargs):
+        used.append(grid.extents)
+        return find_threshold(grid, *args, **kwargs)
+
+    monkeypatch.setattr(collapse, "find_threshold", recording_find_threshold)
+    out = tmp_path / "scan.csv"
+    argv = ["collapse", "--scan-lambda-z", "0.5,1", "--n-rho", "16", "--n-s", "48",
+            "--rho-max", "5", "--q-min", "10", "--q-max", "25", "--tol", "8", "--quiet",
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    manifest = dict(line.split(" = ", 1) for line in
+                    (tmp_path / "scan.csv.manifest").read_text().splitlines()[1:])
+    assert len(used) == 2
+    for lz, extents in zip((0.5, 1.0), used):
+        half = grid_module.default_half_extent_s(10.0, lz)
+        assert extents == {"rho_max": float(manifest["rho_max"]), "s_min": -half,
+                           "s_max": half, "n_rho": int(manifest["n_rho"]),
+                           "n_s": int(manifest["n_s"])}
+    assert (manifest["rho_max"], manifest["n_rho"], manifest["n_s"]) == ("5", "16", "48")
+
+
+def test_analytic_profile_takes_a_numeric_q(tmp_path):
+    from gpesoliton import analytic
+
+    out = tmp_path / "profile.csv"
+    assert cli.main(["analytic", "profile", "--q", "7", "--quiet", "--out", str(out)]) == 0
+    table = np.loadtxt(out, delimiter=",", comments="#", skiprows=2)
+    assert np.all(table[:, 0] == 7.0)
+    assert np.array_equal(table[:, 2], analytic.soliton_profile(7.0, table[:, 1]))
+
+
+@pytest.mark.parametrize("what,q", [("profile", "5,6"), ("ratio", ","), ("width", "abc")])
+def test_analytic_bad_q_fails(what, q, capsys):
+    assert cli.main(["analytic", what, "--q", q, "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error:")

@@ -4,7 +4,7 @@ import pytest
 
 from gpesoliton.collapse import find_threshold, optimality_scan
 from gpesoliton.errors import DomainError
-from gpesoliton.grid import spherical_grid
+from gpesoliton.grid import cylindrical_grid, default_half_extent_s, spherical_grid
 
 # isotropic collapse threshold, Ruprecht et al., PRA 51, 4704 (1995)
 ISOTROPIC_QC = 8.0 * math.pi * 0.575
@@ -26,9 +26,15 @@ class TestFindThreshold:
             find_threshold(spherical_grid(6.0, 64), 1.0, bracket, 0.5)
 
 
+def scan_grid(lambda_z, q_min=8.0):
+    # the axial box holds the widest state in the bracket, the one at q_min
+    half = default_half_extent_s(q_min, lambda_z)
+    return cylindrical_grid(6.0, -half, half, 96, 384)
+
+
 class TestOptimalityScan:
     def test_threshold_falls_toward_the_isotropic_trap(self):
-        scan = optimality_scan([0.5, 1.0], (8.0, 30.0), 0.5)
+        scan = optimality_scan([(lz, scan_grid(lz)) for lz in (0.5, 1.0)], (8.0, 30.0), 0.5)
         assert scan.monotone_nonincreasing
         (lz_half, half), (lz_iso, iso) = scan.table
         assert (lz_half, lz_iso) == (0.5, 1.0)
@@ -37,4 +43,4 @@ class TestOptimalityScan:
 
     def test_lambda_above_one_rejected(self):
         with pytest.raises(DomainError, match="lambda_z values must lie in"):
-            optimality_scan([1.5], (8.0, 30.0), 0.5)
+            optimality_scan([(1.5, scan_grid(1.5))], (8.0, 30.0), 0.5)

@@ -5,9 +5,8 @@ import pytest
 from scipy.linalg import solve_banded
 
 from gpesoliton import analytic
-from gpesoliton.dynamics import (EhrenfestReport, PropagationConfig,
-                                 PropagationScheme, _Propagator, _sponge_mask, boost,
-                                 displace, ehrenfest_check, propagate)
+from gpesoliton.dynamics import (EhrenfestReport, PropagationConfig, _Propagator,
+                                 _sponge_mask, boost, displace, ehrenfest_check, propagate)
 from gpesoliton.energy import TrapSpec, quartic_coefficient, trap_potential
 from gpesoliton.errors import BlowupError, DomainError
 from gpesoliton.grid import Wavefunction, cylindrical_grid, line_grid
@@ -50,19 +49,15 @@ class TestStationaryStates:
         phase = -np.angle(fin.values[i0] / u0.values[i0])
         assert phase == pytest.approx(mu * tau, rel=1e-3)
 
-    @pytest.mark.parametrize("scheme", list(PropagationScheme))
-    def test_norm_conservation_per_1000_steps(self, scheme):
+    def test_norm_conservation_per_1000_steps(self):
         u0 = boost(line_soliton(), 0.3).normalized()
-        cfg = PropagationConfig(t_final=1.0, dt=1e-3, observe_every=1000,
-                                scheme=scheme)
+        cfg = PropagationConfig(t_final=1.0, dt=1e-3, observe_every=1000)
         records, _ = propagate(u0, TrapSpec(0.0), 5.0, None, cfg)
         assert abs(records[-1].norm - 1.0) < 1e-8
 
-    @pytest.mark.parametrize("scheme", list(PropagationScheme))
-    def test_energy_conservation(self, scheme):
+    def test_energy_conservation(self):
         u0 = line_soliton()
-        cfg = PropagationConfig(t_final=2.0, dt=5e-4, observe_every=100,
-                                scheme=scheme)
+        cfg = PropagationConfig(t_final=2.0, dt=5e-4, observe_every=100)
         records, _ = propagate(u0, TrapSpec(0.0), 5.0, None, cfg)
         energies = [r.energy.total for r in records]
         drift = max(abs(e - energies[0]) for e in energies) / abs(energies[0])

@@ -7,9 +7,8 @@ from scipy.linalg import eigh_tridiagonal, solve_banded
 from gpesoliton import analytic
 from gpesoliton import grid as grid_module
 from gpesoliton.errors import DomainError, GridMismatchError
-from gpesoliton.grid import (Geometry, TridiagonalFactor, Wavefunction, build_grid,
-                             cylindrical_grid, default_half_extent_s, line_grid,
-                             solve_tridiagonal, spherical_grid)
+from gpesoliton.grid import (TridiagonalFactor, Wavefunction, cylindrical_grid,
+                             default_half_extent_s, line_grid, spherical_grid)
 
 
 class TestConstruction:
@@ -33,11 +32,6 @@ class TestConstruction:
             line_grid(1.0, -1.0, 64)
         with pytest.raises(DomainError):
             cylindrical_grid(-2.0, -1.0, 1.0, 32, 32)
-
-    def test_build_grid_dispatch(self):
-        g = build_grid(Geometry.CYLINDRICAL, rho_max=2.0, s_min=-1.0, s_max=1.0,
-                       n_rho=16, n_s=16)
-        assert g.kind is Geometry.CYLINDRICAL
 
     def test_default_extent_rule(self):
         # trap-free axis follows the soliton width; trapped axis the Gaussian width
@@ -157,8 +151,6 @@ class TestTridiagonalFactor:
         rhs = rng.standard_normal((5, 17)) + 1j * rng.standard_normal((5, 17))
         ref = np.array([banded_solve(*(b[i] for b in bands), rhs[i]) for i in range(5)])
         got = TridiagonalFactor(*bands).solve(rhs)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-        got = solve_tridiagonal(*bands, rhs)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("dtype", [float, complex])

@@ -5,9 +5,9 @@ import pytest
 
 from gpesoliton import analytic
 from gpesoliton.dynamics import boost
-from gpesoliton.errors import DomainError, GridMismatchError
+from gpesoliton.errors import DomainError
 from gpesoliton.grid import Wavefunction, cylindrical_grid, line_grid, spherical_grid
-from gpesoliton.observables import ProfileSection, compare_profiles, moments
+from gpesoliton.observables import moments
 
 PI = math.pi
 
@@ -79,35 +79,3 @@ class TestMomentum:
     def test_real_state_zero_momentum(self, soliton5):
         assert moments(soliton5).p_s == pytest.approx(0.0, abs=1e-12)
 
-
-class TestCompareProfiles:
-    def test_identity_is_zero(self, soliton5):
-        for mode in (ProfileSection.S_SECTION_AT_RHO_ZERO, ProfileSection.FULL):
-            d = compare_profiles(soliton5, soliton5, mode)
-            assert d["linf_rel"] == 0.0
-            assert d["l2_rel"] == 0.0
-
-    def test_scaling(self, soliton5):
-        scaled = Wavefunction(soliton5.grid, 1.05 * soliton5.values)
-        d = compare_profiles(scaled, soliton5, ProfileSection.S_SECTION_AT_RHO_ZERO)
-        assert d["linf_rel"] == pytest.approx(0.05, rel=1e-9)
-
-    def test_grid_mismatch(self, soliton5):
-        other = line_grid(-45.0, 45.0, 1024)
-        ref = Wavefunction(other, np.ones(1024))
-        with pytest.raises(GridMismatchError):
-            compare_profiles(soliton5, ref)
-
-    def test_line_has_no_rho_section(self, soliton5):
-        with pytest.raises(DomainError):
-            compare_profiles(soliton5, soliton5, ProfileSection.RHO_SECTION_AT_S_ZERO)
-
-    def test_cylindrical_sections(self):
-        g = cylindrical_grid(6.0, -8.0, 8.0, 64, 64)
-        u = Wavefunction(g, analytic.gaussian_ground_state(
-            1.0, g.rho_coords(), g.s_coords()))
-        v = Wavefunction(g, 1.02 * u.values)
-        for mode in (ProfileSection.S_SECTION_AT_RHO_ZERO,
-                     ProfileSection.RHO_SECTION_AT_S_ZERO):
-            assert compare_profiles(v, u, mode)["linf_rel"] == pytest.approx(
-                0.02, rel=1e-9)
