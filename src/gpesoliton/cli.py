@@ -49,14 +49,37 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+_BLOCK_ROWS = 1024
+
+
 def write_csv(path, columns, rows, note=UNITS_NOTE):
+    """Write a comment line, the column names and one line per row.
+
+    `rows` is an iterable of rows, each value written by `_fmt`, or a float
+    ndarray with one row per line (a 1-D array is one column).  An ndarray is
+    written in blocks of `_BLOCK_ROWS` rows, which bounds the text held at
+    once.  Within a block each distinct bit
+    pattern of a column is formatted once; bit patterns rather than values, so
+    -0.0 and 0.0 keep their own text.  The bytes are those of `%.17g` applied
+    to every value, as the row path writes them.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(f"# {note}\n")
         fh.write(",".join(columns) + "\n")
-        if isinstance(rows, np.ndarray):  # a float table, one row per line
-            np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
+        if isinstance(rows, np.ndarray):
+            table = rows.astype(np.float64, copy=False)
+            if table.ndim == 1:
+                table = table[:, None]
+            for start in range(0, len(table), _BLOCK_ROWS):
+                texts = []
+                for col in table[start:start + _BLOCK_ROWS].T:
+                    bits, inverse = np.unique(np.ascontiguousarray(col).view(np.int64),
+                                              return_inverse=True)
+                    distinct = ["%.17g" % x for x in bits.view(np.float64).tolist()]
+                    texts.append(np.array(distinct, dtype=object)[inverse])
+                fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
             return
         for row in rows:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
@@ -299,7 +322,12 @@ def cmd_analytic(args):
     if what == "profile":
         _fill_defaults(args, {"q": 5.0, "s_extent": None, "n_s": 512})
         Q = _single_q(args)
-        half = args.s_extent or default_half_extent_s(Q, 0.0)
+        half = default_half_extent_s(Q, 0.0) if args.s_extent is None else args.s_extent
+        if not (math.isfinite(half) and half > 0):
+            raise DomainError(f"--s-extent must be positive and finite, got {half}")
+        if args.n_s < grid_module.MIN_RESOLUTION:
+            raise DomainError(f"--n-s must be at least {grid_module.MIN_RESOLUTION}, "
+                              f"got {args.n_s}")
         s = np.linspace(-half, half, args.n_s)
         phi = analytic.soliton_profile(Q, s)
         rows = [(Q, sv, pv) for sv, pv in zip(s, phi)]

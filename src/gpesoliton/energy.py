@@ -68,14 +68,16 @@ def trap_potential(grid: Grid, trap: TrapSpec):
     return grid.r ** 2
 
 
-def gradient(values, grid: Grid, trap: TrapSpec, Q: float, external=None):
+def gradient(values, grid: Grid, trap: TrapSpec, Q: float, external=None, potential=None):
     """Functional gradient [-lap + V + 2*V_ext - 2c|u|^2] u (doubled convention).
 
-    Halving it gives the physical GPE operator applied to u.
+    Halving it gives the physical GPE operator applied to u.  `potential`, if
+    given, is `trap_potential(grid, trap)` evaluated once by a caller that
+    applies the operator many times.
     """
     c = quartic_coefficient(grid.kind, Q)
     out = -grid.laplacian(values)
-    pot = trap_potential(grid, trap)
+    pot = trap_potential(grid, trap) if potential is None else potential
     if external is not None:
         pot = pot + 2.0 * external
     out += pot * values

@@ -61,6 +61,8 @@ class Grid:
             i = np.arange(self.rho.size, dtype=float)
             self._rad_up = ((i + 1.0) / ((i + 0.5) * self.drho ** 2))[:, None]
             self._rad_dn = (i / ((i + 0.5) * self.drho ** 2))[:, None]
+            self._inv_ds2 = 1.0 / self.ds ** 2
+            self._diag = -(self._rad_up + self._rad_dn) - 2.0 * self._inv_ds2
         elif self.kind is Geometry.SPHERICAL_RADIAL:
             i = np.arange(self.r.size, dtype=float)
             cell = (i + 1.0) ** 3 - i ** 3
@@ -120,7 +122,15 @@ class Grid:
     # -- Laplacian ----------------------------------------------------------
 
     def laplacian(self, field):
-        """Second-order finite-volume Laplacian with Dirichlet outer edges."""
+        """Second-order finite-volume Laplacian with Dirichlet outer edges.
+
+        On cylindrical grids the two s-neighbour couplings run over the
+        flattened field, each as one product whose entries that would couple
+        the end of one rho row to the start of the next are zeroed; the radial
+        couplings add whole rows.  Every coefficient is real, so on a finite
+        complex field the real and imaginary parts of the result are those of
+        its parts, bit for bit.
+        """
         field = np.asarray(field)
         if field.shape != self.shape:
             raise GridMismatchError(
@@ -133,9 +143,16 @@ class Grid:
             out /= self.ds ** 2
             return out
         if self.kind is Geometry.CYLINDRICAL:
-            out = field * (-(self._rad_up + self._rad_dn) - 2.0 / self.ds ** 2)
-            out[:, 1:] += field[:, :-1] / self.ds ** 2
-            out[:, :-1] += field[:, 1:] / self.ds ** 2
+            field = np.ascontiguousarray(field)  # so out and both reshapes are views
+            out = field * self._diag
+            flat, f = out.reshape(-1), field.reshape(-1)
+            row_ends = slice(self.s.size - 1, None, self.s.size)
+            coupling = f[:-1] * self._inv_ds2
+            coupling[row_ends] = 0.0
+            flat[1:] += coupling
+            coupling = f[1:] * self._inv_ds2
+            coupling[row_ends] = 0.0
+            flat[:-1] += coupling
             out[1:, :] += self._rad_dn[1:] * field[:-1, :]
             out[:-1, :] += self._rad_up[:-1] * field[1:, :]
             return out

@@ -141,6 +141,12 @@ def relax(initial: Wavefunction, trap: TrapSpec, Q: float,
           cfg: DescentConfig = DescentConfig()) -> GroundStateResult:
     """Relax an initial state to the constrained minimizer (or detect collapse).
 
+    Real seeds relax in real arithmetic, complex ones in complex; both run the
+    same loop.  The trap potential is evaluated once per call.  Each iteration
+    forms the density once, for the quartic energy and the amplitude ceiling,
+    and takes every inner product as one dot product against the quadrature
+    weights.
+
     Raises StepSizeError when the energy rises even after _MAX_HALVINGS
     halvings of the step.
     """
@@ -161,10 +167,11 @@ def relax(initial: Wavefunction, trap: TrapSpec, Q: float,
         ceiling = cfg.collapse_guard * reference_peak(grid, trap, Q)
     c = quartic_coefficient(grid.kind, Q)
     precond = SobolevPreconditioner(grid, trap)
-    w = grid.weights
+    pot = trap_potential(grid, trap)
+    w = grid.weights  # full field shape on every geometry
 
     def inner(a, b):
-        return float(np.real(np.sum(w * np.conj(a) * b)))
+        return float(np.vdot(a, w * b).real)
 
     tau = cfg.step_size
     rejected = 0
@@ -176,9 +183,10 @@ def relax(initial: Wavefunction, trap: TrapSpec, Q: float,
 
     while iterations < cfg.max_iters:
         iterations += 1
-        g = gradient(v, grid, trap, Q)
+        g = gradient(v, grid, trap, Q, potential=pot)
+        density = np.abs(v) ** 2
         vg = inner(v, g)
-        energy = vg + c * float(np.sum(w * np.abs(v) ** 4))
+        energy = vg + c * inner(density, density)
         scale = max(abs(energy), 1.0)
         if not energy <= energy_prev + 1e-12 * scale:  # a rise, or a non-finite energy
             rejected += 1
@@ -193,7 +201,7 @@ def relax(initial: Wavefunction, trap: TrapSpec, Q: float,
                     and residual < cfg.residual_tol:
                 converged = True
                 break
-            if float(np.max(np.abs(v))) > ceiling:
+            if math.sqrt(density.max()) > ceiling:
                 collapsed = True
                 break
             d = precond.solve(tangent)

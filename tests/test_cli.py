@@ -49,6 +49,26 @@ def test_state_csv_matches_row_loop(tmp_path, grid):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def test_ndarray_table_matches_row_path(tmp_path):
+    # several blocks and a partial last one; runs of equal values cross the
+    # block edges; signed zeros share a column with nan, infinities, the
+    # smallest subnormal and three-digit exponents
+    block = cli._BLOCK_ROWS
+    n = 3 * block + block // 2 + 1
+    rng = np.random.default_rng(5)
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-300,
+                        -1e-300, 1.0])
+    table = np.column_stack((
+        rng.standard_normal(7)[np.arange(n) * 7 // n],
+        np.resize(special, n),
+        rng.standard_normal(n),
+        rng.choice([-0.0, 0.0, 2.5], n),
+    ))
+    cli.write_csv(tmp_path / "table.csv", ("a", "b", "c", "d"), table)
+    cli.write_csv(tmp_path / "rows.csv", ("a", "b", "c", "d"), table.tolist())
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 def test_ground_writes_outputs(tmp_path):
     out = tmp_path / "g.csv"
     argv = ["ground", "--q", "5", "--geometry", "line", "--n-s", "128", "--quiet",
@@ -195,4 +215,13 @@ def test_analytic_profile_takes_a_numeric_q(tmp_path):
 @pytest.mark.parametrize("what,q", [("profile", "5,6"), ("ratio", ","), ("width", "abc")])
 def test_analytic_bad_q_fails(what, q, capsys):
     assert cli.main(["analytic", what, "--q", q, "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--s-extent", "0"], ["--s-extent", "-3"], ["--s-extent", "inf"], ["--s-extent", "nan"],
+    ["--n-s", "1"], ["--n-s", "15"],
+], ids=" ".join)
+def test_analytic_profile_bad_grid_fails(flags, capsys):
+    assert cli.main(["analytic", "profile", "--q", "5", "--quiet"] + flags) == 1
     assert capsys.readouterr().err.startswith("error:")

@@ -6,7 +6,8 @@ import pytest
 from gpesoliton import analytic
 from gpesoliton.energy import TrapSpec, hamiltonian, trap_potential
 from gpesoliton.errors import DomainError
-from gpesoliton.grid import Wavefunction, cylindrical_grid, line_grid, spherical_grid
+from gpesoliton.grid import (Wavefunction, cylindrical_grid, default_half_extent_s, line_grid,
+                             spherical_grid)
 from gpesoliton.groundstate import (DescentConfig, SobolevPreconditioner, default_initial,
                                     reference_peak, relax)
 from gpesoliton.observables import moments
@@ -143,6 +144,25 @@ class TestRelax:
         res = relax(default_initial(g, trap, 5.0), trap, 5.0)
         assert res.converged
         assert res.iterations < 200
+
+
+HALF_Q10 = default_half_extent_s(10.0, 0.0)  # six soliton widths, 13.675725018633734
+
+
+@pytest.mark.parametrize("make,lambda_z,Q,iterations,mu", [
+    (lambda: cylindrical_grid(6.0, -HALF_Q10, HALF_Q10, 16, 48), 0.0, 10.0,
+     138, 0.8817741593375537),
+    (lambda: spherical_grid(6.0, 96), 1.0, 12.0, 35, 0.9037114688683408),
+    (lambda: spherical_grid(6.0, 96), 1.0, 14.0, 78, 0.601278908580502),
+], ids=["cylinder-Q10", "sphere-Q12", "sphere-Q14"])
+def test_default_descent_is_pinned(make, lambda_z, Q, iterations, mu):
+    # iteration counts and mu of the default solver: rewriting the loop's
+    # arithmetic may move mu by round-off, but must not change the algorithm
+    g, trap = make(), TrapSpec(lambda_z)
+    res = relax(default_initial(g, trap, Q), trap, Q)
+    assert res.converged and not res.collapsed and res.energy_increases == 0
+    assert res.iterations == iterations
+    assert res.energy.chemical_potential == pytest.approx(mu, rel=1e-12)
 
 
 class TestPreconditioner:
