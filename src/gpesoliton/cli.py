@@ -7,6 +7,10 @@ naming the columns and the dimensionless conventions (lengths in a0, time in
 eigenvalue).  Every run writes a `<out>.manifest` echoing the fully resolved
 configuration, so reruns are reproducible bit for bit, with the numpy version
 and the LAPACK that served the run.
+
+Each flag is one row of `_SUBCOMMANDS`.  A `--config` file's keys are exactly
+the subcommand's flag names (`--config` aside); a value is taken from the
+table's default, overridden by the config file, overridden by the flag.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ import argparse
 import logging
 import math
 import sys
-from dataclasses import replace
+from collections import namedtuple
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -85,9 +90,11 @@ def write_csv(path, columns, rows, note=UNITS_NOTE):
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def write_manifest(out_path, resolved: dict):
-    """`key = value` lines of `resolved`, plus the numpy version and the LAPACK used."""
-    resolved = dict(resolved, numpy=np.__version__,
+def write_manifest(out_path, args: argparse.Namespace):
+    """`key = value` lines of the resolved `args`, plus the numpy version and the LAPACK used."""
+    resolved = {k: _fmt(v) if isinstance(v, float) else str(v)
+                for k, v in vars(args).items() if k not in ("func", "config")}
+    resolved.update(numpy=np.__version__,
                     lapack="scipy" if grid_module._bundled_lapack() is None else "numpy-openblas")
     path = Path(str(out_path) + ".manifest")
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -99,9 +106,17 @@ def write_manifest(out_path, resolved: dict):
 
 # --- config file ------------------------------------------------------------
 
+_FILE_TYPES = {bool: lambda v: v.lower() in ("1", "true", "yes"),
+               list: lambda v: [tok.strip() for tok in v.split(",")]}
 
-def load_config(path) -> dict:
-    """Flat `key = value` file; '#' starts a comment; keys use flag spelling."""
+
+def _dest(flag) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def load_config(path, rows) -> dict:
+    """Flat `key = value` file; '#' starts a comment; the keys are the flags of
+    `rows` without their leading '--', and each value takes its row's type."""
     values = {}
     with open(path) as fh:
         for ln, raw in enumerate(fh, 1):
@@ -112,79 +127,21 @@ def load_config(path) -> dict:
                 raise DomainError(f"{path}:{ln}: expected 'key = value', got {raw!r}")
             key, _, val = line.partition("=")
             values[key.strip().replace("-", "_")] = val.strip()
+    types = {_dest(row.flag): row.type for row in rows}
+    unknown = values.keys() - types
+    if unknown:
+        raise DomainError("unknown config keys: " + ", ".join(sorted(unknown))
+                          + "; known: " + ", ".join(sorted(types)))
+    for key, raw in values.items():
+        try:
+            values[key] = _FILE_TYPES.get(types[key], types[key])(raw)
+        except ValueError as exc:
+            raise DomainError(f"config key {key}: {exc}") from exc
     return values
 
 
-def apply_config(args: argparse.Namespace, config: dict, converters: dict):
-    unknown = set(config) - set(converters)
-    if unknown:
-        raise DomainError(
-            "unknown config keys: " + ", ".join(sorted(unknown))
-            + "; known: " + ", ".join(sorted(converters)))
-    for key, raw in config.items():
-        if getattr(args, key, None) is None:
-            try:
-                setattr(args, key, converters[key](raw))
-            except ValueError as exc:
-                raise DomainError(f"config key {key}: {exc}") from exc
-
-
-def resolved_dict(args, keys):
-    out = {}
-    for k in keys:
-        v = getattr(args, k)
-        if isinstance(v, float):
-            out[k] = _fmt(v)
-        else:
-            out[k] = str(v)
-    return out
-
-
-# --- shared argument groups ---------------------------------------------------
-
 GEOMETRIES = {"line": Geometry.LINE, "cylindrical": Geometry.CYLINDRICAL,
               "spherical": Geometry.SPHERICAL_RADIAL}
-
-
-def _add(parser, conv, name, **kw):
-    typ = kw.get("type")
-    dest = name.lstrip("-").replace("-", "_")
-    conv[dest] = typ if typ is not None else str
-    parser.add_argument(name, **kw)
-
-
-def add_grid_args(p, conv):
-    _add(p, conv, "--geometry", type=str, default=None,
-         help="line | cylindrical | spherical")
-    _add(p, conv, "--rho-max", type=float, default=None)
-    _add(p, conv, "--n-rho", type=int, default=None)
-    _add(p, conv, "--s-extent", type=float, default=None,
-         help="axial half-extent (defaults to the soliton-width rule)")
-    _add(p, conv, "--n-s", type=int, default=None)
-    _add(p, conv, "--r-max", type=float, default=None)
-    _add(p, conv, "--n-r", type=int, default=None)
-
-
-def add_solver_args(p, conv):
-    _add(p, conv, "--step-size", type=float, default=None,
-         help="relaxation step tau along the preconditioned gradient (default 1; "
-              "halved after any energy rise)")
-    _add(p, conv, "--max-iters", type=int, default=None)
-    _add(p, conv, "--energy-tol", type=float, default=None)
-    _add(p, conv, "--residual-tol", type=float, default=None)
-    _add(p, conv, "--collapse-guard", type=float, default=None)
-
-
-def _fill_defaults(args, defaults):
-    for key, val in defaults.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, val)
-
-
-GRID_DEFAULTS = {"geometry": "cylindrical", "rho_max": 6.0, "n_rho": 96,
-                 "n_s": 384, "r_max": 6.0, "n_r": 512}
-SOLVER_DEFAULTS = {"step_size": 1.0, "max_iters": 200_000, "energy_tol": 1e-10,
-                   "residual_tol": 1e-5, "collapse_guard": 5.0}
 
 
 def build_run_grid(args, Q, lambda_z) -> Grid:
@@ -202,10 +159,9 @@ def build_run_grid(args, Q, lambda_z) -> Grid:
     return cylindrical_grid(args.rho_max, -half, half, args.n_rho, args.n_s)
 
 
-def descent_config(args) -> DescentConfig:
-    return DescentConfig(step_size=args.step_size, max_iters=args.max_iters,
-                         energy_tol=args.energy_tol, residual_tol=args.residual_tol,
-                         collapse_guard=args.collapse_guard)
+def _from_args(config_class, args):
+    """A `config_class` dataclass whose fields take the values of the flags named like them."""
+    return config_class(**{f.name: getattr(args, f.name) for f in fields(config_class)})
 
 
 def parse_params(pairs) -> dict:
@@ -219,13 +175,6 @@ def parse_params(pairs) -> dict:
         except ValueError as exc:
             raise DomainError(f"--param {name}: {exc}") from exc
     return out
-
-
-def external_from_args(args) -> ExternalPotential | None:
-    if not getattr(args, "potential", None):
-        return None
-    return ExternalPotential(parse_potential(args.potential),
-                             parse_params(args.param))
 
 
 # --- state / summary writers ---------------------------------------------------
@@ -263,9 +212,6 @@ GROUND_SUMMARY_COLS = ("Q", "lambda_z", "kinetic", "trap", "interaction",
 
 
 def cmd_units(args):
-    _fill_defaults(args, {"a": units.LI7_SCATTERING_LENGTH,
-                          "nu": 150.0, "mass_u": 7.016003, "lambda_z": 0.0,
-                          "frequency_convention": units.ANGULAR})
     rows = []
 
     def params_for(N):
@@ -309,7 +255,7 @@ def _single_q(args) -> float:
 def _emit_table(args, columns, rows):
     if args.out:
         write_csv(args.out, columns, rows)
-        write_manifest(args.out, resolved_dict(args, vars(args).keys() - {"func", "config"}))
+        write_manifest(args.out, args)
     else:
         sys.stdout.write(f"# {UNITS_NOTE}\n")
         sys.stdout.write(",".join(columns) + "\n")
@@ -319,8 +265,11 @@ def _emit_table(args, columns, rows):
 
 def cmd_analytic(args):
     what = args.what
+    if what in ("profile", "ratio") and args.q is None:
+        args.q = 5.0
     if what == "profile":
-        _fill_defaults(args, {"q": 5.0, "s_extent": None, "n_s": 512})
+        if args.n_s is None:
+            args.n_s = 512
         Q = _single_q(args)
         half = default_half_extent_s(Q, 0.0) if args.s_extent is None else args.s_extent
         if not (math.isfinite(half) and half > 0):
@@ -338,38 +287,29 @@ def cmd_analytic(args):
                 for Q in qs]
         _emit_table(args, ("Q", "W_s", "s2_moment"), rows)
     elif what == "ratio":
-        _fill_defaults(args, {"q": 5.0})
         Q = _single_q(args)
         rhos = _float_list(args.rho) or [0.5, 1.0, 2.0]
         ss = _float_list(args.s) or [0.0, 1.0, 5.0]
         rows = [(Q, rho, s, float(analytic.dominance_ratio(Q, rho, s)))
                 for rho in rhos for s in ss]
         _emit_table(args, ("Q", "rho", "s", "ratio"), rows)
-    elif what == "variational":
+    else:
         lzs = _float_list(args.lambda_z) or [0.0, 1.0]
         rows = [(lz, analytic.variational_critical_q(lz)) for lz in lzs]
         _emit_table(args, ("lambda_z", "q_critical"), rows)
-    else:
-        raise DomainError(f"unknown table {what!r}; "
-                          "choose profile, width, ratio or variational")
     return 0
 
 
 def cmd_ground(args):
-    _fill_defaults(args, GRID_DEFAULTS)
-    _fill_defaults(args, SOLVER_DEFAULTS)
-    _fill_defaults(args, {"lambda_z": 0.0})
-    if args.q is None:
-        raise DomainError("ground requires --q")
     Q, lambda_z = args.q, args.lambda_z
     grid = build_run_grid(args, Q, lambda_z)
     trap = TrapSpec(lambda_z)
-    res = relax(default_initial(grid, trap, Q), trap, Q, descent_config(args))
+    res = relax(default_initial(grid, trap, Q), trap, Q, _from_args(DescentConfig, args))
     out = Path(args.out)
     write_state_csv(out, res.wavefunction)
     write_csv(out.parent / (out.name + ".summary"), GROUND_SUMMARY_COLS,
               [ground_summary_row(Q, lambda_z, res)])
-    write_manifest(out, resolved_dict(args, vars(args).keys() - {"func", "config"}))
+    write_manifest(out, args)
     log.info("ground state: converged=%s collapsed=%s iters=%d residual=%.3e",
              res.converged, res.collapsed, res.iterations, res.residual)
     return 0
@@ -386,19 +326,9 @@ def _lattice_step(t, dt, what) -> int:
 
 
 def cmd_evolve(args):
-    _fill_defaults(args, GRID_DEFAULTS)
-    _fill_defaults(args, SOLVER_DEFAULTS)
-    _fill_defaults(args, {"lambda_z": 0.0, "q": 5.0, "initial": "ground",
-                          "boost": 0.0, "displace": 0.0, "dt": 5e-4,
-                          "observe_every": 20, "sponge_strength": 0.0, "sponge_width": 0.0})
-    if args.t_final is None:
-        raise DomainError("evolve requires --t-final")
     if args.geometry == "spherical":
         raise DomainError("evolve supports line and cylindrical geometry")
-    cfg = PropagationConfig(t_final=args.t_final, dt=args.dt,
-                            observe_every=args.observe_every,
-                            sponge_strength=args.sponge_strength,
-                            sponge_width=args.sponge_width)
+    cfg = _from_args(PropagationConfig, args)
     n_final = _lattice_step(cfg.t_final, cfg.dt, "t_final")
     snaps = [(_lattice_step(t, cfg.dt, "snapshot time"), t)
              for t in sorted(_float_list(args.snapshot_times))]
@@ -408,7 +338,7 @@ def cmd_evolve(args):
     grid = build_run_grid(args, Q, lambda_z)
     trap = TrapSpec(lambda_z)
     if args.initial == "ground":
-        res = relax(default_initial(grid, trap, Q), trap, Q, descent_config(args))
+        res = relax(default_initial(grid, trap, Q), trap, Q, _from_args(DescentConfig, args))
         if not res.converged:
             raise DomainError("relaxation for the initial state did not converge; "
                               "tune the solver flags or pick --initial composite")
@@ -425,7 +355,8 @@ def cmd_evolve(args):
     if args.boost:
         u0 = boost(u0, args.boost)
     u0 = u0.normalized()
-    ext = external_from_args(args)
+    ext = (ExternalPotential(parse_potential(args.potential), parse_params(args.param))
+           if args.potential else None)
     out = Path(args.out)
     legs = []
     if snaps:
@@ -445,7 +376,7 @@ def cmd_evolve(args):
     # each leg opens with a record of the state the previous leg closed with
     records = [rec for k, leg in enumerate(legs) for rec in leg[1 if k else 0:]]
     write_csv(out, ObservableRecord.csv_columns(), [r.csv_row() for r in records])
-    write_manifest(out, resolved_dict(args, vars(args).keys() - {"func", "config"}))
+    write_manifest(out, args)
     # a leg ends at its snapshot time, off the sampling cadence of the next leg,
     # so the centroid laws are checked leg by leg
     for leg in legs:
@@ -462,11 +393,9 @@ def cmd_evolve(args):
 
 
 def cmd_collapse(args):
-    _fill_defaults(args, GRID_DEFAULTS)
-    _fill_defaults(args, SOLVER_DEFAULTS)
-    _fill_defaults(args, {"lambda_z": 0.0, "q_min": 10.0, "q_max": 25.0, "tol": 0.5})
-    lambda_z = 1.0 if args.geometry == "spherical" else args.lambda_z
-    cfg = descent_config(args)
+    if args.geometry == "spherical":
+        args.lambda_z = 1.0  # the radial grid models the isotropic trap
+    cfg = _from_args(DescentConfig, args)
     bracket = (args.q_min, args.q_max)
     scan_lzs = _float_list(args.scan_lambda_z)
     if scan_lzs:
@@ -476,9 +405,9 @@ def cmd_collapse(args):
         log.info("optimality scan monotone non-increasing: %s",
                  scan.monotone_nonincreasing)
     else:
-        grid = build_run_grid(args, args.q_min, lambda_z)
-        thr = find_threshold(grid, lambda_z, bracket, args.tol, cfg)
-        table = [(lambda_z, thr)]
+        grid = build_run_grid(args, args.q_min, args.lambda_z)
+        thr = find_threshold(grid, args.lambda_z, bracket, args.tol, cfg)
+        table = [(args.lambda_z, thr)]
         log.info("threshold bracket: [%.4f, %.4f]", thr.q_lo, thr.q_hi)
     rows = []
     for lz, thr in table:
@@ -491,26 +420,22 @@ def cmd_collapse(args):
                "iterations", "energy_total"),
               rows,
               note=UNITS_NOTE + "; last row per lambda_z is the bracket midpoint")
-    write_manifest(args.out, resolved_dict(args, vars(args).keys() - {"func", "config"}))
+    write_manifest(args.out, args)
     return 0
 
 
 def cmd_figures(args):
-    _fill_defaults(args, GRID_DEFAULTS)
-    _fill_defaults(args, SOLVER_DEFAULTS)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     if args.which == "fig1":
         Q, lzs = 5.0, (0.4, 0.2, 0.0)
-    elif args.which == "fig2":
-        Q, lzs = 10.0, (0.0,)
     else:
-        raise DomainError(f"unknown figure {args.which!r}; choose fig1 or fig2")
+        Q, lzs = 10.0, (0.0,)
     summary = []
     for lz in lzs:
         grid = build_run_grid(args, Q, lz)
         trap = TrapSpec(lz)
-        res = relax(default_initial(grid, trap, Q), trap, Q, descent_config(args))
+        res = relax(default_initial(grid, trap, Q), trap, Q, _from_args(DescentConfig, args))
         u = np.abs(res.wavefunction.values)
         rho0 = grid.rho[0]
         j0 = int(np.argmin(np.abs(grid.s)))
@@ -529,116 +454,147 @@ def cmd_figures(args):
                   note=UNITS_NOTE + f"; section at s = {grid.s[j0]:.6g} (node nearest 0)")
         summary.append(ground_summary_row(Q, lz, res))
     write_csv(outdir / f"{args.which}_summary.csv", GROUND_SUMMARY_COLS, summary)
-    write_manifest(outdir / args.which,
-                   resolved_dict(args, vars(args).keys() - {"func", "config"}))
+    write_manifest(outdir / args.which, args)
     return 0
 
 
-# --- argument wiring --------------------------------------------------------
+# --- argument table -----------------------------------------------------------
+#
+# One row per flag: it builds the parser, converts the config file's value and
+# gives the default.  A bool row is a switch, a list row a repeatable flag; a row
+# that several subcommands share is `_replace`d where one needs another default.
+
+_REQUIRED = object()  # a default that the flag or the config file must replace
+
+_Row = namedtuple("Row", "flag type default help", defaults=(None,))
+
+_Q = _Row("--q", float, _REQUIRED)
+_Q_LIST = _Q._replace(type=str, default=None, help="comma list of Q values")
+_LAMBDA_Z = _Row("--lambda-z", float, 0.0)
+_S_EXTENT = _Row("--s-extent", float, None,
+                 "axial half-extent (defaults to the soliton-width rule)")
+_N_S = _Row("--n-s", int, 384)
+_OUT = _Row("--out", str, _REQUIRED)
+_QUIET = _Row("--quiet", bool, False)
+_GRID_ROWS = [
+    _Row("--geometry", str, "cylindrical", "line | cylindrical | spherical"),
+    _Row("--rho-max", float, 6.0),
+    _Row("--n-rho", int, 96),
+    _S_EXTENT,
+    _N_S,
+    _Row("--r-max", float, 6.0),
+    _Row("--n-r", int, 512),
+]
+_SOLVER_ROWS = [
+    _Row("--step-size", float, DescentConfig.step_size,
+         "relaxation step tau along the preconditioned gradient (default %(default)g; "
+         "halved after any energy rise)"),
+    _Row("--max-iters", int, DescentConfig.max_iters),
+    _Row("--energy-tol", float, DescentConfig.energy_tol),
+    _Row("--residual-tol", float, DescentConfig.residual_tol),
+    _Row("--collapse-guard", float, DescentConfig.collapse_guard),
+]
+
+# name: (function, help, positional (name, choices) or None, rows)
+_SUBCOMMANDS = {
+    "units": (cmd_units, "physical <-> dimensionless conversion table", None, [
+        _Row("--n", str, None, "comma list of particle numbers"),
+        _Q_LIST,
+        _Row("--a", float, units.LI7_SCATTERING_LENGTH, "scattering length in m (negative)"),
+        _Row("--nu", float, 150.0, "radial frequency in Hz"),
+        _Row("--mass-u", float, 7.016003, "atom mass in u"),
+        _LAMBDA_Z,
+        _Row("--frequency-convention", str, units.ANGULAR,
+             "angular (omega = 2 pi nu, default) or linear"),
+        _OUT._replace(default=None),
+    ]),
+    "analytic": (cmd_analytic, "closed-form tables",
+                 ("what", ("profile", "width", "ratio", "variational")), [
+        _Q_LIST,
+        _LAMBDA_Z._replace(type=str, default=None),
+        _Row("--rho", str, None),
+        _Row("--s", str, None),
+        _S_EXTENT,
+        _N_S._replace(default=None),
+        _OUT._replace(default=None),
+    ]),
+    "ground": (cmd_ground, "relax to the ground state", None,
+               [_Q, _LAMBDA_Z, *_GRID_ROWS, *_SOLVER_ROWS, _OUT]),
+    "evolve": (cmd_evolve, "real-time propagation", None, [
+        _Q._replace(default=5.0),
+        _LAMBDA_Z,
+        *_GRID_ROWS,
+        *_SOLVER_ROWS,
+        _Row("--initial", str, "ground", "ground (relax first), composite, or gaussian"),
+        _Row("--boost", float, 0.0),
+        _Row("--displace", float, 0.0),
+        _Row("--potential", str, None,
+             "axial potential expression over s (and rho on cylindrical grids)"),
+        _Row("--param", list, None, "name=value binding for the potential (repeatable)"),
+        _Row("--dt", float, PropagationConfig.dt),
+        _Row("--t-final", float, _REQUIRED, "final time, a whole number of --dt steps"),
+        _Row("--observe-every", int, PropagationConfig.observe_every),
+        _Row("--sponge-strength", float, PropagationConfig.sponge_strength),
+        _Row("--sponge-width", float, PropagationConfig.sponge_width),
+        _Row("--snapshot-times", str, None,
+             "comma list of times at which to write state snapshots, "
+             "each a whole number of --dt steps"),
+        _OUT,
+    ]),
+    "collapse": (cmd_collapse, "critical Q by bisection", None, [
+        _LAMBDA_Z,
+        *_GRID_ROWS,
+        *_SOLVER_ROWS,
+        _Row("--q-min", float, 10.0),
+        _Row("--q-max", float, 25.0),
+        _Row("--tol", float, 0.5),
+        _Row("--scan-lambda-z", str, None, "comma list of anisotropies for an optimality scan"),
+        _OUT,
+    ]),
+    "figures": (cmd_figures, "section datasets for the two figures", ("which", ("fig1", "fig2")),
+                [*_GRID_ROWS, *_SOLVER_ROWS, _OUT]),
+}
 
 
 def build_parser():
+    """The parser and its subparsers by name, built from _SUBCOMMANDS."""
     parser = argparse.ArgumentParser(
         prog="gpesoliton",
         description="Attractive-condensate soliton toolkit (CSV outputs)")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    converters = {}
-
-    def new_sub(name, fn, help):
-        conv = {}
-        p = sub.add_parser(name, help=help)
+    for name, (fn, summary, positional, rows) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", default=None,
                        help="flat key = value file; flags override it")
-        p.add_argument("--quiet", action="store_true", default=False)
-        conv["quiet"] = lambda v: v.strip().lower() in ("1", "true", "yes")
+        if positional:
+            p.add_argument(positional[0], choices=positional[1])
+        for row in (_QUIET, *rows):
+            kw = ({"action": "store_true"} if row.type is bool else
+                  {"action": "append"} if row.type is list else {"type": row.type})
+            p.add_argument(row.flag, default=row.default, help=row.help, **kw)
         p.set_defaults(func=fn)
-        converters[name] = conv
-        return p, conv
-
-    p, conv = new_sub("units", cmd_units, "physical <-> dimensionless conversion table")
-    _add(p, conv, "--n", type=str, default=None, help="comma list of particle numbers")
-    _add(p, conv, "--q", type=str, default=None, help="comma list of Q values")
-    _add(p, conv, "--a", type=float, default=None, help="scattering length in m (negative)")
-    _add(p, conv, "--nu", type=float, default=None, help="radial frequency in Hz")
-    _add(p, conv, "--mass-u", type=float, default=None, help="atom mass in u")
-    _add(p, conv, "--lambda-z", type=float, default=None)
-    _add(p, conv, "--frequency-convention", type=str, default=None,
-         help="angular (omega = 2 pi nu, default) or linear")
-    _add(p, conv, "--out", type=str, default=None)
-
-    p, conv = new_sub("analytic", cmd_analytic, "closed-form tables")
-    p.add_argument("what", choices=("profile", "width", "ratio", "variational"))
-    conv["what"] = str
-    _add(p, conv, "--q", type=str, default=None)
-    _add(p, conv, "--lambda-z", type=str, default=None)
-    _add(p, conv, "--rho", type=str, default=None)
-    _add(p, conv, "--s", type=str, default=None)
-    _add(p, conv, "--s-extent", type=float, default=None)
-    _add(p, conv, "--n-s", type=int, default=None)
-    _add(p, conv, "--out", type=str, default=None)
-
-    p, conv = new_sub("ground", cmd_ground, "relax to the ground state")
-    _add(p, conv, "--q", type=float, default=None)
-    _add(p, conv, "--lambda-z", type=float, default=None)
-    add_grid_args(p, conv)
-    add_solver_args(p, conv)
-    _add(p, conv, "--out", type=str, required=True)
-
-    p, conv = new_sub("evolve", cmd_evolve, "real-time propagation")
-    _add(p, conv, "--q", type=float, default=None)
-    _add(p, conv, "--lambda-z", type=float, default=None)
-    add_grid_args(p, conv)
-    add_solver_args(p, conv)
-    _add(p, conv, "--initial", type=str, default=None,
-         help="ground (relax first), composite, or gaussian")
-    _add(p, conv, "--boost", type=float, default=None)
-    _add(p, conv, "--displace", type=float, default=None)
-    _add(p, conv, "--potential", type=str, default=None,
-         help="axial potential expression over s (and rho on cylindrical grids)")
-    p.add_argument("--param", action="append", default=None,
-                   help="name=value binding for the potential (repeatable)")
-    conv["param"] = lambda v: [tok.strip() for tok in v.split(",")]
-    _add(p, conv, "--dt", type=float, default=None)
-    _add(p, conv, "--t-final", type=float, default=None,
-         help="final time, a whole number of --dt steps")
-    _add(p, conv, "--observe-every", type=int, default=None)
-    _add(p, conv, "--sponge-strength", type=float, default=None)
-    _add(p, conv, "--sponge-width", type=float, default=None)
-    _add(p, conv, "--snapshot-times", type=str, default=None,
-         help="comma list of times at which to write state snapshots, "
-              "each a whole number of --dt steps")
-    _add(p, conv, "--out", type=str, required=True)
-
-    p, conv = new_sub("collapse", cmd_collapse, "critical Q by bisection")
-    _add(p, conv, "--lambda-z", type=float, default=None)
-    add_grid_args(p, conv)
-    add_solver_args(p, conv)
-    _add(p, conv, "--q-min", type=float, default=None)
-    _add(p, conv, "--q-max", type=float, default=None)
-    _add(p, conv, "--tol", type=float, default=None)
-    _add(p, conv, "--scan-lambda-z", type=str, default=None,
-         help="comma list of anisotropies for an optimality scan")
-    _add(p, conv, "--out", type=str, required=True)
-
-    p, conv = new_sub("figures", cmd_figures, "section datasets for the two figures")
-    p.add_argument("which", choices=("fig1", "fig2"))
-    conv["which"] = str
-    add_grid_args(p, conv)
-    add_solver_args(p, conv)
-    _add(p, conv, "--out", type=str, required=True)
-
-    return parser, converters
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser, converters = build_parser()
+    parser, subparsers = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.WARNING if args.quiet else logging.INFO,
-                        format="%(levelname)s %(name)s: %(message)s")
     try:
+        rows = (_QUIET, *_SUBCOMMANDS[args.command][3])
         if args.config:
-            apply_config(args, load_config(args.config), converters[args.command])
+            values = load_config(args.config, rows)
+            for row in rows:
+                # a repeatable flag appends to its default: the flag's list replaces the file's
+                if row.type is list and getattr(args, _dest(row.flag)) is not None:
+                    values.pop(_dest(row.flag), None)
+            subparsers[args.command].set_defaults(**values)
+            args = parser.parse_args(argv)
+        missing = [row.flag for row in rows if getattr(args, _dest(row.flag)) is _REQUIRED]
+        if missing:
+            raise DomainError(f"{args.command} requires {missing[0]}")
+        logging.basicConfig(level=logging.WARNING if args.quiet else logging.INFO,
+                            format="%(levelname)s %(name)s: %(message)s")
         return args.func(args)
     except GpeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -68,8 +68,8 @@ def trap_potential(grid: Grid, trap: TrapSpec):
     return grid.r ** 2
 
 
-def gradient(values, grid: Grid, trap: TrapSpec, Q: float, external=None, potential=None):
-    """Functional gradient [-lap + V + 2*V_ext - 2c|u|^2] u (doubled convention).
+def gradient(values, grid: Grid, trap: TrapSpec, Q: float, potential=None):
+    """Functional gradient [-lap + V - 2c|u|^2] u (doubled convention).
 
     Halving it gives the physical GPE operator applied to u.  `potential`, if
     given, is `trap_potential(grid, trap)` evaluated once by a caller that
@@ -78,8 +78,6 @@ def gradient(values, grid: Grid, trap: TrapSpec, Q: float, external=None, potent
     c = quartic_coefficient(grid.kind, Q)
     out = -grid.laplacian(values)
     pot = trap_potential(grid, trap) if potential is None else potential
-    if external is not None:
-        pot = pot + 2.0 * external
     out += pot * values
     if Q != 0:
         out -= (2.0 * c) * np.abs(values) ** 2 * values

@@ -1,6 +1,7 @@
 import logging
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -225,3 +226,280 @@ def test_analytic_bad_q_fails(what, q, capsys):
 def test_analytic_profile_bad_grid_fails(flags, capsys):
     assert cli.main(["analytic", "profile", "--q", "5", "--quiet"] + flags) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+# --- configuration: the flag table, config files and manifests ----------------
+
+# One run per subcommand and per analytic table, and its manifest without the
+# numpy, lapack and out lines, as written before the flags were declared in one
+# table.  A change to how flags, defaults and config files resolve must not move
+# any of these values.
+GOLDEN_MANIFESTS = {
+    "units": (["units", "--n", "1000,2000", "--q", "5"], """\
+a = -1.45e-09
+command = units
+frequency_convention = angular
+lambda_z = 0
+mass_u = 7.0160030000000004
+n = 1000,2000
+nu = 150
+q = 5
+quiet = True"""),
+    "analytic-profile": (["analytic", "profile"], """\
+command = analytic
+lambda_z = None
+n_s = 512
+q = 5
+quiet = True
+rho = None
+s = None
+s_extent = None
+what = profile"""),
+    "analytic-width": (["analytic", "width", "--q", "2,4"], """\
+command = analytic
+lambda_z = None
+n_s = None
+q = 2,4
+quiet = True
+rho = None
+s = None
+s_extent = None
+what = width"""),
+    "analytic-ratio": (["analytic", "ratio", "--rho", "1"], """\
+command = analytic
+lambda_z = None
+n_s = None
+q = 5
+quiet = True
+rho = 1
+s = None
+s_extent = None
+what = ratio"""),
+    "analytic-variational": (["analytic", "variational", "--lambda-z", "0,0.5"], """\
+command = analytic
+lambda_z = 0,0.5
+n_s = None
+q = None
+quiet = True
+rho = None
+s = None
+s_extent = None
+what = variational"""),
+    "ground": (["ground", "--q", "5", "--geometry", "line", "--n-s", "128"], """\
+collapse_guard = 5
+command = ground
+energy_tol = 1e-10
+geometry = line
+lambda_z = 0
+max_iters = 200000
+n_r = 512
+n_rho = 96
+n_s = 128
+q = 5
+quiet = True
+r_max = 6
+residual_tol = 1.0000000000000001e-05
+rho_max = 6
+s_extent = None
+step_size = 1"""),
+    "evolve": (["evolve", "--geometry", "line", "--n-s", "64", "--initial", "composite",
+                "--t-final", "0.05", "--snapshot-times", "0.02", "--potential", "a*s^2",
+                "--param", "a=0.01"], """\
+boost = 0
+collapse_guard = 5
+command = evolve
+displace = 0
+dt = 0.00050000000000000001
+energy_tol = 1e-10
+geometry = line
+initial = composite
+lambda_z = 0
+max_iters = 200000
+n_r = 512
+n_rho = 96
+n_s = 64
+observe_every = 20
+param = ['a=0.01']
+potential = a*s^2
+q = 5
+quiet = True
+r_max = 6
+residual_tol = 1.0000000000000001e-05
+rho_max = 6
+s_extent = None
+snapshot_times = 0.02
+sponge_strength = 0
+sponge_width = 0
+step_size = 1
+t_final = 0.050000000000000003"""),
+    "collapse": (["collapse", "--lambda-z", "0.5", "--n-rho", "16", "--n-s", "48",
+                  "--tol", "8"], """\
+collapse_guard = 5
+command = collapse
+energy_tol = 1e-10
+geometry = cylindrical
+lambda_z = 0.5
+max_iters = 200000
+n_r = 512
+n_rho = 16
+n_s = 48
+q_max = 25
+q_min = 10
+quiet = True
+r_max = 6
+residual_tol = 1.0000000000000001e-05
+rho_max = 6
+s_extent = None
+scan_lambda_z = None
+step_size = 1
+tol = 8"""),
+    "figures": (["figures", "fig2", "--n-rho", "16", "--n-s", "48"], """\
+collapse_guard = 5
+command = figures
+energy_tol = 1e-10
+geometry = cylindrical
+max_iters = 200000
+n_r = 512
+n_rho = 16
+n_s = 48
+quiet = True
+r_max = 6
+residual_tol = 1.0000000000000001e-05
+rho_max = 6
+s_extent = None
+step_size = 1
+which = fig2"""),
+}
+
+
+def manifest_lines(path):
+    """The `key = value` lines of a manifest, without numpy, lapack and out."""
+    lines = Path(path).read_text().splitlines()
+    assert lines[0] == f"# gpesoliton {cli.__version__} resolved configuration"
+    return [line for line in lines[1:] if line.split(" = ")[0] not in ("numpy", "lapack", "out")]
+
+
+@pytest.mark.parametrize("name", GOLDEN_MANIFESTS)
+def test_manifest_matches_golden(tmp_path, name):
+    argv, expected = GOLDEN_MANIFESTS[name]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--quiet", "--out", str(out)]) == 0
+    manifest = out / "fig2.manifest" if name == "figures" else tmp_path / "out.manifest"
+    assert "\n".join(manifest_lines(manifest)) == expected
+
+
+def run_outputs(run_dir, argv):
+    """Run `argv` in an empty `run_dir`; the bytes of every file it wrote there."""
+    shutil.rmtree(run_dir, ignore_errors=True)
+    run_dir.mkdir()
+    assert cli.main(argv) == 0
+    return {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())}
+
+
+@pytest.mark.parametrize("flags,config", [
+    (["ground", "--q", "5", "--geometry", "line", "--n-s", "128", "--step-size", "0.5",
+      "--quiet"],
+     "q = 5\ngeometry = line  # a comment\nn-s = 128\nstep_size = 0.5\nquiet = yes\n"),
+    (["evolve", "--geometry", "line", "--n-s", "64", "--q", "4", "--initial", "composite",
+      "--boost", "0.2", "--t-final", "0.05", "--snapshot-times", "0.02",
+      "--potential", "a*s^2 + b*s", "--param", "a=0.01", "--param", "b=0.001", "--quiet"],
+     "geometry = line\nn_s = 64\nq = 4\ninitial = composite\nboost = 0.2\nt-final = 0.05\n"
+     "snapshot_times = 0.02\npotential = a*s^2 + b*s\nparam = a=0.01, b=0.001\nquiet = 1\n"),
+], ids=["ground", "evolve"])
+def test_config_file_matches_flags(tmp_path, flags, config):
+    run_dir = tmp_path / "run"
+    out = str(run_dir / "x.csv")
+    by_flags = run_outputs(run_dir, flags + ["--out", out])
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(config + f"out = {out}\n")
+    by_file = run_outputs(run_dir, [flags[0], "--config", str(cfg)])
+    assert len(by_flags) >= 3
+    assert by_file == by_flags
+
+
+def test_flags_override_config_file(tmp_path):
+    cfg = tmp_path / "e.cfg"
+    cfg.write_text("geometry = line\nn_s = 64\nq = 5\ninitial = composite\nt_final = 0.02\n"
+                   "potential = a*s^2\nparam = a=0.01\n")
+    base = ["evolve", "--config", str(cfg), "--quiet"]
+    assert cli.main(base + ["--out", str(tmp_path / "file.csv")]) == 0
+    lines = manifest_lines(tmp_path / "file.csv.manifest")
+    assert "q = 5" in lines and "param = ['a=0.01']" in lines
+    # a repeated --param replaces the file's list rather than appending to it
+    assert cli.main(base + ["--q", "6", "--param", "a=0.02", "--out",
+                            str(tmp_path / "flag.csv")]) == 0
+    lines = manifest_lines(tmp_path / "flag.csv.manifest")
+    assert "q = 6" in lines and "param = ['a=0.02']" in lines
+
+
+@pytest.mark.parametrize("argv,text,key", [
+    (["ground", "--q", "5"], "bogus = 1\n", "bogus"),
+    (["analytic", "profile"], "what = width\n", "what"),
+    (["figures", "fig1"], "which = fig2\n", "which"),
+], ids=["ground-bogus", "analytic-what", "figures-which"])
+def test_config_unknown_key_fails(tmp_path, capsys, argv, text, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert cli.main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unknown config keys: {key}; known: ")
+    known = err.split("known: ", 1)[1].strip().split(", ")
+    assert {"out", "quiet"} <= set(known) and key not in known
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_bad_value_fails(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("n_s = abc\n")
+    argv = ["ground", "--q", "5", "--config", str(cfg), "--out", str(tmp_path / "g.csv")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == ("error: config key n_s: invalid literal for int() "
+                                       "with base 10: 'abc'\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["ground", "--q", "5"], "ground requires --out"),
+    (["ground", "--out", "{tmp}/g.csv"], "ground requires --q"),
+    (["evolve", "--out", "{tmp}/e.csv"], "evolve requires --t-final"),
+    (["collapse"], "collapse requires --out"),
+    (["figures", "fig1"], "figures requires --out"),
+], ids=["ground-out", "ground-q", "evolve-t-final", "collapse-out", "figures-out"])
+def test_required_value_missing_fails(tmp_path, capsys, argv, message):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("quiet", [True, False])
+def test_config_quiet_silences_the_log(tmp_path, quiet):
+    cfg = tmp_path / "q.cfg"
+    cfg.write_text(f"quiet = {int(quiet)}\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "gpesoliton.cli", "ground", "--config", str(cfg),
+                           "--q", "5", "--geometry", "line", "--n-s", "128",
+                           "--out", str(tmp_path / "g.csv")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert ("INFO" in proc.stderr) is not quiet
+    assert f"quiet = {quiet}" in manifest_lines(tmp_path / "g.csv.manifest")
+
+
+def test_spherical_collapse_records_the_lambda_z_it_ran(tmp_path):
+    out = tmp_path / "c.csv"
+    argv = ["collapse", "--geometry", "spherical", "--n-r", "48", "--tol", "8", "--quiet",
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    table = np.loadtxt(out, delimiter=",", comments="#", skiprows=2)
+    assert np.all(table[:, 0] == 1.0)
+    assert "lambda_z = 1" in manifest_lines(tmp_path / "c.csv.manifest")
+
+
+@pytest.mark.parametrize("command", ["units", "analytic", "ground", "evolve", "collapse",
+                                     "figures"])
+def test_subcommand_help_formats(command, capsys):
+    # argparse formats the help rows only when help is printed
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
