@@ -5,7 +5,14 @@ dominance ratio, the noninteracting Gaussian ground state, the factorized
 sech x Gaussian 3-D profile, and the two-width Gaussian trial energy with
 its critical interaction strength all live here.  Everything is a pure
 function of scalars (vectorized over coordinates via numpy).
-scipy.optimize is imported in `variational_minimum`, its only user, to keep it out of CLI startup.
+
+The trial energy is stationary on one branch: with p = 1 - w_rho^4, dE/dw_rho
+= 0 gives Q / (4 sqrt(2) pi^{3/2}) = w_s p, and dE/dw_s = 0 gives
+lambda_z^2 w_rho^2 w_s^4 + p w_s^2 = w_rho^2, so w_s^2 = 2 w_rho^2 / (p +
+sqrt(p^2 + 4 lambda_z^2 w_rho^4)).  On 0 < w_rho < 1 that Q has one peak, the
+fold, at the root of 64 lambda_z^2 v^3 = (1 - 3v)(1 + 5v)(1 - v)^2 in
+v = w_rho^4 on (0, 1/3].  The fold's Q is the critical one; the branch points
+with larger w_rho are local minima, those with smaller w_rho saddles.
 """
 
 from __future__ import annotations
@@ -139,95 +146,47 @@ def variational_energy(Q: float, lambda_z: float, w_rho: float, w_s: float) -> f
     )
 
 
-def _variational_energy_log(x, Q, lambda_z):
-    # energy and gradient in log-width coordinates (keeps widths positive)
-    wr, ws = math.exp(x[0]), math.exp(x[1])
-    quartic = _GAUSS_QUARTIC * Q / (wr ** 2 * ws)
-    e = 1.0 / wr ** 2 + 0.5 / ws ** 2 + wr ** 2 + 0.5 * lambda_z ** 2 * ws ** 2 - quartic
-    de_dwr = -2.0 / wr ** 3 + 2.0 * wr + 2.0 * quartic / wr
-    de_dws = -1.0 / ws ** 3 + lambda_z ** 2 * ws + quartic / ws
-    return e, np.array([de_dwr * wr, de_dws * ws])
+def _branch(p, lambda_z):
+    """w_s and d ln(w_s p) / d ln p at the stationary point with 1 - w_rho^4 = p."""
+    root = math.sqrt(p * p + 4.0 * lambda_z ** 2 * (1.0 - p))
+    w_s = math.sqrt(2.0 * math.sqrt(1.0 - p) / (p + root))
+    slope = (1.0 - p / (4.0 * (1.0 - p))
+             - p * (root + p - 2.0 * lambda_z ** 2) / (2.0 * root * (p + root)))
+    return w_s, slope
 
 
-def variational_minimum(
-    Q: float, lambda_z: float, start: tuple[float, float] | None = None
-) -> tuple[float, float] | None:
-    """Local minimizer (w_rho, w_s) of the trial energy, or None if descent collapses.
+def _fold(lambda_z) -> float:
+    """p at the fold; the fold equation expanded, its one root on (0, 1/3]."""
+    roots = np.roots([-15.0, 32.0 - 64.0 * lambda_z ** 2, -18.0, 0.0, 1.0])
+    return 1.0 - min(r.real for r in roots if r.imag == 0 and r.real > 0)
 
-    Descent starts from the noninteracting minimizer (for lambda_z > 0) or from
-    the axial width balancing dispersion against attraction (for lambda_z = 0).
-    A run toward w_rho -> 0 or an indefinite stationary point counts as
-    "no minimum".
+
+def variational_critical_q(lambda_z: float) -> float:
+    """Largest Q for which the Gaussian trial energy keeps a finite-width local minimum."""
+    if lambda_z < 0:
+        raise DomainError(f"lambda_z must be non-negative, got {lambda_z}")
+    p = _fold(lambda_z)
+    return _branch(p, lambda_z)[0] * p / _GAUSS_QUARTIC
+
+
+def variational_minimum(Q: float, lambda_z: float) -> tuple[float, float] | None:
+    """Local minimizer (w_rho, w_s) of the trial energy, or None above the critical Q.
+
+    On the minima's side, p < p_fold, ln(w_s p) rises and is concave in ln p, so Newton
+    steps in ln p to w_s p = g = Q/(4 sqrt(2) pi^{3/2}) climb from max(g^2, g sqrt(lambda_z)).
     """
     if Q < 0 or lambda_z < 0:
         raise DomainError("Q and lambda_z must be non-negative")
-    if start is None:
-        if lambda_z > 0:
-            start = (1.0, lambda_z ** -0.5)
-        else:
-            if Q == 0:
-                return None  # axial energy has no finite minimizer without trap or attraction
-            start = (1.0, max(2.0, 1.0 / (_GAUSS_QUARTIC * Q)))
-    # deferred: scipy.optimize is slow to import, and only this function uses it
-    from scipy.optimize import minimize
-
-    x0 = np.log(np.asarray(start, dtype=float))
-    bounds = [(-12.0, 30.0), (-12.0, 30.0)]
-    res = minimize(
-        _variational_energy_log,
-        x0,
-        args=(Q, lambda_z),
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds,
-        options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-12},
-    )
-    wr, ws = math.exp(res.x[0]), math.exp(res.x[1])
-    if res.x[0] <= bounds[0][0] + 1e-9 or res.x[1] <= bounds[1][0] + 1e-9:
-        return None  # hit the collapse channel
-    grad = _variational_energy_log(res.x, Q, lambda_z)[1]
-    if np.max(np.abs(grad)) > 1e-6:
-        return None  # no interior stationary point reached
-    # positive-definite Hessian check (finite differences in log coordinates)
-    h = 1e-5
-    hess = np.empty((2, 2))
-    for k in range(2):
-        xp = res.x.copy()
-        xp[k] += h
-        xm = res.x.copy()
-        xm[k] -= h
-        hess[:, k] = (_variational_energy_log(xp, Q, lambda_z)[1]
-                      - _variational_energy_log(xm, Q, lambda_z)[1]) / (2 * h)
-    hess = 0.5 * (hess + hess.T)
-    if np.min(np.linalg.eigvalsh(hess)) <= 0:
+    if Q == 0:
+        return None if lambda_z == 0 else (1.0, lambda_z ** -0.5)
+    if Q > variational_critical_q(lambda_z):
         return None
-    return wr, ws
-
-
-def variational_critical_q(
-    lambda_z: float,
-    bracket: tuple[float, float] = (0.5, 40.0),
-    tol: float = 0.01,
-) -> float:
-    """Largest Q for which the Gaussian trial energy keeps a finite-width local minimum.
-
-    Bisection on Q; each probe re-runs the bounded descent, warm-started from
-    the last surviving minimizer.
-    """
-    if lambda_z < 0:
-        raise DomainError(f"lambda_z must be non-negative, got {lambda_z}")
-    q_lo, q_hi = bracket
-    start = variational_minimum(q_lo, lambda_z)
-    if start is None:
-        raise DomainError(f"no variational minimum at bracket start Q = {q_lo}")
-    if variational_minimum(q_hi, lambda_z, start=start) is not None:
-        raise DomainError(f"variational minimum persists at bracket end Q = {q_hi}")
-    while q_hi - q_lo > tol:
-        q_mid = 0.5 * (q_lo + q_hi)
-        found = variational_minimum(q_mid, lambda_z, start=start)
-        if found is None:
-            q_hi = q_mid
-        else:
-            q_lo = q_mid
-            start = found
-    return 0.5 * (q_lo + q_hi)
+    g, p_fold = _GAUSS_QUARTIC * Q, _fold(lambda_z)
+    p = max(g * g, g * math.sqrt(lambda_z))
+    while p < p_fold:
+        w_s, slope = _branch(p, lambda_z)
+        p_next = min(p * math.exp(math.log(g / (w_s * p)) / slope), p_fold)
+        if p_next <= p:
+            break
+        p = p_next
+    return (1.0 - p) ** 0.25, _branch(p, lambda_z)[0]

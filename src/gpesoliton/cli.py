@@ -37,62 +37,51 @@ from .groundstate import DescentConfig, default_initial, relax
 from .observables import ObservableRecord, moments
 from .potentials import ExternalPotential, parse as parse_potential
 
-log = logging.getLogger(__name__)
+log = logging.getLogger("gpesoliton.cli")  # also when run as __main__
 
 UNITS_NOTE = ("dimensionless trap units: lengths in a0, time in 1/omega, "
               "energies in hbar*omega; total = kinetic+trap+interaction+external "
               "(doubled functional); mu is the GPE eigenvalue")
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, str):
-        return x
-    return f"{float(x):.17g}"
-
-
 _BLOCK_ROWS = 1024
 
 
-def write_csv(path, columns, rows, note=UNITS_NOTE):
-    """Write a comment line, the column names and one line per row.
+def _write_table(fh, columns, rows, note):
+    """A comment line, the column names and one line per row, each value as `%.17g`.
 
-    `rows` is an iterable of rows, each value written by `_fmt`, or a float
-    ndarray with one row per line (a 1-D array is one column).  An ndarray is
-    written in blocks of `_BLOCK_ROWS` rows, which bounds the text held at
-    once.  Within a block each distinct bit
-    pattern of a column is formatted once; bit patterns rather than values, so
-    -0.0 and 0.0 keep their own text.  The bytes are those of `%.17g` applied
-    to every value, as the row path writes them.
+    `rows` is a float ndarray (a 1-D array is one column) or rows that
+    `np.asarray` makes one; `%.17g` writes a bool as 1 or 0 and an integer in
+    its digits.  Blocks of `_BLOCK_ROWS` rows bound the text held at once; in a
+    block each distinct bit pattern of a column (so -0.0 apart from 0.0) is
+    formatted once.
     """
+    fh.write(f"# {note}\n")
+    fh.write(",".join(columns) + "\n")
+    table = np.asarray(rows, dtype=np.float64)
+    if table.ndim == 1:
+        table = table[:, None]
+    for start in range(0, len(table), _BLOCK_ROWS):
+        texts = []
+        for col in table[start:start + _BLOCK_ROWS].T:
+            bits, inverse = np.unique(np.ascontiguousarray(col).view(np.int64),
+                                      return_inverse=True)
+            distinct = ["%.17g" % x for x in bits.view(np.float64).tolist()]
+            texts.append(np.array(distinct, dtype=object)[inverse])
+        fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+
+
+def write_csv(path, columns, rows, note=UNITS_NOTE):
+    """`_write_table` into the file `path`, creating its directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
-        fh.write(f"# {note}\n")
-        fh.write(",".join(columns) + "\n")
-        if isinstance(rows, np.ndarray):
-            table = rows.astype(np.float64, copy=False)
-            if table.ndim == 1:
-                table = table[:, None]
-            for start in range(0, len(table), _BLOCK_ROWS):
-                texts = []
-                for col in table[start:start + _BLOCK_ROWS].T:
-                    bits, inverse = np.unique(np.ascontiguousarray(col).view(np.int64),
-                                              return_inverse=True)
-                    distinct = ["%.17g" % x for x in bits.view(np.float64).tolist()]
-                    texts.append(np.array(distinct, dtype=object)[inverse])
-                fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
-            return
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        _write_table(fh, columns, rows, note)
 
 
 def write_manifest(out_path, args: argparse.Namespace):
     """`key = value` lines of the resolved `args`, plus the numpy version and the LAPACK used."""
-    resolved = {k: _fmt(v) if isinstance(v, float) else str(v)
+    resolved = {k: f"{v:.17g}" if isinstance(v, float) else str(v)
                 for k, v in vars(args).items() if k not in ("func", "config")}
     resolved.update(numpy=np.__version__,
                     lapack="scipy" if grid_module._bundled_lapack() is None else "numpy-openblas")
@@ -145,7 +134,8 @@ GEOMETRIES = {"line": Geometry.LINE, "cylindrical": Geometry.CYLINDRICAL,
 
 
 def build_run_grid(args, Q, lambda_z) -> Grid:
-    kind = GEOMETRIES.get(args.geometry)
+    # figures has no --geometry: its (rho, s) sections need a cylinder
+    kind = GEOMETRIES.get(getattr(args, "geometry", "cylindrical"))
     if kind is None:
         raise DomainError(f"unknown geometry {args.geometry!r}; "
                           f"choose from {', '.join(GEOMETRIES)}")
@@ -220,19 +210,18 @@ def cmd_units(args):
             atom_mass_m=args.mass_u * units.ATOMIC_MASS,
             radial_frequency_nu=args.nu,
             particle_number_N=N,
-            lambda_z=args.lambda_z,
             frequency_convention=args.frequency_convention)
 
     for N in _float_list(args.n):
         p = params_for(N)
-        rows.append((N, units.q_from_n(p), units.oscillator_length(p), args.lambda_z))
+        rows.append((N, units.q_from_n(p), units.oscillator_length(p)))
     for Q in _float_list(args.q):
         p = params_for(1.0)
         N = units.n_from_q(Q, p)
-        rows.append((N, Q, units.oscillator_length(p), args.lambda_z))
+        rows.append((N, Q, units.oscillator_length(p)))
     if not rows:
         raise DomainError("give at least one of --n or --q")
-    _emit_table(args, ("N", "Q", "a0_m", "lambda_z"), rows)
+    _emit_table(args, ("N", "Q", "a0_m"), rows)
     return 0
 
 
@@ -257,10 +246,7 @@ def _emit_table(args, columns, rows):
         write_csv(args.out, columns, rows)
         write_manifest(args.out, args)
     else:
-        sys.stdout.write(f"# {UNITS_NOTE}\n")
-        sys.stdout.write(",".join(columns) + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(_fmt(x) for x in row) + "\n")
+        _write_table(sys.stdout, columns, rows, UNITS_NOTE)
 
 
 def cmd_analytic(args):
@@ -476,15 +462,9 @@ _S_EXTENT = _Row("--s-extent", float, None,
 _N_S = _Row("--n-s", int, 384)
 _OUT = _Row("--out", str, _REQUIRED)
 _QUIET = _Row("--quiet", bool, False)
-_GRID_ROWS = [
-    _Row("--geometry", str, "cylindrical", "line | cylindrical | spherical"),
-    _Row("--rho-max", float, 6.0),
-    _Row("--n-rho", int, 96),
-    _S_EXTENT,
-    _N_S,
-    _Row("--r-max", float, 6.0),
-    _Row("--n-r", int, 512),
-]
+_SECTION_ROWS = [_Row("--rho-max", float, 6.0), _Row("--n-rho", int, 96), _S_EXTENT, _N_S]
+_GEOMETRY = _Row("--geometry", str, "cylindrical", "line | cylindrical | spherical")
+_GRID_ROWS = [_GEOMETRY, *_SECTION_ROWS, _Row("--r-max", float, 6.0), _Row("--n-r", int, 512)]
 _SOLVER_ROWS = [
     _Row("--step-size", float, DescentConfig.step_size,
          "relaxation step tau along the preconditioned gradient (default %(default)g; "
@@ -503,7 +483,6 @@ _SUBCOMMANDS = {
         _Row("--a", float, units.LI7_SCATTERING_LENGTH, "scattering length in m (negative)"),
         _Row("--nu", float, 150.0, "radial frequency in Hz"),
         _Row("--mass-u", float, 7.016003, "atom mass in u"),
-        _LAMBDA_Z,
         _Row("--frequency-convention", str, units.ANGULAR,
              "angular (omega = 2 pi nu, default) or linear"),
         _OUT._replace(default=None),
@@ -523,7 +502,8 @@ _SUBCOMMANDS = {
     "evolve": (cmd_evolve, "real-time propagation", None, [
         _Q._replace(default=5.0),
         _LAMBDA_Z,
-        *_GRID_ROWS,
+        _GEOMETRY._replace(help="line | cylindrical"),
+        *_SECTION_ROWS,
         *_SOLVER_ROWS,
         _Row("--initial", str, "ground", "ground (relax first), composite, or gaussian"),
         _Row("--boost", float, 0.0),
@@ -552,19 +532,20 @@ _SUBCOMMANDS = {
         _OUT,
     ]),
     "figures": (cmd_figures, "section datasets for the two figures", ("which", ("fig1", "fig2")),
-                [*_GRID_ROWS, *_SOLVER_ROWS, _OUT]),
+                [*_SECTION_ROWS, *_SOLVER_ROWS, _OUT]),
 }
 
 
 def build_parser():
     """The parser and its subparsers by name, built from _SUBCOMMANDS."""
     parser = argparse.ArgumentParser(
-        prog="gpesoliton",
+        prog="gpesoliton", allow_abbrev=False,
         description="Attractive-condensate soliton toolkit (CSV outputs)")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (fn, summary, positional, rows) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=summary)
+        # no prefixes: a removed flag such as --n-r must not pass for --n-rho
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--config", default=None,
                        help="flat key = value file; flags override it")
         if positional:
@@ -593,8 +574,9 @@ def main(argv=None) -> int:
         missing = [row.flag for row in rows if getattr(args, _dest(row.flag)) is _REQUIRED]
         if missing:
             raise DomainError(f"{args.command} requires {missing[0]}")
-        logging.basicConfig(level=logging.WARNING if args.quiet else logging.INFO,
-                            format="%(levelname)s %(name)s: %(message)s")
+        # basicConfig acts on the first call in a process only; the level is set on every call
+        logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+        logging.getLogger("gpesoliton").setLevel(logging.WARNING if args.quiet else logging.INFO)
         return args.func(args)
     except GpeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,10 @@
 """Critical interaction strength above which no stable ground state exists.
 
 Bisection on Q with full relaxation probes on a grid the caller supplies; each
-probe is warm-started from the converged state at the nearest interaction
-strength.  "Collapse" is the relaxation module's numerical proxy (the
-amplitude ceiling over the analytic peak), since the physical blowup lies
-outside the validity of the mean-field model.
+probe is warm-started from the last converged state, the nearest one to it.
+"Collapse" is the relaxation module's numerical proxy (the amplitude ceiling
+over the analytic peak), since the physical blowup lies outside the validity
+of the mean-field model.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .energy import TrapSpec
 from .errors import DomainError
 from .grid import Geometry, Grid
-from .groundstate import DescentConfig, GroundStateResult, default_initial, relax
+from .groundstate import DescentConfig, default_initial, relax
 
 log = logging.getLogger(__name__)
 
@@ -75,18 +75,12 @@ def find_threshold(grid: Grid, lambda_z: float, bracket: tuple[float, float], to
     trap = TrapSpec(lambda_z=lambda_z)
 
     result = ThresholdResult(q_lo=q_min, q_hi=q_max, tolerance=q_max - q_min)
-    lo_res, trial = _probe(grid, trap, q_min, cfg, default_initial(grid, trap, q_min))
+    last_converged, trial = _probe(grid, trap, q_min, cfg, default_initial(grid, trap, q_min))
     result.trials.append(trial)
     if trial.collapsed or not trial.converged:
         raise DomainError(
             f"invalid bracket: relaxation at q_min = {q_min} did not converge")
-    converged_states: dict[float, GroundStateResult] = {q_min: lo_res}
-
-    def nearest_seed(q):
-        q_near = min(converged_states, key=lambda qq: abs(qq - q))
-        return converged_states[q_near].wavefunction.normalized()
-
-    hi_res, trial = _probe(grid, trap, q_max, cfg, nearest_seed(q_max))
+    _, trial = _probe(grid, trap, q_max, cfg, last_converged.wavefunction.normalized())
     result.trials.append(trial)
     if not trial.collapsed:
         raise DomainError(
@@ -95,7 +89,7 @@ def find_threshold(grid: Grid, lambda_z: float, bracket: tuple[float, float], to
     unresolved = 0
     while result.q_hi - result.q_lo > tol:
         q_mid = 0.5 * (result.q_lo + result.q_hi)
-        res, trial = _probe(grid, trap, q_mid, cfg, nearest_seed(q_mid))
+        res, trial = _probe(grid, trap, q_mid, cfg, last_converged.wavefunction.normalized())
         result.trials.append(trial)
         if not trial.resolved:
             unresolved += 1
@@ -104,7 +98,7 @@ def find_threshold(grid: Grid, lambda_z: float, bracket: tuple[float, float], to
         else:
             result.q_lo = q_mid
             if trial.converged:
-                converged_states[q_mid] = res
+                last_converged = res
         log.info("threshold probe Q=%.4f -> %s (bracket [%.4f, %.4f])", q_mid,
                  "collapsed" if trial.collapsed else "converged",
                  result.q_lo, result.q_hi)

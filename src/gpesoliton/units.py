@@ -32,7 +32,6 @@ class PhysicalParams:
     atom_mass_m: float                  # kg
     radial_frequency_nu: float          # Hz (interpreted per frequency_convention)
     particle_number_N: float
-    lambda_z: float = 0.0               # axial/radial trap frequency ratio
     frequency_convention: str = ANGULAR
 
     def __post_init__(self):
@@ -46,8 +45,6 @@ class PhysicalParams:
             raise DomainError(
                 f"particle number must be non-negative, got {self.particle_number_N}"
             )
-        if self.lambda_z < 0:
-            raise DomainError(f"lambda_z must be non-negative, got {self.lambda_z}")
         if self.frequency_convention not in (ANGULAR, LINEAR):
             raise DomainError(
                 f"frequency convention must be '{ANGULAR}' or '{LINEAR}', "
@@ -91,7 +88,6 @@ def n_from_q(Q: float, p: PhysicalParams) -> float:
 
 def lithium7_params(
     N: float,
-    lambda_z: float = 0.0,
     nu: float = 150.0,
     frequency_convention: str = ANGULAR,
 ) -> PhysicalParams:
@@ -101,6 +97,5 @@ def lithium7_params(
         atom_mass_m=LI7_MASS,
         radial_frequency_nu=nu,
         particle_number_N=N,
-        lambda_z=lambda_z,
         frequency_convention=frequency_convention,
     )

@@ -203,7 +203,46 @@ class TestVariationalCriticalQ:
     def test_cigar_exceeds_spherical(self):
         assert analytic.variational_critical_q(0.0) > analytic.variational_critical_q(1.0)
 
-    @pytest.mark.parametrize("lz", [0.0, 1.0])
+    def test_closed_form_pins(self):
+        # the fold sits at w_rho^4 = 1/3 for the cigar and at w_rho = w_s = 5^{-1/4}
+        # for the isotropic trap
+        pref = 4 * math.sqrt(2) * PI ** 1.5
+        assert analytic.variational_critical_q(0.0) == pytest.approx(
+            pref * 3 ** -0.25 * math.sqrt(2 / 3), rel=1e-10)
+        assert analytic.variational_critical_q(1.0) == pytest.approx(
+            pref * 0.8 * 5 ** -0.25, rel=1e-10)
+
+    def test_minimum_is_a_stable_stationary_point_at_lambda_5(self):
+        Q, lz = 10.7, 5.0
+        wr, ws = analytic.variational_minimum(Q, lz)
+
+        def grad(a, b, h=1e-6):
+            def e(x, y):
+                return analytic.variational_energy(Q, lz, x, y)
+            return np.array([(e(a + h, b) - e(a - h, b)) / (2 * h),
+                             (e(a, b + h) - e(a, b - h)) / (2 * h)])
+
+        assert np.max(np.abs(grad(wr, ws))) < 1e-6
+        h = 1e-4
+        hess = np.column_stack([(grad(wr + h, ws) - grad(wr - h, ws)) / (2 * h),
+                                (grad(wr, ws + h) - grad(wr, ws - h)) / (2 * h)])
+        assert np.all(np.linalg.eigvalsh(0.5 * (hess + hess.T)) > 0)
+
+    @pytest.mark.parametrize("lz", [0.0, 1e-3, 1.0, 1e3])
+    def test_minimum_is_stationary_along_the_whole_branch(self, lz):
+        # from a feeble interaction, where w_rho -> 1, up to the fold itself;
+        # each derivative of variational_energy is compared with its largest term
+        qc = analytic.variational_critical_q(lz)
+        for Q in (1e-8 * qc, 0.5 * qc, qc):
+            wr, ws = analytic.variational_minimum(Q, lz)
+            g = Q / (4 * math.sqrt(2) * PI ** 1.5)
+            d_rho = (-2 / wr ** 3, 2 * wr, 2 * g / (wr ** 3 * ws))
+            d_s = (-1 / ws ** 3, lz ** 2 * ws, g / (wr ** 2 * ws ** 2))
+            for terms in (d_rho, d_s):
+                assert abs(sum(terms)) <= 1e-13 * max(map(abs, terms))
+        assert analytic.variational_minimum(qc * (1 + 1e-9), lz) is None
+
+    @pytest.mark.parametrize("lz", [0.0, 1.0, 5.0])
     def test_against_scalar_reduction_oracle(self, lz):
         assert analytic.variational_critical_q(lz) == pytest.approx(
             _critical_q_scalar_oracle(lz), abs=0.05)

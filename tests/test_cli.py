@@ -14,6 +14,22 @@ from gpesoliton import grid as grid_module
 from gpesoliton.grid import Geometry, Wavefunction, cylindrical_grid, line_grid, spherical_grid
 
 
+def reference_csv(path, columns, rows, note=cli.UNITS_NOTE):
+    """Each value formatted on its own, bools as 1/0 and integers in digits:
+    the bytes that write_csv must reproduce."""
+    def fmt(x):
+        if isinstance(x, bool):
+            return "1" if x else "0"
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        return "%.17g" % x
+
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f"# {note}\n" + ",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(x) for x in row) + "\n")
+
+
 def row_loop_state_csv(path, u):
     """The node-by-node writer that write_state_csv replaced; the byte reference."""
     grid = u.grid
@@ -32,7 +48,7 @@ def row_loop_state_csv(path, u):
             v = u.values[i]
             rows.append((r, float("nan"), v.real, v.imag))
     note = cli.UNITS_NOTE + "; rho column holds r on spherical grids, nan on line grids"
-    cli.write_csv(path, ("rho", "s", "re_u", "im_u"), rows, note=note)
+    reference_csv(path, ("rho", "s", "re_u", "im_u"), rows, note=note)
 
 
 @pytest.mark.parametrize("grid", [
@@ -66,8 +82,13 @@ def test_ndarray_table_matches_row_path(tmp_path):
         rng.choice([-0.0, 0.0, 2.5], n),
     ))
     cli.write_csv(tmp_path / "table.csv", ("a", "b", "c", "d"), table)
-    cli.write_csv(tmp_path / "rows.csv", ("a", "b", "c", "d"), table.tolist())
+    reference_csv(tmp_path / "rows.csv", ("a", "b", "c", "d"), table.tolist())
     assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    # rows of Python values, as the summary and collapse tables pass them
+    rows = [(True, 251, float("nan"), 0.1), (False, 0, -0.0, 1e-300), (1.0, -7, 2.5, 5e-324)]
+    cli.write_csv(tmp_path / "mixed.csv", ("a", "b", "c", "d"), rows)
+    reference_csv(tmp_path / "mixed_ref.csv", ("a", "b", "c", "d"), rows)
+    assert (tmp_path / "mixed.csv").read_bytes() == (tmp_path / "mixed_ref.csv").read_bytes()
 
 
 def test_ground_writes_outputs(tmp_path):
@@ -232,14 +253,14 @@ def test_analytic_profile_bad_grid_fails(flags, capsys):
 
 # One run per subcommand and per analytic table, and its manifest without the
 # numpy, lapack and out lines, as written before the flags were declared in one
-# table.  A change to how flags, defaults and config files resolve must not move
-# any of these values.
+# table, less the keys of the flags removed since (units lambda_z, figures
+# geometry/r_max/n_r, evolve r_max/n_r).  A change to how flags, defaults and
+# config files resolve must not move any of these values.
 GOLDEN_MANIFESTS = {
     "units": (["units", "--n", "1000,2000", "--q", "5"], """\
 a = -1.45e-09
 command = units
 frequency_convention = angular
-lambda_z = 0
 mass_u = 7.0160030000000004
 n = 1000,2000
 nu = 150
@@ -315,7 +336,6 @@ geometry = line
 initial = composite
 lambda_z = 0
 max_iters = 200000
-n_r = 512
 n_rho = 96
 n_s = 64
 observe_every = 20
@@ -323,7 +343,6 @@ param = ['a=0.01']
 potential = a*s^2
 q = 5
 quiet = True
-r_max = 6
 residual_tol = 1.0000000000000001e-05
 rho_max = 6
 s_extent = None
@@ -357,13 +376,10 @@ tol = 8"""),
 collapse_guard = 5
 command = figures
 energy_tol = 1e-10
-geometry = cylindrical
 max_iters = 200000
-n_r = 512
 n_rho = 16
 n_s = 48
 quiet = True
-r_max = 6
 residual_tol = 1.0000000000000001e-05
 rho_max = 6
 s_extent = None
@@ -503,3 +519,37 @@ def test_subcommand_help_formats(command, capsys):
         cli.main([command, "--help"])
     assert exc.value.code == 0
     assert "--config" in capsys.readouterr().out
+
+
+def test_quiet_holds_on_every_call(tmp_path, caplog):
+    # logging.basicConfig acts on the first call in a process only
+    caplog.set_level(logging.INFO)
+    argv = ["ground", "--q", "5", "--geometry", "line", "--n-s", "64",
+            "--out", str(tmp_path / "g.csv")]
+    for quiet in (False, True, False):
+        caplog.clear()
+        assert cli.main(argv + ["--quiet"] * quiet) == 0
+        logged = any("ground state" in r.getMessage() for r in caplog.records)
+        assert logged is not quiet
+
+
+@pytest.mark.parametrize("argv", [
+    ["figures", "fig2", "--geometry", "line"],
+    ["figures", "fig2", "--r-max", "6"],
+    ["evolve", "--t-final", "0.05", "--n-r", "64"],
+    ["units", "--n", "1000", "--lambda-z", "0.1"],
+], ids=["figures-geometry", "figures-r-max", "evolve-n-r", "units-lambda-z"])
+def test_removed_flags_are_rejected(tmp_path, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_tables_print_as_they_are_written(tmp_path, capsys):
+    argv = ["analytic", "variational", "--lambda-z", "0,1", "--quiet"]
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    assert cli.main(argv + ["--out", str(tmp_path / "v.csv")]) == 0
+    assert (tmp_path / "v.csv").read_text() == printed
+    assert printed.splitlines()[2:] == ["0,19.542218059269384", "1,16.851838333379362"]
