@@ -6,7 +6,7 @@ naming the columns and the dimensionless conventions (lengths in a0, time in
 1/omega, energies in hbar*omega, doubled energy functional, mu = GPE
 eigenvalue).  Every run writes a `<out>.manifest` echoing the fully resolved
 configuration, so reruns are reproducible bit for bit, with the numpy version
-and the LAPACK that served the run.
+and the LAPACK that served the run (and, for evolve, the estimated time_error).
 
 Each flag is one row of `_SUBCOMMANDS`.  A `--config` file's keys are exactly
 the subcommand's flag names (`--config` aside); a value is taken from the
@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__, analytic, units
 from . import grid as grid_module
 from .collapse import find_threshold, optimality_scan
-from .dynamics import PropagationConfig, boost, displace, ehrenfest_check, propagate
+from .dynamics import PropagationConfig, boost, displace, ehrenfest_check, propagate, time_error
 from .energy import TrapSpec
 from .errors import DomainError, GpeError
 from .grid import (Geometry, Grid, Wavefunction, cylindrical_grid,
@@ -79,10 +79,10 @@ def write_csv(path, columns, rows, note=UNITS_NOTE):
         _write_table(fh, columns, rows, note)
 
 
-def write_manifest(out_path, args: argparse.Namespace):
-    """`key = value` lines of the resolved `args`, plus the numpy version and the LAPACK used."""
+def write_manifest(out_path, args: argparse.Namespace, **measured):
+    """`key = value` lines of the resolved `args` and `measured`, numpy's version and the LAPACK."""
     resolved = {k: f"{v:.17g}" if isinstance(v, float) else str(v)
-                for k, v in vars(args).items() if k not in ("func", "config")}
+                for k, v in {**vars(args), **measured}.items() if k not in ("func", "config")}
     resolved.update(numpy=np.__version__,
                     lapack="scipy" if grid_module._bundled_lapack() is None else "numpy-openblas")
     path = Path(str(out_path) + ".manifest")
@@ -343,6 +343,7 @@ def cmd_evolve(args):
     u0 = u0.normalized()
     ext = (ExternalPotential(parse_potential(args.potential), parse_params(args.param))
            if args.potential else None)
+    err = time_error(u0, trap, Q, ext, cfg)
     out = Path(args.out)
     legs = []
     if snaps:
@@ -362,7 +363,7 @@ def cmd_evolve(args):
     # each leg opens with a record of the state the previous leg closed with
     records = [rec for k, leg in enumerate(legs) for rec in leg[1 if k else 0:]]
     write_csv(out, ObservableRecord.csv_columns(), [r.csv_row() for r in records])
-    write_manifest(out, args)
+    write_manifest(out, args, time_error=err)
     # a leg ends at its snapshot time, off the sampling cadence of the next leg,
     # so the centroid laws are checked leg by leg
     for leg in legs:
@@ -511,7 +512,8 @@ _SUBCOMMANDS = {
         _Row("--potential", str, None,
              "axial potential expression over s (and rho on cylindrical grids)"),
         _Row("--param", list, None, "name=value binding for the potential (repeatable)"),
-        _Row("--dt", float, PropagationConfig.dt),
+        _Row("--dt", float, PropagationConfig.dt, "time step (default %(default)g, tau = 0.01 "
+             "per record; time error <= 1e-3 of the lattice error: see manifest time_error)"),
         _Row("--t-final", float, _REQUIRED, "final time, a whole number of --dt steps"),
         _Row("--observe-every", int, PropagationConfig.observe_every),
         _Row("--sponge-strength", float, PropagationConfig.sponge_strength),

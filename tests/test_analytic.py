@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -241,6 +242,23 @@ class TestVariationalCriticalQ:
             for terms in (d_rho, d_s):
                 assert abs(sum(terms)) <= 1e-13 * max(map(abs, terms))
         assert analytic.variational_minimum(qc * (1 + 1e-9), lz) is None
+
+    @pytest.mark.parametrize("lz", [0.0, 1.0, 1e3, 1e4, 1e6])
+    def test_fold_root_matches_a_50_digit_reference(self, lz):
+        # the root r = w_rho^4 of the fold quartic by 50-digit bisection on [0, 1/2],
+        # where the quartic falls from 1 to -7/16 - 8 lz^2 through its one root
+        with localcontext() as ctx:
+            ctx.prec = 50
+            c = (Decimal(-15), 32 - 64 * Decimal(lz) ** 2, Decimal(-18), Decimal(0), Decimal(1))
+            lo, hi = Decimal(0), Decimal("0.5")
+            for _ in range(170):
+                mid = (lo + hi) / 2
+                if (((c[0] * mid + c[1]) * mid + c[2]) * mid + c[3]) * mid + c[4] > 0:
+                    lo = mid
+                else:
+                    hi = mid
+            r = 1 - analytic._fold(lz)
+            assert abs(Decimal(r) - lo) <= Decimal("1e-11") * lo
 
     @pytest.mark.parametrize("lz", [0.0, 1.0, 5.0])
     def test_against_scalar_reduction_oracle(self, lz):

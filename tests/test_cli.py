@@ -127,6 +127,7 @@ def test_ehrenfest_runs_with_off_cadence_snapshot(tmp_path, caplog):
     # the snapshot at 0.335 ends the first leg off the 20-step sampling cadence
     caplog.set_level(logging.INFO)
     argv = ["evolve", "--geometry", "line", "--q", "5", "--initial", "composite",
+            "--dt", "5e-4", "--observe-every", "20",
             "--t-final", "0.5", "--snapshot-times", "0.335", "--out", str(tmp_path / "e.csv")]
     assert cli.main(argv) == 0
     checks = [r.getMessage() for r in caplog.records if "ehrenfest" in r.getMessage()]
@@ -142,7 +143,7 @@ def test_ehrenfest_runs_with_off_cadence_snapshot(tmp_path, caplog):
 def test_off_lattice_snapshot_time_rejected(tmp_path, capsys):
     # 0.3352 lies between steps 670 and 671 of dt = 5e-4
     argv = ["evolve", "--geometry", "line", "--n-s", "256", "--q", "5", "--initial",
-            "composite", "--t-final", "0.5", "--snapshot-times", "0.3352",
+            "composite", "--dt", "5e-4", "--t-final", "0.5", "--snapshot-times", "0.3352",
             "--out", str(tmp_path / "e.csv")]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
@@ -154,7 +155,7 @@ def test_off_lattice_snapshot_time_rejected(tmp_path, capsys):
 def test_off_lattice_t_final_rejected(tmp_path, capsys):
     # 0.50021 lies between steps 1000 and 1001 of dt = 5e-4
     argv = ["evolve", "--geometry", "line", "--n-s", "256", "--q", "5", "--initial",
-            "composite", "--t-final", "0.50021", "--out", str(tmp_path / "e.csv")]
+            "composite", "--dt", "5e-4", "--t-final", "0.50021", "--out", str(tmp_path / "e.csv")]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert "t_final 0.50021 is off the dt = 0.0005 lattice" in err
@@ -330,7 +331,7 @@ boost = 0
 collapse_guard = 5
 command = evolve
 displace = 0
-dt = 0.00050000000000000001
+dt = 0.0025000000000000001
 energy_tol = 1e-10
 geometry = line
 initial = composite
@@ -338,7 +339,7 @@ lambda_z = 0
 max_iters = 200000
 n_rho = 96
 n_s = 64
-observe_every = 20
+observe_every = 4
 param = ['a=0.01']
 potential = a*s^2
 q = 5
@@ -401,7 +402,14 @@ def test_manifest_matches_golden(tmp_path, name):
     out = tmp_path / "out"
     assert cli.main(argv + ["--quiet", "--out", str(out)]) == 0
     manifest = out / "fig2.manifest" if name == "figures" else tmp_path / "out.manifest"
-    assert "\n".join(manifest_lines(manifest)) == expected
+    lines = manifest_lines(manifest)
+    # evolve's measured time-error estimate: present and small, its digits not pinned
+    measured = [line for line in lines if line.startswith("time_error = ")]
+    assert len(measured) == (name == "evolve")
+    for line in measured:
+        lines.remove(line)
+        assert 0.0 <= float(line.split(" = ")[1]) < 1e-4
+    assert "\n".join(lines) == expected
 
 
 def run_outputs(run_dir, argv):

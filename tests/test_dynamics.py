@@ -6,7 +6,8 @@ from scipy.linalg import solve_banded
 
 from gpesoliton import analytic
 from gpesoliton.dynamics import (EhrenfestReport, PropagationConfig, _Propagator,
-                                 _sponge_mask, boost, displace, ehrenfest_check, propagate)
+                                 _sponge_mask, boost, displace, ehrenfest_check, propagate,
+                                 time_error)
 from gpesoliton.energy import TrapSpec, quartic_coefficient, trap_potential
 from gpesoliton.errors import BlowupError, DomainError
 from gpesoliton.grid import Wavefunction, cylindrical_grid, line_grid
@@ -170,6 +171,39 @@ class TestGalileanTransport:
         cfg = PropagationConfig(t_final=2.0, dt=5e-4, observe_every=100)
         records, _ = propagate(u0, TrapSpec(0.0), 5.0, None, cfg)
         assert abs(records[-1].x_s) < 1e-6
+
+
+class TestDefaultStep:
+    """The default dt against its criterion: time error <= 1e-3 of the lattice error."""
+
+    V, T = 0.5, 0.5
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        # a boosted composite soliton on the tiny benchmark's evolve grid
+        g = cylindrical_grid(6.0, -27.35145003726747, 27.35145003726747, 16, 64)
+        u0 = boost(default_initial(g, TrapSpec(0.0), 5.0), self.V).normalized()
+        dt = PropagationConfig.dt
+        out = {}
+        for k in (1, 2, 4, 8):
+            cfg = PropagationConfig(t_final=self.T, dt=dt / k, observe_every=4 * k)
+            out[k] = propagate(u0, TrapSpec(0.0), 5.0, None, cfg)
+        cfg = PropagationConfig(t_final=self.T)
+        return g, out, time_error(u0, TrapSpec(0.0), 5.0, None, cfg)
+
+    def test_centroid_time_error_below_a_thousandth_of_the_lattice(self, runs):
+        g, out, _ = runs
+        lattice = 2.0 * (self.V * g.ds) ** 2 / 6.0 * self.V
+        assert [r.tau for r in out[1][0]] == pytest.approx([r.tau for r in out[8][0]])
+        for rec, ref in zip(out[1][0], out[8][0]):
+            assert abs(rec.x_s - ref.x_s) <= 1e-3 * lattice * ref.tau
+
+    def test_second_order_and_estimate(self, runs):
+        g, out, estimate = runs
+        diff = {k: g.norm(out[k][1].values - out[2 * k][1].values) for k in (1, 2)}
+        assert 1.8 <= math.log2(diff[1] / diff[2]) <= 2.2
+        measured = g.norm(out[1][1].values - out[8][1].values)
+        assert measured / 1.5 <= estimate <= 1.5 * measured
 
 
 class TestDisplace:
