@@ -35,7 +35,7 @@ from .grid import (Geometry, Grid, Wavefunction, cylindrical_grid,
                    default_half_extent_s, line_grid, spherical_grid)
 from .groundstate import DescentConfig, default_initial, relax
 from .observables import ObservableRecord, moments
-from .potentials import ExternalPotential, parse as parse_potential
+from .potentials import FUNCTIONS, ExternalPotential, parse as parse_potential
 
 log = logging.getLogger("gpesoliton.cli")  # also when run as __main__
 
@@ -509,8 +509,9 @@ _SUBCOMMANDS = {
         _Row("--initial", str, "ground", "ground (relax first), composite, or gaussian"),
         _Row("--boost", float, 0.0),
         _Row("--displace", float, 0.0),
-        _Row("--potential", str, None,
-             "axial potential expression over s (and rho on cylindrical grids)"),
+        _Row("--potential", str, None, "axial potential over s (and rho on cylindrical "
+             "grids): numbers, parameters, + - * /, ^ for a power, parentheses and the "
+             "functions " + " ".join(FUNCTIONS)),
         _Row("--param", list, None, "name=value binding for the potential (repeatable)"),
         _Row("--dt", float, PropagationConfig.dt, "time step (default %(default)g, tau = 0.01 "
              "per record; time error <= 1e-3 of the lattice error: see manifest time_error)"),

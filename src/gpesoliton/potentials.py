@@ -1,17 +1,26 @@
 """Parser and evaluator for external-potential expressions.
 
-Grammar (recursive descent, standard precedence):
+The language, loosest binding first:
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
     factor := '-' factor | power
     power  := atom ('^' factor)?          # right associative
-    atom   := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
+    atom   := NUMBER | NAME | FUNCTION '(' expr ')' | '(' expr ')'
 
-Identifiers are the coordinates ``s`` and ``rho``, the functions sin, cos,
-exp, tanh, sech and abs, or free parameter names bound at evaluation time.
-Division is not policed at parse time; non-finite values are caught when an
-expression is sampled on a grid.
+NUMBER is digits with an optional point and exponent (``007.5``, ``1.e5``,
+``.5e-3``).  NAME is ASCII ``[A-Za-z_][A-Za-z_0-9]*``, not a Python keyword: the
+coordinate ``s`` or ``rho``, or a parameter bound at evaluation time.  FUNCTION
+is abs, cos, exp, sech, sin or tanh.  ``^`` is the power; ``**`` is rejected.
+
+Python's ``**`` is right associative and binds tighter than a leading minus,
+as ``^`` does here, so the parser is ``ast.parse`` of the text with ``^``
+written ``**``, then one walk that admits only the nodes above.  A scan first
+rejects characters outside the language, blanks whitespace (dropping it where
+it leads), and writes each NUMBER as a zero of its length, since Python reads
+some differently (``01`` is an error, ``1_0`` is ten); the walk takes the
+values from the text.  Error offsets refer to the text as given.  Division is
+not policed at parse time; non-finite values are caught when sampled.
 
 The axial force dV/ds is a complex-step derivative, Im V(s + ih)/h: the
 evaluator runs on complex s, and with no difference of two samples there is no
@@ -22,7 +31,10 @@ overflow-free forms off the real axis; on it they are the plain numpy ones.
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,270 +62,144 @@ def _sech(x):
     return 2.0 * e / (1.0 + e * e)
 
 
-_NUMPY_FUNCS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "tanh": np.tanh,
-    "sech": _sech,
-    "abs": _abs,
-}
+_NUMPY_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "tanh": np.tanh,
+                "sech": _sech, "abs": _abs}
+
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: np.divide, ast.Pow: np.power}
+
+# one lexeme per match; a character that starts none is "bad"
+_LEXEME = re.compile(r"(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+                     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>\*\*|[-+*/^()])|(?P<space>\s)"
+                     r"|(?P<bad>.)")
 
 
-# --- AST -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str  # 's' or 'rho'
-
-
-@dataclass(frozen=True)
-class Param:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: object
-
-
-@dataclass(frozen=True)
-class Bin:
-    op: str  # one of + - * / ^
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: object
-
-
-# --- tokenizer / parser ----------------------------------------------------
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            off = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", off)
-        if m.group("num") is not None:
-            tokens.append(("num", float(m.group("num")), m.start("num")))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", None, len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val, off = self.peek()
-        if kind == "op" and val == op:
-            return self.advance()
-        raise ParseError(f"got {val!r}" if val is not None else "input ended",
-                         off, expected=(repr(op),))
-
-    def parse(self):
-        node = self.expr()
-        kind, val, off = self.peek()
-        if kind != "end":
-            raise ParseError(f"trailing input {val!r}", off,
-                             expected=("operator", "end of input"))
-        return node
-
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                node = Bin(val, node, self.term())
-            else:
-                return node
-
-    def term(self):
-        node = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                node = Bin(val, node, self.factor())
-            else:
-                return node
-
-    def factor(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.advance()
-            return Neg(self.factor())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.advance()
-            return Bin("^", base, self.factor())
-        return base
-
-    def atom(self):
-        kind, val, off = self.advance()
-        if kind == "num":
-            return Num(val)
-        if kind == "ident":
-            nxt_kind, nxt_val, _ = self.peek()
-            if nxt_kind == "op" and nxt_val == "(":
-                if val not in FUNCTIONS:
-                    raise UnknownIdentifierError(val, off, FUNCTIONS)
-                self.advance()
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(val, arg)
-            if val in COORDINATES:
-                return Var(val)
-            return Param(val)
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        shown = "end of input" if kind == "end" else repr(val)
-        raise ParseError(f"got {shown}", off,
-                         expected=("number", "identifier", "'('", "'-'"))
-
-
-# --- public wrapper ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PotentialExpr:
-    """Compiled potential expression over s (and rho) with named parameters."""
-
-    root: object
-    source: str
-
-    def parameters(self) -> frozenset[str]:
-        return frozenset(_collect_params(self.root))
-
-    def __call__(self, s=None, rho=None, params=None):
-        env = {}
-        if s is not None:
-            env["s"] = np.asarray(s, dtype=float)
-        if rho is not None:
-            env["rho"] = np.asarray(rho, dtype=float)
-        return _eval(self.root, env, dict(params or {}))
+def _python_source(text: str):
+    """text as Python source; the text offset of each source character, and of
+    its end; the value of each number by its source span; and the names' spans."""
+    src, where, numbers, names = [], [], {}, set()
+    for m in _LEXEME.finditer(text):
+        kind, lexeme, at = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {lexeme!r}", at)
+        if lexeme == "**":
+            raise ParseError("'**' is not an operator", at, expected=("'^' for a power",))
+        if kind == "space":
+            if not where:
+                continue  # Python reads leading whitespace as an indent
+            lexeme = " "
+        elif kind == "num":
+            numbers[len(where), len(where) + len(lexeme)] = float(lexeme)
+            lexeme = "0" if len(lexeme) == 1 else "0." + "0" * (len(lexeme) - 2)
+        elif kind == "name":
+            names.add((len(where), len(where) + len(lexeme)))
+        elif lexeme == "^":
+            lexeme = "**"
+        src.append(lexeme)
+        where += range(at, m.end()) if kind != "op" else [at] * len(lexeme)
+    return "".join(src), where + [len(text)], numbers, names
 
 
 def parse(text: str) -> PotentialExpr:
     """Parse an expression; raises ParseError with a byte offset on bad input."""
     if not isinstance(text, str):
         raise ParseError("input must be a string", 0)
-    root = _Parser(text).parse()
-    return PotentialExpr(root, text)
+    src, where, numbers, names = _python_source(text)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SyntaxWarning)  # '1if': an error, not a printed warning
+            root = ast.parse(src, mode="eval").body
+    except SyntaxError as exc:
+        at = min(exc.offset - 1 if exc.offset else len(src), len(src))  # offset 0: input ended
+        expected = (("number", "name", "'('", "'-'") if src[:at].rstrip()[-1:] in "+-*/("
+                    else ("operator", "')'", "end of input")) if exc.msg == "invalid syntax" else ()
+        # without Python's hints, such as "Perhaps you forgot a comma?"
+        raise ParseError(exc.msg.partition(".")[0], where[at], expected) from None
+    except (RecursionError, MemoryError):  # beyond the nesting CPython's parser takes
+        raise ParseError("expression nests too deeply", 0) from None
+    calls, params = set(), set()
+    for node in ast.walk(root):
+        if isinstance(node, (ast.operator, ast.unaryop, ast.expr_context)):
+            continue  # checked with the node that holds it
+        span, at = (node.col_offset, node.end_col_offset), where[node.col_offset]
+        if (isinstance(node, ast.BinOp) and type(node.op) in _BINARY
+                or isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)):
+            continue
+        # a call starts with its function's name: '(sin)(s)' is not a call here
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and (node.col_offset, node.func.end_col_offset) in names):
+            if node.func.id not in FUNCTIONS:
+                raise UnknownIdentifierError(node.func.id, at, FUNCTIONS)
+            if len(node.args) == 1 and not node.keywords:
+                calls.add(node.func)
+                continue
+        elif isinstance(node, ast.Name) and span in names:
+            if node not in calls and node.id not in COORDINATES:
+                params.add(node.id)
+            continue
+        elif isinstance(node, ast.Constant) and span in numbers:
+            node.value = numbers[span]
+            continue
+        shown = text[at:where[span[1] - 1] + 1]
+        raise ParseError(f"unsupported expression {shown!r}", at)
+    return PotentialExpr(root, text, frozenset(params))
 
 
-def _collect_params(node):
-    if isinstance(node, Param):
-        yield node.name
-    elif isinstance(node, Neg):
-        yield from _collect_params(node.arg)
-    elif isinstance(node, Bin):
-        yield from _collect_params(node.left)
-        yield from _collect_params(node.right)
-    elif isinstance(node, Call):
-        yield from _collect_params(node.arg)
+@dataclass(frozen=True)
+class PotentialExpr:
+    """Parsed potential expression over s (and rho) with named parameters."""
+
+    root: ast.expr  # admitted by parse; each Constant holds the float of its text
+    source: str
+    names: frozenset[str]  # the free parameters
+
+    def parameters(self) -> frozenset[str]:
+        return self.names
+
+    def __call__(self, s=None, rho=None, params=None):
+        env = {k: np.asarray(v, dtype=float) for k, v in (("s", s), ("rho", rho)) if v is not None}
+        return _eval(self.root, env, dict(params or {}))
 
 
-def _eval(node, env, params):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        if node.name not in env:
-            raise DomainError(
-                f"variable '{node.name}' is not available here "
-                f"(have: {', '.join(sorted(env)) or 'none'})"
-            )
-        return env[node.name]
-    if isinstance(node, Param):
-        if node.name not in params:
-            raise UnboundParameterError([node.name])
-        return params[node.name]
-    if isinstance(node, Neg):
-        return -_eval(node.arg, env, params)
-    if isinstance(node, Call):
-        return _NUMPY_FUNCS[node.fn](_eval(node.arg, env, params))
-    a = _eval(node.left, env, params)
-    b = _eval(node.right, env, params)
+def _eval(root, env, params):
+    """Value of a parsed tree, walked with an explicit stack: no recursion, at any depth."""
+    todo, values = [root], []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return np.divide(a, b)
-        return np.power(a, b)
-
-
-def evaluate_on_grid(expr: PotentialExpr, grid: Grid, params=None):
-    """Vectorized samples at every node; rejects non-finite values with coordinates."""
-    return _sample(expr, grid, params)
+        while todo:
+            node = todo.pop()
+            if isinstance(node, ast.BinOp):
+                todo += [node.op, node.right, node.left]
+            elif isinstance(node, ast.UnaryOp):
+                todo += [operator.neg, node.operand]
+            elif isinstance(node, ast.Call):
+                todo += [_NUMPY_FUNCS[node.func.id], node.args[0]]
+            elif isinstance(node, ast.Constant):
+                values.append(node.value)
+            elif isinstance(node, ast.Name):
+                scope = env if node.id in COORDINATES else params
+                if node.id not in scope:
+                    raise (UnboundParameterError([node.id]) if scope is params else DomainError(
+                        f"variable '{node.id}' is not available here "
+                        f"(have: {', '.join(sorted(env)) or 'none'})"))
+                values.append(scope[node.id])
+            elif isinstance(node, ast.operator):
+                right = values.pop()
+                values.append(_BINARY[type(node)](values.pop(), right))
+            else:  # a function or the negation, on the value below
+                values.append(node(values.pop()))
+    return values.pop()
 
 
 def _sample(expr: PotentialExpr, grid: Grid, params, step=0.0):
     """Samples of expr, or with step > 0 of d(expr)/ds by a complex step of that size."""
-    params = dict(params or {})
-    missing = expr.parameters() - set(params)
-    if missing:
-        raise UnboundParameterError(missing)
-    env = {}
-    if grid.kind is Geometry.LINE:
-        env["s"] = grid.s
-    elif grid.kind is Geometry.CYLINDRICAL:
-        env["s"] = grid.s_coords()
-        env["rho"] = grid.rho_coords()
-    else:
+    if grid.kind not in (Geometry.LINE, Geometry.CYLINDRICAL):
         raise DomainError("external potentials apply to line or cylindrical grids")
+    env = {"s": grid.s_coords() + 1j * step if step else grid.s_coords()}
+    if grid.kind is Geometry.CYLINDRICAL:
+        env["rho"] = grid.rho_coords()
+    values = _eval(expr.root, env, params)
     if step:
-        env["s"] = env["s"] + 1j * step
-        values = np.imag(_eval(expr.root, env, params)) / step
-    else:
-        values = _eval(expr.root, env, params)
+        values = np.imag(values) / step
     values = np.broadcast_to(np.asarray(values, dtype=float), grid.shape).copy()
     bad = ~np.isfinite(values)
     if np.any(bad):
@@ -325,19 +211,6 @@ def _sample(expr: PotentialExpr, grid: Grid, params, step=0.0):
         source = f"d/ds({expr.source})" if step else expr.source
         raise DomainError(f"potential '{source}' is non-finite at node ({where})")
     return values
-
-
-def _render(node):
-    """Fully parenthesised source text of a node; parse(_render(n)).root == n."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, (Var, Param)):
-        return node.name
-    if isinstance(node, Neg):
-        return f"(-{_render(node.arg)})"
-    if isinstance(node, Call):
-        return f"{node.fn}({_render(node.arg)})"
-    return f"({_render(node.left)}{node.op}{_render(node.right)})"
 
 
 @dataclass(frozen=True)
@@ -357,7 +230,8 @@ class ExternalPotential:
         return cls(parse(text), dict(params or {}))
 
     def sample(self, grid: Grid):
-        return evaluate_on_grid(self.expr, grid, self.params)
+        """Vectorized samples at every node; rejects non-finite values with coordinates."""
+        return _sample(self.expr, grid, self.params)
 
     def sample_gradient_s(self, grid: Grid):
         return _sample(self.expr, grid, self.params, _COMPLEX_STEP)

@@ -123,6 +123,16 @@ def test_unknown_geometry_fails(tmp_path, capsys):
     assert "unknown geometry 'torus'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("potential", ["(" * 300 + "s" + ")" * 300, "1 + * 2"],
+                         ids=["nested-300-deep", "syntax"])
+def test_bad_potential_fails(tmp_path, capsys, potential):
+    argv = ["evolve", "--geometry", "line", "--n-s", "64", "--initial", "composite",
+            "--t-final", "0.05", "--potential", potential, "--out", str(tmp_path / "e.csv")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: at byte ")
+    assert not (tmp_path / "e.csv").exists()
+
+
 def test_ehrenfest_runs_with_off_cadence_snapshot(tmp_path, caplog):
     # the snapshot at 0.335 ends the first leg off the 20-step sampling cadence
     caplog.set_level(logging.INFO)

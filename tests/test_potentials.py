@@ -1,3 +1,4 @@
+import ast
 import math
 
 import numpy as np
@@ -7,16 +8,20 @@ from hypothesis import example, given, settings, strategies as st
 from gpesoliton.errors import (DomainError, ParseError, UnboundParameterError,
                                UnknownIdentifierError)
 from gpesoliton.grid import cylindrical_grid, line_grid
-from gpesoliton.potentials import (Bin, Call, ExternalPotential, Neg, Num, Param,
-                                   Var, evaluate_on_grid, parse)
+from gpesoliton.potentials import ExternalPotential, parse
+
+
+def sample(text, g, **params):
+    return ExternalPotential.from_text(text, params).sample(g)
 
 
 class TestParsing:
     def test_linear_tilt(self):
         expr = parse("0.01*s")
-        assert expr.root == Bin("*", Num(0.01), Var("s"))
+        assert ast.dump(expr.root) == ("BinOp(left=Constant(value=0.01), op=Mult(), "
+                                       "right=Name(id='s', ctx=Load()))")
         g = line_grid(-5.0, 5.0, 64)
-        assert np.allclose(evaluate_on_grid(expr, g), 0.01 * g.s)
+        assert np.array_equal(sample("0.01*s", g), 0.01 * g.s)
 
     def test_arithmetic(self):
         # 0.5 * 0.2^2 * 2^2 under standard precedence
@@ -36,7 +41,7 @@ class TestParsing:
         assert float(parse("1+2*3")()) == 7.0
 
     def test_whitespace_insensitive(self):
-        assert parse(" 1 +  2*s ").root == parse("1+2*s").root
+        assert ast.dump(parse(" 1 +  2*s ").root) == ast.dump(parse("1+2*s").root)
 
     def test_syntax_error_offset(self):
         with pytest.raises(ParseError) as err:
@@ -62,35 +67,36 @@ class TestParsing:
 class TestEvaluation:
     def test_coordinates_verbatim(self):
         g = line_grid(-3.0, 3.0, 48)
-        assert np.array_equal(evaluate_on_grid(parse("s"), g), g.s)
+        assert np.array_equal(sample("s", g), g.s)
 
     def test_division_by_zero_names_node(self):
         # n odd with unit spacing puts a node exactly at s = 0
         g = line_grid(-8.5, 8.5, 17)
         assert g.s[8] == 0.0
         with pytest.raises(DomainError) as err:
-            evaluate_on_grid(parse("1/s"), g)
+            sample("1/s", g)
         assert "s = 0" in str(err.value)
 
     def test_sech_identity(self):
         g = line_grid(-4.0, 4.0, 64)
-        vals = evaluate_on_grid(parse("sech(s)^2"), g)
+        vals = sample("sech(s)^2", g)
         assert np.max(np.abs(vals - 1 / np.cosh(g.s) ** 2)) < 1e-15
 
     def test_unbound_parameter(self):
+        # the evaluator's own check, for a PotentialExpr called without ExternalPotential
         g = line_grid(-1.0, 1.0, 16)
         with pytest.raises(UnboundParameterError) as err:
-            evaluate_on_grid(parse("a*s"), g)
+            parse("a*s")(s=g.s)
         assert "a" in str(err.value)
 
     def test_rho_on_line_grid_rejected(self):
         g = line_grid(-1.0, 1.0, 16)
         with pytest.raises(DomainError):
-            evaluate_on_grid(parse("rho^2"), g)
+            sample("rho^2", g)
 
     def test_cylindrical_broadcast(self):
         g = cylindrical_grid(2.0, -1.0, 1.0, 16, 24)
-        vals = evaluate_on_grid(parse("rho^2 + 0*s"), g)
+        vals = sample("rho^2 + 0*s", g)
         assert vals.shape == g.shape
         assert np.allclose(vals, np.broadcast_to(g.rho_coords() ** 2, g.shape))
 
@@ -153,19 +159,70 @@ class TestExternalPotential:
         assert np.allclose(pot.sample_gradient_s(g), 0.01)
 
 
+# --- the language at its edges ------------------------------------------------
+
+# (text, verdict, value at s = 2): the parameter names if parse accepts the text,
+# else the error it raises
+LANGUAGE = [
+    (" 1 + 2*s ", set(), 5.0),
+    ("\ts", set(), 2.0),
+    ("s\n+1", set(), 3.0),
+    ("01*s", set(), 2.0),
+    ("007.5", set(), 7.5),
+    ("1.e5", set(), 1e5),
+    (".5e-3", set(), 5e-4),
+    ("sin (s)", set(), math.sin(2.0)),
+    ("2^-s", set(), 0.25),
+    ("a*s + b0", {"a", "b0"}, 3.0),
+    ("1_0", ParseError, None),
+    ("0x10", ParseError, None),
+    ("1j", ParseError, None),
+    ("é*s", ParseError, None),
+    ("+s", ParseError, None),
+    ("s[0]", ParseError, None),
+    ("sin(s, s)", ParseError, None),
+    ("s.real", ParseError, None),
+    ("a\x00", ParseError, None),
+    ("2**3", ParseError, None),
+    ("1 +", ParseError, None),
+    ("", ParseError, None),
+    ("s if s else 1", ParseError, None),
+    ("(sin)(s)", ParseError, None),
+    ("f(s)", UnknownIdentifierError, None),
+    # Python keywords are not names
+    ("True*s", ParseError, None),
+    ("if*s", ParseError, None),
+]
+
+
+@pytest.mark.parametrize("text,verdict,value", LANGUAGE, ids=[repr(c[0]) for c in LANGUAGE])
+def test_language(text, verdict, value):
+    if isinstance(verdict, set):
+        expr = parse(text)
+        assert expr.parameters() == verdict
+        assert float(expr(s=2.0, params={n: 1.0 for n in verdict})) == value
+        return
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert type(err.value) is verdict
+    assert 0 <= err.value.offset <= len(text)
+
+
 # --- property tests ----------------------------------------------------------
 
+# Expression trees as tuples: a float, a name (the coordinate "s" or a parameter),
+# ("-", x) for negation, (fn, x) for a call and (op, left, right) for + - * / ^.
 _names = st.sampled_from(["a", "b0", "amp_", "w"])
+_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
 
 
 def _leaf():
-    # the parser never emits negative literals (unary minus becomes Neg),
-    # so the strategy sticks to parser-representable ASTs
+    # the parser never emits negative literals (unary minus is a node of its own),
+    # so the strategy sticks to trees that parse can produce
     return st.one_of(
-        st.floats(min_value=0, max_value=5, allow_nan=False).map(
-            lambda v: Num(abs(round(v, 3)))),
-        st.just(Var("s")),
-        _names.map(Param),
+        st.floats(min_value=0, max_value=5, allow_nan=False).map(lambda v: abs(round(v, 3))),
+        st.just("s"),
+        _names,
     )
 
 
@@ -173,46 +230,69 @@ def _exprs():
     return st.recursive(
         _leaf(),
         lambda inner: st.one_of(
-            st.tuples(st.sampled_from("+-*/^"), inner, inner).map(
-                lambda t: Bin(t[0], t[1], t[2])),
-            inner.map(Neg),
-            st.tuples(st.sampled_from(["sin", "cos", "exp", "tanh", "sech", "abs"]),
-                      inner).map(lambda t: Call(t[0], t[1])),
+            st.tuples(st.sampled_from("+-*/^"), inner, inner),
+            inner.map(lambda x: ("-", x)),
+            st.tuples(st.sampled_from(["sin", "cos", "exp", "tanh", "sech", "abs"]), inner),
         ),
         max_leaves=12,
     )
 
 
-def _reference_eval(node, s, params):
-    """Independent tree walker on python floats; numpy ufuncs for the elementary functions."""
-    if isinstance(node, Num):
+def _render(tree):
+    """Fully parenthesised source text of a tree."""
+    if isinstance(tree, float):
+        return repr(tree)
+    if isinstance(tree, str):
+        return tree
+    if len(tree) == 2:
+        return f"(-{_render(tree[1])})" if tree[0] == "-" else f"{tree[0]}({_render(tree[1])})"
+    return f"({_render(tree[1])}{tree[0]}{_render(tree[2])})"
+
+
+def _tree(node):
+    """The tuple tree of a parsed expression's root."""
+    if isinstance(node, ast.Constant):
+        assert type(node.value) is float
         return node.value
-    if isinstance(node, Var):
-        return s
-    if isinstance(node, Param):
-        return params[node.name]
-    if isinstance(node, Neg):
-        return -_reference_eval(node.arg, s, params)
-    if isinstance(node, Call):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.UnaryOp):
+        assert isinstance(node.op, ast.USub)
+        return ("-", _tree(node.operand))
+    if isinstance(node, ast.Call):
+        assert len(node.args) == 1 and not node.keywords
+        return (node.func.id, _tree(node.args[0]))
+    assert isinstance(node, ast.BinOp)
+    return (_OPS[type(node.op)], _tree(node.left), _tree(node.right))
+
+
+def _reference_eval(tree, s, params):
+    """Independent tree walker on python floats; numpy ufuncs for the elementary functions."""
+    if isinstance(tree, float):
+        return tree
+    if isinstance(tree, str):
+        return s if tree == "s" else params[tree]
+    if tree[0] == "-" and len(tree) == 2:
+        return -_reference_eval(tree[1], s, params)
+    if len(tree) == 2:
         # the elementary functions are numpy's ufuncs on float64 scalars, as in the
         # program: the walk is under test here, not libm (math.tanh and np.tanh may
         # differ by an ulp, which 1 - tanh(1.5) magnifies to 1.2e-15)
-        x = np.float64(_reference_eval(node.arg, s, params))
+        x = np.float64(_reference_eval(tree[1], s, params))
         with np.errstate(all="ignore"):
             return float({
                 "sin": np.sin, "cos": np.cos, "exp": np.exp, "tanh": np.tanh, "abs": np.abs,
                 "sech": lambda t: 1.0 / np.cosh(t),
-            }[node.fn](x))
-    a = _reference_eval(node.left, s, params)
-    b = _reference_eval(node.right, s, params)
+            }[tree[0]](x))
+    op, a, b = tree[0], _reference_eval(tree[1], s, params), _reference_eval(tree[2], s, params)
     try:
-        if node.op == "+":
+        if op == "+":
             return a + b
-        if node.op == "-":
+        if op == "-":
             return a - b
-        if node.op == "*":
+        if op == "*":
             return a * b
-        if node.op == "/":
+        if op == "/":
             return a / b
         return math.pow(a, b)
     except ZeroDivisionError:
@@ -224,17 +304,15 @@ def _reference_eval(node, s, params):
 
 
 @given(_exprs(), st.floats(min_value=-3, max_value=3, allow_nan=False))
-@example(Bin("+", Num(1.0), Neg(Call("tanh", Num(1.5)))), 0.0)
-@example(Call("tanh", Call("sech", Bin("/", Num(3.0), Var("s")))), 0.00390625)
+@example(("+", 1.0, ("-", ("tanh", 1.5))), 0.0)
+@example(("tanh", ("sech", ("/", 3.0, "s"))), 0.00390625)
 @settings(max_examples=200, deadline=None)
-def test_vectorized_eval_matches_reference(root, s):
-    from gpesoliton.potentials import PotentialExpr, _render
-
-    expr = PotentialExpr(root, _render(root))
+def test_vectorized_eval_matches_reference(tree, s):
+    expr = parse(_render(tree))
     params = {n: 1.5 for n in expr.parameters()}
     with np.errstate(all="ignore"):
         got = expr(s=s, params=params)
-    want = _reference_eval(root, s, params)
+    want = _reference_eval(tree, s, params)
     got = float(got)
     if math.isnan(want) or math.isinf(want) or math.isnan(got) or math.isinf(got):
         return  # non-finite branches differ only in nan/inf flavor
@@ -243,16 +321,28 @@ def test_vectorized_eval_matches_reference(root, s):
 
 @given(_exprs())
 @settings(max_examples=200, deadline=None)
-def test_pretty_print_round_trip(root):
-    from gpesoliton.potentials import _render
-
-    assert parse(_render(root)).root == root
+def test_pretty_print_round_trip(tree):
+    assert _tree(parse(_render(tree)).root) == tree
 
 
 @given(st.text(max_size=40))
+@example("(" * 300 + "s" + ")" * 300)  # more nesting than Python's parser takes
+@example("1" + "+s" * 2000)  # deeper than the interpreter's recursion limit
+@example("s" + "^s" * 3000)  # ast.parse runs out of parser stack: MemoryError
+@example("-" * 3000 + "s")  # a unary chain as deep
 @settings(max_examples=300, deadline=None)
 def test_parse_is_total(text):
+    # every string parses or raises ParseError, and what parses samples
+    # without a RecursionError
     try:
-        parse(text)
-    except ParseError:
-        pass
+        expr = parse(text)
+    except ParseError as err:
+        assert 0 <= err.offset <= len(text)
+        return
+    pot = ExternalPotential(expr, {n: 1.5 for n in expr.parameters()})
+    g = line_grid(-1.0, 1.0, 16)
+    for sample_on in (pot.sample, pot.sample_gradient_s):
+        try:
+            sample_on(g)
+        except DomainError:
+            pass
