@@ -20,7 +20,7 @@ import logging
 import math
 import sys
 from collections import namedtuple
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -212,10 +212,10 @@ def cmd_units(args):
             particle_number_N=N,
             frequency_convention=args.frequency_convention)
 
-    for N in _float_list(args.n):
+    for N in _float_list(args, "--n"):
         p = params_for(N)
         rows.append((N, units.q_from_n(p), units.oscillator_length(p)))
-    for Q in _float_list(args.q):
+    for Q in _float_list(args, "--q"):
         p = params_for(1.0)
         N = units.n_from_q(Q, p)
         rows.append((N, Q, units.oscillator_length(p)))
@@ -225,17 +225,20 @@ def cmd_units(args):
     return 0
 
 
-def _float_list(spec):
-    if not spec:
-        return []
+def _float_list(args, flag):
+    """The finite numbers of the comma list given as `flag`; DomainError naming it otherwise."""
+    spec = getattr(args, _dest(flag))
     try:
-        return [float(tok) for tok in str(spec).split(",") if tok.strip()]
+        values = [float(tok) for tok in str(spec or "").split(",") if tok.strip()]
     except ValueError as exc:
-        raise DomainError(f"expected a comma list of numbers, got {spec!r}") from exc
+        raise DomainError(f"{flag} expects a comma list of numbers, got {spec!r}") from exc
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"{flag} expects finite numbers, got {spec!r}")
+    return values
 
 
 def _single_q(args) -> float:
-    qs = _float_list(args.q)
+    qs = _float_list(args, "--q")
     if len(qs) != 1:
         raise DomainError(f"--q takes one value here, got {args.q!r}")
     return qs[0]
@@ -268,19 +271,19 @@ def cmd_analytic(args):
         rows = [(Q, sv, pv) for sv, pv in zip(s, phi)]
         _emit_table(args, ("Q", "s", "phi"), rows)
     elif what == "width":
-        qs = _float_list(args.q) or [2.0, 5.0, 10.0]
+        qs = _float_list(args, "--q") or [2.0, 5.0, 10.0]
         rows = [(Q, analytic.soliton_width(Q), analytic.soliton_second_moment(Q))
                 for Q in qs]
         _emit_table(args, ("Q", "W_s", "s2_moment"), rows)
     elif what == "ratio":
         Q = _single_q(args)
-        rhos = _float_list(args.rho) or [0.5, 1.0, 2.0]
-        ss = _float_list(args.s) or [0.0, 1.0, 5.0]
+        rhos = _float_list(args, "--rho") or [0.5, 1.0, 2.0]
+        ss = _float_list(args, "--s") or [0.0, 1.0, 5.0]
         rows = [(Q, rho, s, float(analytic.dominance_ratio(Q, rho, s)))
                 for rho in rhos for s in ss]
         _emit_table(args, ("Q", "rho", "s", "ratio"), rows)
     else:
-        lzs = _float_list(args.lambda_z) or [0.0, 1.0]
+        lzs = _float_list(args, "--lambda-z") or [0.0, 1.0]
         rows = [(lz, analytic.variational_critical_q(lz)) for lz in lzs]
         _emit_table(args, ("lambda_z", "q_critical"), rows)
     return 0
@@ -316,9 +319,9 @@ def cmd_evolve(args):
         raise DomainError("evolve supports line and cylindrical geometry")
     cfg = _from_args(PropagationConfig, args)
     n_final = _lattice_step(cfg.t_final, cfg.dt, "t_final")
-    snaps = [(_lattice_step(t, cfg.dt, "snapshot time"), t)
-             for t in sorted(_float_list(args.snapshot_times))]
-    if snaps and (snaps[0][0] < 0 or snaps[-1][0] > n_final):
+    snap_times = sorted(_float_list(args, "--snapshot-times"))
+    snap_steps = [_lattice_step(t, cfg.dt, "snapshot time") for t in snap_times]
+    if snap_steps and (snap_steps[0] < 0 or snap_steps[-1] > n_final):
         raise DomainError("snapshot times must lie within [0, t_final]")
     Q, lambda_z = args.q, args.lambda_z
     grid = build_run_grid(args, Q, lambda_z)
@@ -344,38 +347,18 @@ def cmd_evolve(args):
     ext = (ExternalPotential(parse_potential(args.potential), parse_params(args.param))
            if args.potential else None)
     err = time_error(u0, trap, Q, ext, cfg)
+    records, *snapshots, _ = propagate(u0, trap, Q, ext, cfg, snap_steps)
     out = Path(args.out)
-    legs = []
-    if snaps:
-        u, k_done = u0, 0
-        for k_snap, t_snap in snaps + [(n_final, None)]:
-            if k_snap > k_done:
-                leg_cfg = replace(cfg, t_final=(k_snap - k_done) * cfg.dt)
-                leg, u = propagate(u, trap, Q, ext, leg_cfg)
-                for rec in leg:
-                    rec.tau += k_done * cfg.dt
-                legs.append(leg)
-                k_done = k_snap
-            if t_snap is not None:
-                write_state_csv(out.parent / f"{out.stem}.snapshot_{t_snap:g}.csv", u)
-    else:
-        legs.append(propagate(u0, trap, Q, ext, cfg)[0])
-    # each leg opens with a record of the state the previous leg closed with
-    records = [rec for k, leg in enumerate(legs) for rec in leg[1 if k else 0:]]
+    for t, u in zip(snap_times, snapshots):
+        write_state_csv(out.parent / f"{out.stem}.snapshot_{t:g}.csv", u)
     write_csv(out, ObservableRecord.csv_columns(), [r.csv_row() for r in records])
     write_manifest(out, args, time_error=err)
-    # a leg ends at its snapshot time, off the sampling cadence of the next leg,
-    # so the centroid laws are checked leg by leg
-    for leg in legs:
-        if len(leg) < 5:
-            continue
-        span = f"tau in [{leg[0].tau:g}, {leg[-1].tau:g}]"
-        try:
-            rep = ehrenfest_check(leg, trap, ext)
-            log.info("ehrenfest on %s: |dX/dt - <P>| <= %.3e, |d2X/dt2 + <dV/ds>| <= %.3e",
-                     span, rep.max_velocity_mismatch, rep.max_force_mismatch)
-        except DomainError as exc:
-            log.info("ehrenfest check on %s skipped: %s", span, exc)
+    try:
+        rep = ehrenfest_check(records, trap, ext)
+        log.info("ehrenfest: |dX/dt - <P>| <= %.3e, |d2X/dt2 + <dV/ds>| <= %.3e",
+                 rep.max_velocity_mismatch, rep.max_force_mismatch)
+    except DomainError as exc:
+        log.info("ehrenfest check skipped: %s", exc)
     return 0
 
 
@@ -384,7 +367,7 @@ def cmd_collapse(args):
         args.lambda_z = 1.0  # the radial grid models the isotropic trap
     cfg = _from_args(DescentConfig, args)
     bracket = (args.q_min, args.q_max)
-    scan_lzs = _float_list(args.scan_lambda_z)
+    scan_lzs = _float_list(args, "--scan-lambda-z")
     if scan_lzs:
         runs = [(lz, build_run_grid(args, args.q_min, lz)) for lz in scan_lzs]
         scan = optimality_scan(runs, bracket, args.tol, cfg)
@@ -520,8 +503,8 @@ _SUBCOMMANDS = {
         _Row("--sponge-strength", float, PropagationConfig.sponge_strength),
         _Row("--sponge-width", float, PropagationConfig.sponge_width),
         _Row("--snapshot-times", str, None,
-             "comma list of times at which to write state snapshots, "
-             "each a whole number of --dt steps"),
+             "comma list of times at which to write state snapshots, each a whole "
+             "number of --dt steps; a snapshot adds no CSV row"),
         _OUT,
     ]),
     "collapse": (cmd_collapse, "critical Q by bisection", None, [
@@ -574,9 +557,12 @@ def main(argv=None) -> int:
                     values.pop(_dest(row.flag), None)
             subparsers[args.command].set_defaults(**values)
             args = parser.parse_args(argv)
-        missing = [row.flag for row in rows if getattr(args, _dest(row.flag)) is _REQUIRED]
-        if missing:
-            raise DomainError(f"{args.command} requires {missing[0]}")
+        for row in rows:
+            value = getattr(args, _dest(row.flag))
+            if value is _REQUIRED:
+                raise DomainError(f"{args.command} requires {row.flag}")
+            if row.type is float and value is not None and not math.isfinite(value):
+                raise DomainError(f"{row.flag} must be finite, got {value}")
         # basicConfig acts on the first call in a process only; the level is set on every call
         logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
         logging.getLogger("gpesoliton").setLevel(logging.WARNING if args.quiet else logging.INFO)

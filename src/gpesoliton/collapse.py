@@ -67,8 +67,8 @@ def find_threshold(grid: Grid, lambda_z: float, bracket: tuple[float, float], to
     q_min, q_max = bracket
     if not 0 < q_min < q_max:
         raise DomainError(f"need 0 < q_min < q_max, got {bracket}")
-    if tol <= 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    if not 0 < tol < float("inf"):
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     if grid.kind is Geometry.SPHERICAL_RADIAL and lambda_z != 1.0:
         raise DomainError("spherical-radial thresholds model the isotropic trap "
                           "(lambda_z = 1)")

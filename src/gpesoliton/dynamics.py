@@ -14,6 +14,10 @@ step.  On cylindrical grids the two rho half-steps of the splitting (half rho,
 full s, half rho) commute with the s step, so they are taken together as one
 diagonal factor in the radial eigenbasis of K_rho.
 
+`propagate` returns (records, a state per snapshot step, final state) from one
+propagator.  Records keep one cadence (tau = 0, every `observe_every` steps, the
+final step); a snapshot splits the step sequence there and adds no record.
+
 The default step dt = 2.5e-3, recorded every 4 steps (tau = 0.01), keeps the
 time error at most 1e-3 of the lattice error: a boosted soliton's centroid moves
 off its dt -> 0 path by ~2e-5 of the lattice deficit 2 (v ds)^2/6 v tau on a
@@ -51,10 +55,10 @@ class PropagationConfig:
     sponge_width: float = 0.0  # absolute width of each absorbing edge layer
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise DomainError(f"dt must be positive, got {self.dt}")
-        if self.t_final < 0:
-            raise DomainError(f"t_final must be non-negative, got {self.t_final}")
+        if not 0 < self.dt < math.inf:
+            raise DomainError(f"dt must be positive and finite, got {self.dt}")
+        if not 0 <= self.t_final < math.inf:
+            raise DomainError(f"t_final must be non-negative and finite, got {self.t_final}")
         if self.observe_every < 1:
             raise DomainError(f"observe_every must be >= 1, got {self.observe_every}")
         if self.sponge_strength < 0 or self.sponge_width < 0:
@@ -169,40 +173,44 @@ class _Propagator:
 
 
 def propagate(u0: Wavefunction, trap: TrapSpec, Q: float,
-              external: ExternalPotential | None, cfg: PropagationConfig):
-    """Propagate a unit-norm state; returns (records, final wavefunction).
+              external: ExternalPotential | None, cfg: PropagationConfig, snapshot_steps=()):
+    """Propagate a unit-norm state; returns (records, *snapshots, final wavefunction).
 
-    `cfg.t_final` is rounded to the nearest whole number of steps of `cfg.dt`
-    (the `evolve` command rejects a t_final off that lattice instead).
-    Records are taken at tau = 0, every `observe_every` steps, and always at
-    the final step, which falls off that cadence when the step count is not a
-    multiple of `observe_every`.
+    One snapshot state per entry of `snapshot_steps` (in [0, n_steps], sorted,
+    duplicates kept).  n_steps rounds `cfg.t_final / cfg.dt` (`evolve` rejects a
+    t_final off that lattice).  Records are taken at tau = k * dt for k = 0, every
+    `observe_every` steps and the final step (off that cadence when n_steps is not
+    a multiple of it); a snapshot splits the step sequence and adds no record.
 
-    Raises StepSizeError when the norm drifts beyond 1e-6 (never expected with
-    this unitary scheme unless inputs are broken) and BlowupError on
-    non-finite values.
+    Raises StepSizeError when the norm drifts beyond 1e-6 (never expected with this
+    unitary scheme unless inputs are broken) and BlowupError on non-finite values.
     """
     if abs(u0.norm() - 1.0) > 1e-8:
         raise DomainError("initial state must have norm 1; call .normalized() first")
+    n_steps = int(round(cfg.t_final / cfg.dt))
+    snapshot_steps = sorted(snapshot_steps)
+    if snapshot_steps and not 0 <= snapshot_steps[0] <= snapshot_steps[-1] <= n_steps:
+        raise DomainError(f"snapshot steps must lie within [0, {n_steps}]")
     prop = _Propagator(u0.grid, trap, Q, external, cfg)
     v = np.array(u0.values, dtype=complex, order="C")
-    n_steps = int(round(cfg.t_final / cfg.dt))
     records = [prop.observe(v, 0.0)]
-    k = 0
-    while k < n_steps:
-        span = min(cfg.observe_every, n_steps - k)  # steps up to the next record
-        v = prop.advance(v, span)
-        k += span
-        tau = k * cfg.dt
-        if not np.all(np.isfinite(v)):
-            raise BlowupError(f"non-finite state at tau = {tau:g}", tau=tau)
-        rec = prop.observe(v, tau)
-        if prop.sponge is None and abs(rec.norm - 1.0) > NORM_DRIFT_LIMIT:
-            raise StepSizeError(
-                f"norm drifted to {rec.norm:.9f} at tau = {tau:g}; reduce dt",
-                tau=tau)
-        records.append(rec)
-    return records, Wavefunction(u0.grid, v)
+    k, taken = 0, {}
+    for stop in sorted({*range(0, n_steps, cfg.observe_every), n_steps, *snapshot_steps}):
+        if stop > k:
+            v, k = prop.advance(v, stop - k), stop
+            tau = k * cfg.dt
+            if not np.all(np.isfinite(v)):
+                raise BlowupError(f"non-finite state at tau = {tau:g}", tau=tau)
+            if k % cfg.observe_every == 0 or k == n_steps:
+                rec = prop.observe(v, tau)
+                if prop.sponge is None and abs(rec.norm - 1.0) > NORM_DRIFT_LIMIT:
+                    raise StepSizeError(f"norm drifted to {rec.norm:.9f} at tau = {tau:g}; "
+                                        "reduce dt", tau=tau)
+                records.append(rec)
+        if k in snapshot_steps:
+            # advance kicks its input in place
+            taken[k] = Wavefunction(u0.grid, v.copy())
+    return (records, *(taken[k] for k in snapshot_steps), Wavefunction(u0.grid, v))
 
 
 def time_error(u0: Wavefunction, trap: TrapSpec, Q: float,

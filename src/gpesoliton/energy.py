@@ -28,8 +28,8 @@ class TrapSpec:
     lambda_z: float = 0.0
 
     def __post_init__(self):
-        if self.lambda_z < 0:
-            raise DomainError(f"lambda_z must be non-negative, got {self.lambda_z}")
+        if not 0 <= self.lambda_z < math.inf:
+            raise DomainError(f"lambda_z must be non-negative and finite, got {self.lambda_z}")
 
 
 @dataclass(frozen=True)

@@ -134,20 +134,21 @@ def test_bad_potential_fails(tmp_path, capsys, potential):
 
 
 def test_ehrenfest_runs_with_off_cadence_snapshot(tmp_path, caplog):
-    # the snapshot at 0.335 ends the first leg off the 20-step sampling cadence
+    # the snapshot at 0.335 (step 670) is off the 20-step sampling cadence: it
+    # splits the step sequence but adds no row, so one check covers the whole run
     caplog.set_level(logging.INFO)
     argv = ["evolve", "--geometry", "line", "--q", "5", "--initial", "composite",
             "--dt", "5e-4", "--observe-every", "20",
             "--t-final", "0.5", "--snapshot-times", "0.335", "--out", str(tmp_path / "e.csv")]
     assert cli.main(argv) == 0
     checks = [r.getMessage() for r in caplog.records if "ehrenfest" in r.getMessage()]
-    assert len(checks) == 2
-    assert not any("skipped" in m for m in checks)
+    assert len(checks) == 1
+    assert "skipped" not in checks[0]
+    assert (tmp_path / "e.snapshot_0.335.csv").exists()
     lines = (tmp_path / "e.csv").read_text().splitlines()[1:]
     col = lines[0].split(",").index("tau")
     taus = [float(line.split(",")[col]) for line in lines[1:]]
-    steps = list(range(0, 670, 20)) + [670] + list(range(690, 1000, 20)) + [1000]
-    assert taus == pytest.approx([k * 5e-4 for k in steps], abs=1e-15)
+    assert taus == pytest.approx([k * 5e-4 for k in range(0, 1001, 20)], abs=1e-15)
 
 
 def test_off_lattice_snapshot_time_rejected(tmp_path, capsys):
@@ -502,6 +503,35 @@ def test_required_value_missing_fails(tmp_path, capsys, argv, message):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
+_EVOLVE = ["evolve", "--geometry", "line", "--n-s", "64", "--initial", "composite"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["collapse", "--geometry", "spherical", "--n-r", "48", "--tol", "nan"], "--tol"),
+    (_EVOLVE + ["--t-final", "nan"], "--t-final"),
+    (_EVOLVE + ["--t-final", "inf"], "--t-final"),
+    (_EVOLVE + ["--t-final", "0.05", "--dt", "nan"], "--dt"),
+    (_EVOLVE + ["--t-final", "0.05", "--snapshot-times", "nan"], "--snapshot-times"),
+    (["analytic", "variational", "--lambda-z", "nan"], "--lambda-z"),
+    (["analytic", "width", "--q", "nan"], "--q"),
+    (["units", "--n", "nan"], "--n"),
+    (["ground", "--geometry", "line", "--n-s", "64", "--q", "nan"], "--q"),
+    (["ground", "--geometry", "line", "--n-s", "64", "--q", "5", "--s-extent", "nan"],
+     "--s-extent"),
+    (["ground", "--geometry", "spherical", "--n-r", "48", "--q", "5", "--r-max", "nan"],
+     "--r-max"),
+    (["ground", "--geometry", "line", "--n-s", "64", "--q", "5", "--lambda-z", "nan"],
+     "--lambda-z"),
+], ids=["collapse-tol", "evolve-t-final-nan", "evolve-t-final-inf", "evolve-dt",
+        "evolve-snapshot-times", "analytic-lambda-z", "analytic-q", "units-n", "ground-q",
+        "ground-s-extent", "ground-r-max", "ground-lambda-z"])
+def test_non_finite_value_fails_naming_the_flag(tmp_path, capsys, argv, flag):
+    assert cli.main(argv + ["--out", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err and "Traceback" not in err
     assert not any(tmp_path.iterdir())
 
 

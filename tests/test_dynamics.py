@@ -5,12 +5,13 @@ import pytest
 from scipy.linalg import solve_banded
 
 from gpesoliton import analytic
+from gpesoliton.collapse import find_threshold
 from gpesoliton.dynamics import (EhrenfestReport, PropagationConfig, _Propagator,
                                  _sponge_mask, boost, displace, ehrenfest_check, propagate,
                                  time_error)
 from gpesoliton.energy import TrapSpec, quartic_coefficient, trap_potential
 from gpesoliton.errors import BlowupError, DomainError
-from gpesoliton.grid import Wavefunction, cylindrical_grid, line_grid
+from gpesoliton.grid import Wavefunction, cylindrical_grid, line_grid, spherical_grid
 from gpesoliton.groundstate import DescentConfig, default_initial, relax
 from gpesoliton.observables import moments
 from gpesoliton.potentials import ExternalPotential
@@ -153,6 +154,39 @@ class TestMergedSplitStep:
             before = u0.grid.norm(v)
             v = prop._kinetic(v)
             assert abs(u0.grid.norm(v) - before) <= 1e-13
+
+
+class TestSnapshots:
+    CFG = PropagationConfig(t_final=22 * 1e-3, dt=1e-3, observe_every=4)
+
+    @pytest.mark.parametrize("k", [8, 13], ids=["on-cadence", "off-cadence"])
+    def test_snapshot_is_the_state_of_the_run_stopped_there(self, k):
+        u0 = small_soliton(True)
+        _, snap, _ = propagate(u0, TrapSpec(0.3), 5.0, None, self.CFG, [k])
+        _, stopped = propagate(u0, TrapSpec(0.3), 5.0, None,
+                               PropagationConfig(t_final=k * 1e-3, dt=1e-3, observe_every=4))
+        assert np.array_equal(snap.values, stopped.values)
+
+    def test_on_cadence_snapshots_change_no_record(self):
+        u0 = small_soliton(True)
+        plain, fin = propagate(u0, TrapSpec(0.3), 5.0, None, self.CFG)
+        records, *_, fin_snap = propagate(u0, TrapSpec(0.3), 5.0, None, self.CFG, [4, 12, 20])
+        assert [r.csv_row() for r in records] == [r.csv_row() for r in plain]
+        assert np.array_equal(fin_snap.values, fin.values)
+
+    def test_one_state_per_step_in_order(self):
+        u0 = small_soliton(False)
+        records, *snaps, fin = propagate(u0, TrapSpec(0.0), 5.0, None, self.CFG, [22, 5, 0, 5])
+        assert len(snaps) == 4
+        assert np.array_equal(snaps[0].values, u0.values)
+        assert np.array_equal(snaps[1].values, snaps[2].values)
+        assert np.array_equal(snaps[3].values, fin.values)
+        assert not np.array_equal(snaps[1].values, fin.values)
+        assert [round(r.tau / 1e-3) for r in records] == [0, 4, 8, 12, 16, 20, 22]
+
+    def test_step_outside_the_run_rejected(self):
+        with pytest.raises(DomainError, match="snapshot steps"):
+            propagate(small_soliton(False), TrapSpec(0.0), 5.0, None, self.CFG, [23])
 
 
 class TestGalileanTransport:
@@ -349,8 +383,18 @@ class TestGuards:
         records, _ = propagate(u0, TrapSpec(0.0), 5.0, None, cfg)
         assert records[-1].norm < 0.9  # most of the pulse got eaten
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("make", [
+        lambda x: PropagationConfig(t_final=x),
+        lambda x: PropagationConfig(t_final=1.0, dt=x),
+        lambda x: find_threshold(spherical_grid(6.0, 48), 1.0, (10.0, 25.0), x),
+        lambda x: TrapSpec(x),
+    ], ids=["t_final", "dt", "tol", "lambda_z"])
+    def test_non_finite_parameter_rejected(self, make, bad):
+        with pytest.raises(DomainError, match="finite"):
+            make(bad)
+
     def test_spherical_rejected(self):
-        from gpesoliton.grid import spherical_grid
         g = spherical_grid(6.0, 64)
         u = Wavefunction(g, np.exp(-0.5 * g.r ** 2)).normalized()
         with pytest.raises(DomainError):
