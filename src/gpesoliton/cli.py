@@ -173,13 +173,12 @@ def parse_params(pairs) -> dict:
 def write_state_csv(path, u: Wavefunction):
     grid = u.grid
     v = np.ravel(u.values)
-    nan = np.full(v.size, np.nan)
     if grid.kind is Geometry.CYLINDRICAL:
         rho, s = np.repeat(grid.rho, grid.s.size), np.tile(grid.s, grid.rho.size)
     elif grid.kind is Geometry.LINE:
-        rho, s = nan, grid.s
+        rho, s = np.full(v.size, np.nan), grid.s
     else:
-        rho, s = grid.r, nan
+        rho, s = grid.r, np.full(v.size, np.nan)
     note = UNITS_NOTE + "; rho column holds r on spherical grids, nan on line grids"
     write_csv(path, ("rho", "s", "re_u", "im_u"),
               np.column_stack((rho, s, v.real, v.imag)), note=note)

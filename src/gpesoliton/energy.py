@@ -53,19 +53,28 @@ def quartic_coefficient(kind: Geometry, Q: float) -> float:
     return 0.5 * Q
 
 
-def trap_potential(grid: Grid, trap: TrapSpec):
-    """Doubled trap potential: rho^2 + lambda_z^2 s^2 (cylindrical), lambda_z^2 s^2
-    (line), r^2 (spherical-radial, which requires isotropy)."""
+def trap_terms(grid: Grid, trap: TrapSpec):
+    """(radial, axial) terms of the doubled trap potential, 1-D arrays in the
+    order of `Grid.axis_sums`: the potential is their sum over the grid."""
     if grid.kind is Geometry.LINE:
-        return (trap.lambda_z * grid.s) ** 2
+        return None, (trap.lambda_z * grid.s) ** 2
     if grid.kind is Geometry.CYLINDRICAL:
-        return grid.rho_coords() ** 2 + (trap.lambda_z * grid.s_coords()) ** 2
+        return grid.rho ** 2, (trap.lambda_z * grid.s) ** 2
     if trap.lambda_z != 1.0:
         raise GridMismatchError(
             "spherical-radial geometry models the isotropic trap; lambda_z must be 1, "
             f"got {trap.lambda_z}"
         )
-    return grid.r ** 2
+    return grid.r ** 2, None
+
+
+def trap_potential(grid: Grid, trap: TrapSpec):
+    """Doubled trap potential: rho^2 + lambda_z^2 s^2 (cylindrical), lambda_z^2 s^2
+    (line), r^2 (spherical-radial, which requires isotropy)."""
+    radial, axial = trap_terms(grid, trap)
+    if grid.kind is Geometry.CYLINDRICAL:
+        return radial[:, None] + axial[None, :]
+    return axial if radial is None else radial
 
 
 def gradient(values, grid: Grid, trap: TrapSpec, Q: float, potential=None):
@@ -93,14 +102,17 @@ def hamiltonian(u: Wavefunction, trap: TrapSpec, Q: float, external=None) -> Ene
     """
     grid = u.grid
     c = quartic_coefficient(grid.kind, Q)
-    v = u.values
-    density = np.abs(v) ** 2
-    norm2 = float(np.real(grid.integrate(density)))
+    density = u.density()
+    weighted = grid.weights * density
+    norm2 = float(weighted.sum())
     if norm2 == 0.0:
         return EnergyBreakdown(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    kinetic = float(np.real(grid.inner(v, -grid.laplacian(v))))
-    trap_e = float(np.real(grid.integrate(trap_potential(grid, trap) * density)))
-    quartic = float(np.real(grid.integrate(density * density)))
+    quartic = float(np.vdot(weighted, density))
+    del density  # one field fewer alive in the kinetic energy
+    kinetic = grid.dirichlet_energy(u.values)
+    # the trap is separable: each term against the density summed over the other axis
+    trap_e = sum(float(term @ sums) for term, sums in
+                 zip(trap_terms(grid, trap), grid.axis_sums(weighted)) if term is not None)
     interaction = -c * quartic
     ext_e = 0.0
     if external is not None:
@@ -109,7 +121,7 @@ def hamiltonian(u: Wavefunction, trap: TrapSpec, Q: float, external=None) -> Ene
             raise GridMismatchError(
                 f"external potential shape {external.shape} != grid shape {grid.shape}"
             )
-        ext_e = 2.0 * float(np.real(grid.integrate(external * density)))
+        ext_e = 2.0 * float(np.vdot(weighted, external))
     total = kinetic + trap_e + interaction + ext_e
     mu = (0.5 * (kinetic + trap_e + ext_e) + interaction) / norm2
     return EnergyBreakdown(kinetic=kinetic, trap=trap_e, interaction=interaction,

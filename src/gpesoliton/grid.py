@@ -53,6 +53,7 @@ class Grid:
         self.dr = dr
         self.weights = weights
         self.extents = extents  # dict used for repr/manifests
+        self._free_modes = None  # radial_modes() without a potential, once computed
         self._init_stencil()
 
     def _init_stencil(self):
@@ -104,6 +105,18 @@ class Grid:
                 f"field shape {field.shape} does not match grid shape {self.shape}"
             )
         return np.sum(self.weights * field)
+
+    def axis_sums(self, weighted):
+        """(radial, axial) sums of an already weighted field over every other axis.
+
+        Each is a 1-D array over its axis (rho or r, and s), or None on a grid
+        without that axis; `integrate(f)` is the total of either.
+        """
+        if self.kind is Geometry.LINE:
+            return None, weighted
+        if self.kind is Geometry.CYLINDRICAL:
+            return weighted.sum(axis=1), weighted.sum(axis=0)
+        return weighted, None
 
     def inner(self, f, g):
         """Weighted inner product <f, g> = integral of conj(f) * g."""
@@ -161,6 +174,29 @@ class Grid:
         out[:-1] += self._rad_up[:-1] * field[1:]
         return out
 
+    def dirichlet_energy(self, field) -> float:
+        """Discrete int |grad f|^2, equal to Re<f, -laplacian(f)> by summation by parts.
+
+        The edge form of the stencil: the sum over its faces of the face
+        coupling (cell weight x neighbour coefficient, the same seen from both
+        sides) times |jump|^2.  An outer face jumps to the zero Dirichlet
+        ghost; the axis face has no area.  No Laplacian is formed.
+        """
+        field = np.ascontiguousarray(field)
+        if field.shape != self.shape:
+            raise GridMismatchError(
+                f"field shape {field.shape} does not match grid shape {self.shape}"
+            )
+        if self.kind is Geometry.LINE:
+            # each face couples with weight ds times 1/ds^2
+            return float(_sq_sums(np.diff(field)) + _sq_sums(field[[0, -1]])) / self.ds
+        if self.kind is Geometry.SPHERICAL_RADIAL:
+            return _radial_faces(field, self.weights * self._rad_up)
+        axial = self.weights[:, 0] * self._inv_ds2  # per rho row
+        ends = _sq_sums(field[:, [0, -1]])
+        return (float(axial @ (_sq_sums(np.diff(field)) + ends))
+                + _radial_faces(field, self.weights[:, 0] * self._rad_up[:, 0]))
+
     # -- 1-D operator diagonals for implicit solves ---------------------------
 
     def laplacian_diagonals(self, direction: str):
@@ -188,14 +224,22 @@ class Grid:
         upper[-1] = 0.0
         return lower, diag, upper
 
-    def radial_modes(self, potential=0.0):
+    def radial_modes(self, potential=None):
         """Eigenpairs of -lap_rho + potential on a cylindrical grid.
 
         Returns (eigenvalues, to_modes, from_modes): to_modes @ field holds the
         mode amplitudes of a (rho, s) field and from_modes @ amplitudes maps
         them back.  The factor is made symmetric by sqrt(rho), the square root
         of the radial weight, so both maps are real and exact inverses.
+        Without a potential (-lap_rho alone) the result is computed once per
+        grid and shared, its arrays read-only.
         """
+        if potential is None:
+            if self._free_modes is None:
+                self._free_modes = self.radial_modes(0.0)
+                for a in self._free_modes:
+                    a.setflags(write=False)
+            return self._free_modes
         lo, di, up = self.laplacian_diagonals("rho")
         off = -np.sqrt(up[:-1] * lo[1:])
         eigenvalues, vecs = np.linalg.eigh(np.diag(potential - di) + np.diag(off, 1)
@@ -205,6 +249,22 @@ class Grid:
         vecs = 1.5 * vecs - 0.5 * vecs @ (vecs.T @ vecs)
         sqrt_w = np.sqrt(self.rho)
         return eigenvalues, vecs.T * sqrt_w, vecs / sqrt_w[:, None]
+
+
+def _sq_sums(x):
+    """Sums of |x|^2 over the last axis."""
+    x = np.ascontiguousarray(x)
+    if np.iscomplexobj(x):
+        x = x.view(np.float64)
+    return np.vecdot(x, x)
+
+
+def _radial_faces(field, coupling):
+    """Sum of coupling[i] |jump|^2 over the faces above radial node i of a
+    (radius, ...) field; the face above the last node jumps to the zero ghost."""
+    rows = field.reshape(field.shape[0], -1)
+    return float(coupling[:-1] @ _sq_sums(np.diff(rows, axis=0))
+                 + coupling[-1] * _sq_sums(rows[-1]))
 
 
 @functools.cache

@@ -37,43 +37,42 @@ class ObservableRecord:
                 self.peak_density, self.grad_v_s)
 
 
-def _axial_momentum(values, ds, weights, norm2):
+def _axial_momentum(values, ds, weighted, norm2):
     # local phase increment across 2*ds (one-sided at the edges); exact under a
     # plane-wave boost, and insensitive to the garbage phase of near-zero tails
     # because each increment is weighted by |u|^2
-    density = np.abs(values) ** 2
-    dtheta = np.empty_like(density)
-    dtheta[..., 1:-1] = np.angle(values[..., 2:] * np.conj(values[..., :-2])) / (2.0 * ds)
-    dtheta[..., 0] = np.angle(values[..., 1] * np.conj(values[..., 0])) / ds
-    dtheta[..., -1] = np.angle(values[..., -1] * np.conj(values[..., -2])) / ds
-    return float(np.sum(weights * density * dtheta)) / norm2
+    inner = np.conj(values[..., :-2])
+    inner *= values[..., 2:]
+    inner = np.angle(inner)
+    ends = np.angle(values[..., [1, -1]] * np.conj(values[..., [0, -2]]))
+    return (float(np.sum(weighted[..., 1:-1] * inner)) / (2.0 * ds)
+            + float(np.sum(weighted[..., [0, -1]] * ends)) / ds) / norm2
 
 
 def moments(u: Wavefunction) -> ObservableRecord:
     """Normalized first/second moments, momentum and peak density of a state."""
     grid = u.grid
-    density = u.density()
-    norm2 = float(np.real(grid.integrate(density)))
+    weighted = u.density()
+    peak = float(weighted.max())
+    weighted *= grid.weights
+    norm2 = float(weighted.sum())
     if norm2 == 0.0:
         raise DomainError("moments of the zero field are undefined")
-    rec = ObservableRecord(norm=math.sqrt(norm2), peak_density=float(density.max()))
+    rec = ObservableRecord(norm=math.sqrt(norm2), peak_density=peak)
+    # the moments are taken against the density summed over the other axis
+    radial, axial = grid.axis_sums(weighted)
     if grid.kind is Geometry.SPHERICAL_RADIAL:
-        r2 = float(grid.integrate(grid.r ** 2 * density)) / norm2
         rec.x_s = float("nan")
         rec.p_s = float("nan")
         rec.w_s = float("nan")
-        rec.w_rho = math.sqrt(r2)
+        rec.w_rho = math.sqrt(float(grid.r ** 2 @ radial) / norm2)
         return rec
-    s = grid.s_coords()
-    rec.x_s = float(grid.integrate(s * density)) / norm2
-    s2 = float(grid.integrate(s ** 2 * density)) / norm2
+    rec.x_s = float(grid.s @ axial) / norm2
+    s2 = float(grid.s ** 2 @ axial) / norm2
     rec.w_s = math.sqrt(max(s2 - rec.x_s ** 2, 0.0))
-    rec.p_s = _axial_momentum(np.asarray(u.values, dtype=complex), grid.ds,
-                              grid.weights, norm2)
+    rec.p_s = _axial_momentum(np.asarray(u.values, dtype=complex), grid.ds, weighted, norm2)
     if grid.kind is Geometry.CYLINDRICAL:
-        rho2 = float(grid.integrate(grid.rho_coords() ** 2 * density)) / norm2
-        rec.w_rho = math.sqrt(rho2)
+        rec.w_rho = math.sqrt(float(grid.rho ** 2 @ radial) / norm2)
     else:
         rec.w_rho = float("nan")
     return rec
-

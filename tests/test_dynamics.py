@@ -6,9 +6,10 @@ from scipy.linalg import solve_banded
 
 from gpesoliton import analytic
 from gpesoliton.collapse import find_threshold
+from gpesoliton import grid as grid_module
 from gpesoliton.dynamics import (EhrenfestReport, PropagationConfig, _Propagator,
-                                 _sponge_mask, boost, displace, ehrenfest_check, propagate,
-                                 time_error)
+                                 _sponge_mask, _taylor_terms, boost, displace, ehrenfest_check,
+                                 propagate, time_error)
 from gpesoliton.energy import TrapSpec, quartic_coefficient, trap_potential
 from gpesoliton.errors import BlowupError, DomainError
 from gpesoliton.grid import Wavefunction, cylindrical_grid, line_grid, spherical_grid
@@ -154,6 +155,76 @@ class TestMergedSplitStep:
             before = u0.grid.norm(v)
             v = prop._kinetic(v)
             assert abs(u0.grid.norm(v) - before) <= 1e-13
+
+
+def strong_well():
+    return ExternalPotential.from_text("-40*sech(s/2)^2")
+
+
+class TestKick:
+    """One phase kick against v * exp(1j*theta) * damping, theta = h*(cubic*|v|^2 - V)."""
+
+    CASES = {
+        "line": (False, TrapSpec(0.3), 5.0, None, {}),
+        "cylindrical-sponge": (True, TrapSpec(0.3), 5.0, None,
+                               {"sponge_strength": 5.0, "sponge_width": 4.0}),
+        "cylindrical-external": (True, TrapSpec(0.0), 5.0, strong_well(), {}),
+        # phases h*cubic*|v|^2 up to 0.08, near the top of the polynomial's range
+        "line-near-bound": (False, TrapSpec(0.3), 200.0, None, {"dt": 0.05}),
+        # and up to 0.8, far beyond it
+        "line-large-dt": (False, TrapSpec(0.3), 200.0, None, {"dt": 0.5}),
+    }
+
+    @pytest.mark.parametrize("full", [False, True], ids=["half", "full"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_exp(self, case, full):
+        cylindrical, trap, Q, external, extra = self.CASES[case]
+        u0 = small_soliton(cylindrical)
+        cfg = PropagationConfig(t_final=1.0, **extra)
+        prop = _Propagator(u0.grid, trap, Q, external, cfg)
+        v = np.array(u0.values, dtype=complex)
+        dt, c = cfg.dt, quartic_coefficient(u0.grid.kind, Q)
+        damp = np.ones(u0.grid.shape)
+        if cfg.sponge_strength > 0:
+            damp = damp * np.exp(-dt * cfg.sponge_strength * _sponge_mask(u0.grid,
+                                                                          cfg.sponge_width))
+        h, cubic, damping = ((dt, 0.5 * c * (1.0 + damp), damp) if full
+                             else (0.5 * dt, c, np.sqrt(damp)))
+        potential = 0.5 * trap_potential(u0.grid, trap)
+        if external is not None:
+            potential = potential + external.sample(u0.grid)
+        density = np.abs(v) ** 2
+        ref = v * np.exp(1j * h * (cubic * density - potential)) * damping
+        phi_max = float(np.max(h * cubic * density))
+        # the polynomial serves every case but the last, which falls back to cos/sin
+        assert (_taylor_terms(phi_max) is None) == (case == "line-large-dt")
+        prop._kick(v, prop.full_phase if full else prop.half_phase)
+        assert np.max(np.abs(v - ref)) <= 2e-15 * np.max(np.abs(ref))
+
+    def test_taylor_range(self):
+        assert _taylor_terms(0.0) == 2
+        assert _taylor_terms(2e-4) == 3
+        assert _taylor_terms(0.1) == 5
+        assert _taylor_terms(0.11) is None
+        assert _taylor_terms(math.nan) is None
+        assert _taylor_terms(math.inf) is None
+
+
+@pytest.mark.parametrize("cylindrical", [False, True], ids=["line", "cylindrical"])
+def test_scipy_fallback_propagates_like_the_bundled_lapack(monkeypatch, cylindrical):
+    # the fallback's solve returns a new array instead of solving in place
+    u0 = small_soliton(cylindrical)
+    cfg = PropagationConfig(t_final=0.05, dt=1e-3, observe_every=10)
+    runs = []
+    for bundled in (True, False):
+        if not bundled:
+            monkeypatch.setattr(grid_module, "_bundled_lapack", lambda: None)
+        runs.append(propagate(u0, TrapSpec(0.3), 5.0, None, cfg, [25]))
+    (rec_a, snap_a, fin_a), (rec_b, snap_b, fin_b) = runs
+    for a, b in ((snap_a, snap_b), (fin_a, fin_b)):
+        assert np.max(np.abs(a.values - b.values)) <= 1e-13 * np.max(np.abs(a.values))
+    assert np.allclose([r.csv_row() for r in rec_a], [r.csv_row() for r in rec_b],
+                       rtol=0.0, atol=1e-13, equal_nan=True)
 
 
 class TestSnapshots:

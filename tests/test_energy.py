@@ -99,6 +99,29 @@ class TestInvariants:
             e.kinetic + e.trap + e.interaction + e.external, abs=1e-12)
         assert e.external > 0
 
+    @pytest.mark.parametrize("make, lambda_z", [
+        (lambda: line_grid(-6.0, 6.0, 96), 0.7),
+        (lambda: cylindrical_grid(4.0, -5.0, 5.0, 24, 40), 0.7),
+        (lambda: spherical_grid(5.0, 48), 1.0),
+    ], ids=["line", "cylindrical", "spherical"])
+    def test_components_match_full_field_integrals(self, make, lambda_z):
+        # the separable trap sums and the edge-form kinetic energy against the
+        # integrals of whole fields they replace
+        g = make()
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        ext = rng.standard_normal(g.shape)
+        trap = TrapSpec(lambda_z)
+        e = hamiltonian(Wavefunction(g, v), trap, 2.0, external=ext)
+        density = np.abs(v) ** 2
+        c = quartic_coefficient(g.kind, 2.0)
+        ref = {"kinetic": float(np.real(g.inner(v, -g.laplacian(v)))),
+               "trap": float(g.integrate(trap_potential(g, trap) * density)),
+               "interaction": -c * float(g.integrate(density ** 2)),
+               "external": 2.0 * float(g.integrate(ext * density))}
+        for name, want in ref.items():
+            assert abs(getattr(e, name) - want) <= 1e-13 * abs(want), name
+
     def test_external_shape_check(self, iso_gaussian):
         with pytest.raises(GridMismatchError):
             hamiltonian(iso_gaussian, TrapSpec(1.0), 0.0, external=np.zeros(3))

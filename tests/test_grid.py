@@ -155,6 +155,22 @@ class TestLaplacian:
         # a Fortran-ordered field gives the same result
         assert np.array_equal(g.laplacian(np.asfortranarray(f)), g.laplacian(f))
 
+    @pytest.mark.parametrize("make", [
+        lambda: line_grid(-3.0, 3.0, 48),
+        lambda: cylindrical_grid(3.0, -2.0, 2.0, 24, 20),
+        lambda: spherical_grid(3.0, 40),
+    ], ids=["line", "cylindrical", "spherical"])
+    def test_dirichlet_energy_is_the_laplacian_form(self, make):
+        # a rough field, non-zero on every Dirichlet edge: summation by parts
+        # must hold face by face, edge faces included
+        g = make()
+        rng = np.random.default_rng(13)
+        f = 1.0 + rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        ref = float(np.real(g.inner(f, -g.laplacian(f))))
+        assert abs(g.dirichlet_energy(f) - ref) <= 1e-13 * ref
+        assert abs(g.dirichlet_energy(f.real) - float(g.inner(f.real, -g.laplacian(f.real)))) \
+            <= 1e-13 * ref
+
 
 def banded_solve(lower, diag, upper, rhs):
     """One solve_banded call per line: the reference for the stacked solvers."""
