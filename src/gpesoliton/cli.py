@@ -54,7 +54,7 @@ def _write_table(fh, columns, rows, note):
     `np.asarray` makes one; `%.17g` writes a bool as 1 or 0 and an integer in
     its digits.  Blocks of `_BLOCK_ROWS` rows bound the text held at once; in a
     block each distinct bit pattern of a column (so -0.0 apart from 0.0) is
-    formatted once.
+    formatted once, all of them by one `%` operation on a repeated format.
     """
     fh.write(f"# {note}\n")
     fh.write(",".join(columns) + "\n")
@@ -66,7 +66,8 @@ def _write_table(fh, columns, rows, note):
         for col in table[start:start + _BLOCK_ROWS].T:
             bits, inverse = np.unique(np.ascontiguousarray(col).view(np.int64),
                                       return_inverse=True)
-            distinct = ["%.17g" % x for x in bits.view(np.float64).tolist()]
+            values = tuple(bits.view(np.float64).tolist())
+            distinct = ("\n".join(["%.17g"] * len(values)) % values).split("\n")
             texts.append(np.array(distinct, dtype=object)[inverse])
         fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 

@@ -53,7 +53,7 @@ class Grid:
         self.dr = dr
         self.weights = weights
         self.extents = extents  # dict used for repr/manifests
-        self._free_modes = None  # radial_modes() without a potential, once computed
+        self._radial_modes = {}  # radial_modes() results by potential, once computed
         self._init_stencil()
 
     def _init_stencil(self):
@@ -231,15 +231,14 @@ class Grid:
         mode amplitudes of a (rho, s) field and from_modes @ amplitudes maps
         them back.  The factor is made symmetric by sqrt(rho), the square root
         of the radial weight, so both maps are real and exact inverses.
-        Without a potential (-lap_rho alone) the result is computed once per
-        grid and shared, its arrays read-only.
+        Each result is computed once per grid and potential and shared, its
+        arrays read-only: the propagator reuses the free modes (no potential)
+        and every relaxation the harmonic ones (rho^2).
         """
-        if potential is None:
-            if self._free_modes is None:
-                self._free_modes = self.radial_modes(0.0)
-                for a in self._free_modes:
-                    a.setflags(write=False)
-            return self._free_modes
+        potential = 0.0 if potential is None else potential
+        key = np.asarray(potential, dtype=float).tobytes()
+        if key in self._radial_modes:
+            return self._radial_modes[key]
         lo, di, up = self.laplacian_diagonals("rho")
         off = -np.sqrt(up[:-1] * lo[1:])
         eigenvalues, vecs = np.linalg.eigh(np.diag(potential - di) + np.diag(off, 1)
@@ -248,7 +247,11 @@ class Grid:
         # otherwise enter every round trip through the modes with the same sign
         vecs = 1.5 * vecs - 0.5 * vecs @ (vecs.T @ vecs)
         sqrt_w = np.sqrt(self.rho)
-        return eigenvalues, vecs.T * sqrt_w, vecs / sqrt_w[:, None]
+        modes = (eigenvalues, vecs.T * sqrt_w, vecs / sqrt_w[:, None])
+        for a in modes:
+            a.setflags(write=False)
+        self._radial_modes[key] = modes
+        return modes
 
 
 def _sq_sums(x):

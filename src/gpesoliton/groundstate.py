@@ -2,14 +2,17 @@
 
 Each iteration takes the functional gradient g (doubled convention), its
 tangent part r = g - <u, g> u, and the Sobolev direction d = P^{-1} r with
-P = 1 - lap + V, projected back onto the tangent space of the unit sphere; the
-state moves to u - tau * d and is renormalized (Bao & Du, SIAM J. Sci. Comput.
-25, 1674, 2004; Antoine, Levitt & Tang, J. Comput. Phys. 343, 92, 2017).  The
-shift 1 keeps P positive definite on the trap-free line, and because the trap
-is separable on every grid, P^{-1} is applied exactly with banded solves.  A
-step that raises the energy is rejected and retried at half the size.  Collapse
-is flagged by an amplitude ceiling relative to the analytic profiles, since the
-physical blowup lies outside the validity of the mean-field model.
+P = shift - lap + V, projected back onto the tangent space of the unit sphere;
+the state moves to u - tau * d and is renormalized (Bao & Du, SIAM J. Sci.
+Comput. 25, 1674, 2004; Antoine, Levitt & Tang, J. Comput. Phys. 343, 92,
+2017).  The shift puts the bottom of P's spectrum near 1 on every geometry, or,
+for a bound seed, makes P the linear part of the Newton operator
+-lap + V - <u, g>; either way P is positive definite on any grid that resolves
+the oscillator length (`descent_shift`).  Because the trap is separable on
+every grid, P^{-1} is applied exactly with banded solves.  A step that raises
+the energy is rejected and retried at half the size.  Collapse is flagged by an
+amplitude ceiling relative to the analytic profiles, since the physical blowup
+lies outside the validity of the mean-field model.
 """
 
 from __future__ import annotations
@@ -109,26 +112,62 @@ def default_initial(grid: Grid, trap: TrapSpec, Q: float) -> Wavefunction:
     return Wavefunction(grid, values).normalized()
 
 
+def descent_shift(grid: Grid, trap: TrapSpec, Q: float, lambda0: float,
+                  energy0: float) -> float:
+    """The shift of the preconditioner P = shift - lap + V that `relax` uses.
+
+    lambda0 = <u, g> and energy0 = lambda0 + c<n, n> are the seed's doubled
+    eigenvalue and energy.  The shift starts from 1 - e0, with e0 the harmonic
+    zero-point energy of -lap + V: 2 + lambda_z on cylinders, 3 on spherical
+    grids, lambda_z on line grids.  The discrete zero-point energy lies O(h^2)
+    below e0 (2.93 at 16 radial nodes on [0, 6]), so the bottom of P lies near
+    1.  When Q > 0 and energy0 lies below a proven floor of the spectrum of
+    -lap + V (the bottom of the radial factor on cylinders, whose axial factor
+    is >= 0; 0 elsewhere), the shift drops to -lambda0 if that is lower: P is
+    then -lap + V - lambda0, the linear part of the Newton operator, positive
+    definite because lambda0 < energy0 < floor <= the bottom of -lap + V.
+
+    On a grid too coarse for the oscillator length (spherical dr ~ 1.8, or
+    lambda_z * ds^2 ~ 1 on the axis) the discrete zero-point energy can fall
+    more than 1 below e0, and P's bottom mode, which is close to the state
+    and projected out of every direction, turns negative; the descent still
+    converges there (tested).
+    """
+    if grid.kind is Geometry.SPHERICAL_RADIAL:
+        e0 = 3.0
+    else:
+        e0 = trap.lambda_z + (2.0 if grid.kind is Geometry.CYLINDRICAL else 0.0)
+    shift = 1.0 - e0
+    floor = 0.0
+    if grid.kind is Geometry.CYLINDRICAL:
+        floor = float(grid.radial_modes(grid.rho ** 2)[0][0])
+    if Q > 0 and energy0 < floor:
+        shift = min(shift, -lambda0)
+    return shift
+
+
 class SobolevPreconditioner:
-    """Exact inverse of P = 1 - lap + V (doubled trap potential) by banded solves.
+    """Exact inverse of P = shift - lap + V (doubled trap potential) by banded solves.
 
     Line and spherical grids need one tridiagonal solve.  On cylindrical grids
-    the rho factor -lap_rho + rho^2 is diagonalized once (`Grid.radial_modes`),
-    which leaves one s-line system per rho mode.  P is factored once; each
-    solve is one gttrs call over all lines.
+    the rho factor -lap_rho + rho^2 is diagonalized (`Grid.radial_modes`, once
+    per grid), which leaves one s-line system per rho mode.  P is factored
+    once; each solve is one gttrs call over all lines.  `relax` takes the
+    shift from `descent_shift`; the operator -lap + V - 2 mu of the stationary
+    branch at fixed mu is the shift -2 mu.
     """
 
-    def __init__(self, grid: Grid, trap: TrapSpec):
+    def __init__(self, grid: Grid, trap: TrapSpec, shift: float):
         self.to_modes = self.from_modes = None
         if grid.kind is Geometry.CYLINDRICAL:
             theta, self.to_modes, self.from_modes = grid.radial_modes(grid.rho ** 2)
-            shift = theta[:, None] + (trap.lambda_z * grid.s) ** 2
+            potential = theta[:, None] + (trap.lambda_z * grid.s) ** 2
             direction = "s"
         else:
-            shift = trap_potential(grid, trap)
+            potential = trap_potential(grid, trap)
             direction = "s" if grid.kind is Geometry.LINE else "r"
         lo, di, up = grid.laplacian_diagonals(direction)
-        self.factor = TridiagonalFactor(-lo, 1.0 + shift - di, -up)
+        self.factor = TridiagonalFactor(-lo, shift + potential - di, -up)
 
     def solve(self, rhs):
         """P^{-1} rhs for a field on the grid."""
@@ -166,7 +205,7 @@ def relax(initial: Wavefunction, trap: TrapSpec, Q: float,
     if Q > 0:
         ceiling = cfg.collapse_guard * reference_peak(grid, trap, Q)
     c = quartic_coefficient(grid.kind, Q)
-    precond = SobolevPreconditioner(grid, trap)
+    precond = None  # factored at the first step, with the seed's shift
     pot = trap_potential(grid, trap)
     w = grid.weights  # full field shape on every geometry
 
@@ -204,6 +243,9 @@ def relax(initial: Wavefunction, trap: TrapSpec, Q: float,
             if math.sqrt(density.max()) > ceiling:
                 collapsed = True
                 break
+            if precond is None:
+                precond = SobolevPreconditioner(
+                    grid, trap, descent_shift(grid, trap, Q, vg, energy))
             d = precond.solve(tangent)
             d -= inner(v, d) * v
             v_prev, energy_prev = v, energy

@@ -1,3 +1,4 @@
+import io
 import logging
 import math
 import os
@@ -89,6 +90,18 @@ def test_ndarray_table_matches_row_path(tmp_path):
     cli.write_csv(tmp_path / "mixed.csv", ("a", "b", "c", "d"), rows)
     reference_csv(tmp_path / "mixed_ref.csv", ("a", "b", "c", "d"), rows)
     assert (tmp_path / "mixed.csv").read_bytes() == (tmp_path / "mixed_ref.csv").read_bytes()
+
+
+def test_table_matches_per_value_format():
+    # the distinct values of a block column are formatted by one `%`
+    # operation; the text is that of `'%.17g' % x` for each value on its own
+    rows = [(-0.0, float("nan"), float("inf"), float("-inf"), True, False, 251, -7, 2 ** 60,
+             0.1, 5e-324, -1e-300)] * 3 + [(0.0, 1.0, -0.0, 1e300, 1, 0, 2.5, 1e-5, -3, 1e16,
+                                           123456789.123, 1 / 3)]
+    buf = io.StringIO()
+    cli._write_table(buf, [f"c{k}" for k in range(12)], rows, "note")
+    expected = "".join(",".join("%.17g" % x for x in row) + "\n" for row in rows)
+    assert buf.getvalue() == "# note\n" + ",".join(f"c{k}" for k in range(12)) + "\n" + expected
 
 
 def test_ground_writes_outputs(tmp_path):
