@@ -355,8 +355,11 @@ def cmd_evolve(args):
     write_manifest(out, args, time_error=err)
     try:
         rep = ehrenfest_check(records, trap, ext)
-        log.info("ehrenfest: |dX/dt - <P>| <= %.3e, |d2X/dt2 + <dV/ds>| <= %.3e",
-                 rep.max_velocity_mismatch, rep.max_force_mismatch)
+        log.info("ehrenfest: |dX/dt - <P>| <= %.3e, |d2X/dt2 + <dV/ds>| <= %.3e%s",
+                 rep.max_velocity_mismatch, rep.max_force_mismatch,
+                 "" if rep.fitted_frequency is None else
+                 f"; centroid frequency {rep.fitted_frequency:.6g} (trap {trap.lambda_z:g}), "
+                 f"amplitude {rep.fitted_amplitude:.6g}")
     except DomainError as exc:
         log.info("ehrenfest check skipped: %s", exc)
     return 0
@@ -466,7 +469,7 @@ _SUBCOMMANDS = {
         _Q_LIST,
         _Row("--a", float, units.LI7_SCATTERING_LENGTH, "scattering length in m (negative)"),
         _Row("--nu", float, 150.0, "radial frequency in Hz"),
-        _Row("--mass-u", float, 7.016003, "atom mass in u"),
+        _Row("--mass-u", float, units.LI7_MASS_U, "atom mass in u"),
         _Row("--frequency-convention", str, units.ANGULAR,
              "angular (omega = 2 pi nu, default) or linear"),
         _OUT._replace(default=None),

@@ -35,8 +35,9 @@ off its dt -> 0 path by ~2e-5 of the lattice deficit 2 (v ds)^2/6 v tau on a
 Optional sponge layers damp outgoing radiation near the axial edges; they
 intentionally absorb norm, so runs with a sponge skip the norm-drift guard.
 
-scipy.interpolate and scipy.optimize are imported in `displace` and `_fit_oscillation`,
-their only users, to keep them out of CLI startup.
+`displace` (its natural cubic spline) and the Ehrenfest frequency fit are
+numpy and `TridiagonalFactor` only: importing scipy.interpolate or
+scipy.optimize would take longer than a short trapped run.
 """
 
 from __future__ import annotations
@@ -298,34 +299,43 @@ def boost(u: Wavefunction, v: float) -> Wavefunction:
     return Wavefunction(u.grid, np.asarray(u.values, dtype=complex) * phase)
 
 
-def displace(u: Wavefunction, ds: float, max_norm_loss: float = 1e-8) -> Wavefunction:
-    """Resample at s - ds by cubic interpolation and renormalize.
+def _natural_spline(s, values, target):
+    """The natural cubic spline through (s, values) along the last axis, at
+    `target` in [s[0], s[-1]]; s is uniformly spaced."""
+    n, h = s.size, s[1] - s[0]
+    # second derivatives m: m[i-1] + 4 m[i] + m[i+1] = 6 (y[i-1] - 2 y[i] + y[i+1]) / h^2,
+    # zero at both ends; one solve takes every leading row as a right-hand side
+    m = np.zeros_like(values)
+    curvature = (values[..., :-2] - 2.0 * values[..., 1:-1] + values[..., 2:]) * (6.0 / h ** 2)
+    m[..., 1:-1] = TridiagonalFactor(1.0, np.full(n - 2, 4.0), 1.0).solve(curvature)
+    j = np.clip(((target - s[0]) // h).astype(int), 0, n - 2)
+    b = (target - s[j]) / h
+    a = 1.0 - b
+    return (a * values[..., j] + b * values[..., j + 1]
+            + h ** 2 / 6.0 * ((a ** 3 - a) * m[..., j] + (b ** 3 - b) * m[..., j + 1]))
 
-    The shift carries the nodes of the exit strip (s + ds beyond the first or
-    last node) off the grid.  Raises DomainError when that strip holds more
-    than max_norm_loss of the norm, measured as 1 - |u outside the strip|/|u|
-    on the original state; the cubic-interpolation error of the resampling is
-    not mass leaving the grid and does not count.
+
+def displace(u: Wavefunction, ds: float, max_norm_loss: float = 1e-8) -> Wavefunction:
+    """Resample at s - ds by a natural cubic spline and renormalize.
+
+    The spline is scipy's `CubicSpline(bc_type="natural")` to round-off, less
+    the import of scipy.interpolate, which alone outlasts a short run.  The
+    shift carries the nodes of the exit strip (s + ds beyond the first or last
+    node) off the grid.  Raises DomainError when that strip holds more than
+    max_norm_loss of the norm, measured as 1 - |u outside the strip|/|u| on the
+    original state; the interpolation error of the resampling is not mass
+    leaving the grid and does not count.
     """
     grid = u.grid
     if grid.kind not in (Geometry.LINE, Geometry.CYLINDRICAL):
         raise DomainError("displace applies to line and cylindrical grids")
     if ds == 0.0:
         return u.copy()
-    # deferred: scipy.interpolate is slow to import, and only displace uses it
-    from scipy.interpolate import CubicSpline
-
     values = np.asarray(u.values, dtype=complex)
-    axis = 0 if grid.kind is Geometry.LINE else 1
-    spline = CubicSpline(grid.s, values, axis=axis, bc_type="natural")
     target = grid.s - ds
     inside = (target >= grid.s[0]) & (target <= grid.s[-1])
     shifted = np.zeros_like(values)
-    cols = spline(target[inside])
-    if grid.kind is Geometry.LINE:
-        shifted[inside] = cols
-    else:
-        shifted[:, inside] = cols
+    shifted[..., inside] = _natural_spline(grid.s, values, target[inside])
     norm_before = u.norm()
     exit_strip = (grid.s + ds > grid.s[-1]) | (grid.s + ds < grid.s[0])
     kept = np.where(exit_strip, 0.0, values)
@@ -348,25 +358,20 @@ class EhrenfestReport:
 
 
 def _fit_oscillation(tau, x):
-    # deferred: scipy.optimize is slow to import, and only this fit uses it
-    from scipy.optimize import curve_fit
+    """(omega, hypot(a, b)) of x ~ c + a cos(omega tau) + b sin(omega tau) on uniform tau.
 
-    x = np.asarray(x)
-    mean = float(np.mean(x))
-    # frequency seed from the discrete spectrum, refined by least squares
-    dt = tau[1] - tau[0]
-    spec = np.abs(np.fft.rfft(x - mean))
-    freqs = 2.0 * math.pi * np.fft.rfftfreq(x.size, d=dt)
-    k = int(np.argmax(spec[1:])) + 1
-    w0 = freqs[k]
-
-    def model(t, c, a, b, w):
-        return c + a * np.cos(w * t) + b * np.sin(w * t)
-
-    p0 = (mean, x[0] - mean, 0.0, w0 if w0 > 0 else 1.0 / tau[-1])
-    popt, _ = curve_fit(model, tau, x, p0=p0, maxfev=20000)
-    c, a, b, w = popt
-    return abs(w), math.hypot(a, b)
+    Such samples obey x[k-1] + x[k+1] = 2 cos(omega h) x[k] + const exactly, so
+    omega comes from one linear least-squares fit of that recurrence, and
+    (c, a, b) from a second at that omega: no seed, no iteration, and no
+    scipy.optimize, whose import outlasts a short run.
+    """
+    h = tau[1] - tau[0]
+    (two_cos, _), *_ = np.linalg.lstsq(np.stack([x[1:-1], np.ones(x.size - 2)], axis=1),
+                                       x[:-2] + x[2:], rcond=None)
+    w = math.acos(min(max(0.5 * two_cos, -1.0), 1.0)) / h
+    (_, a, b), *_ = np.linalg.lstsq(
+        np.stack([np.ones_like(tau), np.cos(w * tau), np.sin(w * tau)], axis=1), x, rcond=None)
+    return w, math.hypot(a, b)
 
 
 def ehrenfest_check(records, trap: TrapSpec,
@@ -375,12 +380,14 @@ def ehrenfest_check(records, trap: TrapSpec,
 
     Velocity: finite-difference dX/dtau against the recorded <P>.  Force:
     finite-difference d2X/dtau2 against the recorded -<dV/ds>.  When the
-    axial potential is purely harmonic, the centroid frequency is also fitted.
+    axial potential is purely harmonic and at least 16 samples cover one
+    period, the centroid frequency and amplitude are also fitted; otherwise
+    they are None.
 
     `propagate` always records the final step; when that record falls short
     of the sampling cadence it is left out of the finite differences and the
-    fit (`n_samples` counts the records used).  Non-uniform spacing anywhere
-    else raises DomainError.
+    fit (`n_samples` counts the records used).  Fewer than 5 samples, or
+    non-uniform spacing anywhere else, raise DomainError.
     """
     tau = np.array([r.tau for r in records])
     h = np.diff(tau)
@@ -400,12 +407,10 @@ def ehrenfest_check(records, trap: TrapSpec,
     d2x = (x[2:] - 2.0 * x[1:-1] + x[:-2]) / h ** 2
     force_dev = float(np.max(np.abs(d2x + gv[1:-1])))
     freq = amp = None
-    if external is None and trap.lambda_z > 0:
-        period = 2.0 * math.pi / trap.lambda_z
-        if len(records) < 16 or tau[-1] - tau[0] < period:
-            raise DomainError(
-                "too few samples to fit the oscillation frequency: need >= 16 "
-                "samples covering at least one period")
+    # over less than a period the recurrence's x and constant columns are
+    # nearly collinear: omega^2 cannot be told from the equilibrium
+    if (external is None and trap.lambda_z > 0 and len(records) >= 16
+            and tau[-1] - tau[0] >= 2.0 * math.pi / trap.lambda_z):
         freq, amp = _fit_oscillation(tau, x)
     return EhrenfestReport(
         max_velocity_mismatch=vel_dev,

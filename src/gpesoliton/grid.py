@@ -118,16 +118,6 @@ class Grid:
             return weighted.sum(axis=1), weighted.sum(axis=0)
         return weighted, None
 
-    def inner(self, f, g):
-        """Weighted inner product <f, g> = integral of conj(f) * g."""
-        f = np.asarray(f)
-        if f.shape != self.shape:
-            raise GridMismatchError(
-                f"field shape {f.shape} does not match grid shape {self.shape}"
-            )
-        return self.integrate(np.conj(f) * g) if np.iscomplexobj(f) or np.iscomplexobj(g) \
-            else self.integrate(f * g)
-
     def norm(self, field) -> float:
         field = np.asarray(field)
         return math.sqrt(float(np.real(self.integrate(np.abs(field) ** 2))))

@@ -225,10 +225,6 @@ class ExternalPotential:
         if missing:
             raise UnboundParameterError(missing)
 
-    @classmethod
-    def from_text(cls, text: str, params=None) -> "ExternalPotential":
-        return cls(parse(text), dict(params or {}))
-
     def sample(self, grid: Grid):
         """Vectorized samples at every node; rejects non-finite values with coordinates."""
         return _sample(self.expr, grid, self.params)

@@ -16,8 +16,8 @@ from .errors import DomainError, UnsupportedRegimeError
 HBAR = 1.054571817e-34           # J s
 ATOMIC_MASS = 1.66053906660e-27  # kg
 
-# 7Li: mass 7.016003 u; |a| = 14.5 Angstrom for the attractive hyperfine state
-LI7_MASS = 7.016003 * ATOMIC_MASS
+# 7Li: mass in u; |a| = 14.5 Angstrom for the attractive hyperfine state
+LI7_MASS_U = 7.016003
 LI7_SCATTERING_LENGTH = -14.5e-10  # m
 
 ANGULAR = "angular"  # omega = 2*pi*nu (default; reproduces a0 ~ 3 um at nu = 150 Hz)
@@ -85,17 +85,3 @@ def n_from_q(Q: float, p: PhysicalParams) -> float:
         raise DomainError(f"Q must be non-negative, got {Q}")
     return Q * oscillator_length(p) / (8.0 * math.pi * abs(p.scattering_length_a))
 
-
-def lithium7_params(
-    N: float,
-    nu: float = 150.0,
-    frequency_convention: str = ANGULAR,
-) -> PhysicalParams:
-    """Convenience constructor for the standard 7Li cigar-trap parameters."""
-    return PhysicalParams(
-        scattering_length_a=LI7_SCATTERING_LENGTH,
-        atom_mass_m=LI7_MASS,
-        radial_frequency_nu=nu,
-        particle_number_N=N,
-        frequency_convention=frequency_convention,
-    )

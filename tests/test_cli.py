@@ -204,8 +204,7 @@ print("scipy" if grid._bundled_lapack() is None else "numpy-openblas",
 def test_cli_import_loads_no_scipy():
     # with the numpy wheel's OpenBLAS, the CLI and its tridiagonal solves load
     # no scipy at all; the scipy fallback loads scipy.linalg and nothing else
-    # public.  scipy.optimize and scipy.interpolate are imported inside the few
-    # functions that use them.
+    # public.  No other module imports scipy.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     found = "scipy" if grid_module._bundled_lapack() is None else "numpy-openblas"
     for force_fallback in (False, True):
@@ -221,6 +220,47 @@ def test_cli_import_loads_no_scipy():
             public = {m.split(".")[1] for m in loaded
                       if "." in m and not m.split(".")[1].startswith("_")}
             assert public == {"linalg", "version"}
+
+
+EVOLVE_PROBE = """
+import sys
+from gpesoliton import cli, grid
+cli.main(sys.argv[1:])
+print("scipy" if grid._bundled_lapack() is None else "numpy-openblas",
+      *sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_trapped_displaced_evolve_loads_no_scipy(tmp_path):
+    # displace's spline and the Ehrenfest frequency fit (a run over one trap
+    # period, 33 records) use numpy and the package's tridiagonal solver only
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = ["evolve", "--geometry", "line", "--n-s", "64", "--s-extent", "12",
+            "--lambda-z", "1", "--initial", "ground", "--displace", "0.5",
+            "--t-final", "6.4", "--dt", "0.02", "--observe-every", "10",
+            "--out", str(tmp_path / "e.csv")]
+    run = subprocess.run([sys.executable, "-c", EVOLVE_PROBE, *argv], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert "ehrenfest: " in run.stderr and "centroid frequency" in run.stderr
+    lapack, *loaded = run.stdout.splitlines()[-1].split()
+    if lapack == "numpy-openblas":
+        assert loaded == []
+    else:
+        assert {m.split(".")[1] for m in loaded
+                if "." in m and not m.split(".")[1].startswith("_")} == {"linalg", "version"}
+
+
+def test_short_trapped_run_reports_ehrenfest(tmp_path, caplog):
+    # 20 steps, far less than the 10 pi trap period: too short to fit the
+    # frequency, but the velocity and force mismatches are still reported
+    caplog.set_level(logging.INFO)
+    argv = ["evolve", "--geometry", "line", "--n-s", "64", "--lambda-z", "0.2",
+            "--initial", "ground", "--displace", "0.5", "--t-final", "0.05",
+            "--out", str(tmp_path / "e.csv")]
+    assert cli.main(argv) == 0
+    checks = [r.getMessage() for r in caplog.records if "ehrenfest" in r.getMessage()]
+    assert len(checks) == 1
+    assert checks[0].startswith("ehrenfest: ") and "frequency" not in checks[0]
 
 
 def test_lambda_scan_runs_on_the_manifest_grid(tmp_path, monkeypatch):

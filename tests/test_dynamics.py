@@ -8,14 +8,14 @@ from gpesoliton import analytic
 from gpesoliton.collapse import find_threshold
 from gpesoliton import grid as grid_module
 from gpesoliton.dynamics import (EhrenfestReport, PropagationConfig, _Propagator,
-                                 _sponge_mask, _taylor_terms, boost, displace, ehrenfest_check,
-                                 propagate, time_error)
+                                 _fit_oscillation, _sponge_mask, _taylor_terms, boost, displace,
+                                 ehrenfest_check, propagate, time_error)
 from gpesoliton.energy import TrapSpec, quartic_coefficient, trap_potential
 from gpesoliton.errors import BlowupError, DomainError
 from gpesoliton.grid import Wavefunction, cylindrical_grid, line_grid, spherical_grid
 from gpesoliton.groundstate import DescentConfig, default_initial, relax
 from gpesoliton.observables import moments
-from gpesoliton.potentials import ExternalPotential
+from gpesoliton.potentials import ExternalPotential, parse
 
 
 def line_soliton(Q=5.0, half=30.0, n=512):
@@ -158,7 +158,7 @@ class TestMergedSplitStep:
 
 
 def strong_well():
-    return ExternalPotential.from_text("-40*sech(s/2)^2")
+    return ExternalPotential(parse("-40*sech(s/2)^2"), {})
 
 
 class TestKick:
@@ -349,6 +349,25 @@ class TestDisplace:
         d = displace(u, 1.5)
         assert moments(d).x_s == pytest.approx(1.5, abs=g.ds / 10)
 
+    @pytest.mark.parametrize("make", [lambda: line_grid(-80.0, 80.0, 2048),
+                                      lambda: cylindrical_grid(5.0, -60.0, 60.0, 32, 384)],
+                             ids=["line", "cylindrical"])
+    @pytest.mark.parametrize("steps", [0.96, -4.16, 3.0])
+    def test_matches_scipy_natural_spline(self, make, steps):
+        from scipy.interpolate import CubicSpline
+
+        g = make()
+        u = default_initial(g, TrapSpec(0.0), 5.0)
+        u = Wavefunction(g, u.values * np.exp(0.3j * g.s_coords()))
+        ds = steps * g.ds  # either sign, and one exact multiple of the step
+        target = g.s - ds
+        inside = (target >= g.s[0]) & (target <= g.s[-1])
+        ref = np.zeros(g.shape, complex)
+        ref[..., inside] = CubicSpline(g.s, u.values, axis=-1, bc_type="natural")(target[inside])
+        ref *= u.norm() / g.norm(ref)
+        got = displace(u, ds).values
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
 
 class TestEhrenfest:
     def test_harmonic_oscillation_frequency(self):
@@ -369,7 +388,7 @@ class TestEhrenfest:
     def test_linear_tilt_constant_force(self):
         F = 0.01
         u0 = line_soliton(half=40.0, n=1024)
-        tilt = ExternalPotential.from_text("F*s", {"F": F})
+        tilt = ExternalPotential(parse("F*s"), {"F": F})
         cfg = PropagationConfig(t_final=10.0, dt=1e-3, observe_every=100)
         records, _ = propagate(u0, TrapSpec(0.0), 5.0, tilt, cfg)
         rep = ehrenfest_check(records, TrapSpec(0.0), tilt)
@@ -423,10 +442,22 @@ class TestEhrenfest:
             ehrenfest_check(records, TrapSpec(0.0))
 
     def test_too_few_samples_for_fit(self):
+        # 8 samples over 0.7 of a 4 pi period: no fit, but the mismatches stand
         records = [type("R", (), {"tau": k * 0.1, "x_s": 0.0, "p_s": 0.0,
                                   "grad_v_s": 0.0})() for k in range(8)]
-        with pytest.raises(DomainError):
-            ehrenfest_check(records, TrapSpec(0.5))
+        rep = ehrenfest_check(records, TrapSpec(0.5))
+        assert rep.fitted_frequency is None and rep.fitted_amplitude is None
+        assert rep.max_velocity_mismatch == rep.max_force_mismatch == 0.0
+        with pytest.raises(DomainError, match="at least 5"):
+            ehrenfest_check(records[:4], TrapSpec(0.5))
+
+    @pytest.mark.parametrize("w, h, n", [(0.2, 0.5, 64), (0.7, 0.05, 300), (2.0, 0.1, 40)])
+    def test_fit_recovers_a_sinusoid(self, w, h, n):
+        tau = 3.0 + h * np.arange(n)
+        x = 0.3 + 1.7 * np.cos(w * tau) - 0.4 * np.sin(w * tau)
+        freq, amp = _fit_oscillation(tau, x)
+        assert freq == pytest.approx(w, rel=1e-9)
+        assert amp == pytest.approx(math.hypot(1.7, 0.4), rel=1e-9)
 
 
 class TestGuards:

@@ -115,7 +115,7 @@ class TestInvariants:
         e = hamiltonian(Wavefunction(g, v), trap, 2.0, external=ext)
         density = np.abs(v) ** 2
         c = quartic_coefficient(g.kind, 2.0)
-        ref = {"kinetic": float(np.real(g.inner(v, -g.laplacian(v)))),
+        ref = {"kinetic": -float(np.real(g.integrate(np.conj(v) * g.laplacian(v)))),
                "trap": float(g.integrate(trap_potential(g, trap) * density)),
                "interaction": -c * float(g.integrate(density ** 2)),
                "external": 2.0 * float(g.integrate(ext * density))}

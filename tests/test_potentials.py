@@ -12,7 +12,7 @@ from gpesoliton.potentials import ExternalPotential, parse
 
 
 def sample(text, g, **params):
-    return ExternalPotential.from_text(text, params).sample(g)
+    return ExternalPotential(parse(text), params).sample(g)
 
 
 class TestParsing:
@@ -120,7 +120,7 @@ class TestDerivative:
     @pytest.mark.parametrize("text,params", [c[:2] for c in GRADIENT_CASES[:5]])
     def test_matches_finite_differences(self, text, params):
         g = line_grid(-5.0, 5.0, 64)
-        got = ExternalPotential.from_text(text, params).sample_gradient_s(g)
+        got = ExternalPotential(parse(text), params).sample_gradient_s(g)
         expr, h = parse(text), 1e-6
         fd = (expr(s=g.s + h, params=params) - expr(s=g.s - h, params=params)) / (2 * h)
         assert got == pytest.approx(fd, rel=1e-6, abs=1e-9)
@@ -132,7 +132,7 @@ class TestDerivative:
                              ids=[c[0] for c in GRADIENT_CASES])
     def test_matches_closed_form(self, text, params, closed_form, make_grid):
         g = make_grid()
-        got = ExternalPotential.from_text(text, params).sample_gradient_s(g)
+        got = ExternalPotential(parse(text), params).sample_gradient_s(g)
         want = np.broadcast_to(closed_form(g.s_coords()), g.shape)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -140,7 +140,7 @@ class TestDerivative:
         # 1/cosh of a complex argument is nan beyond |s| ~ 710; the gradient
         # must stay finite out there and equal -tanh(s)/cosh(s), which is 0
         g = line_grid(-1000.0, 1000.0, 1024)
-        got = ExternalPotential.from_text("sech(s)").sample_gradient_s(g)
+        got = ExternalPotential(parse("sech(s)"), {}).sample_gradient_s(g)
         with np.errstate(over="ignore"):
             want = -np.tanh(g.s) / np.cosh(g.s)
         assert np.all(np.isfinite(got))
@@ -150,11 +150,11 @@ class TestDerivative:
 class TestExternalPotential:
     def test_requires_bound_parameters(self):
         with pytest.raises(UnboundParameterError):
-            ExternalPotential.from_text("F*s")
+            ExternalPotential(parse("F*s"), {})
 
     def test_sampling_and_gradient(self):
         g = line_grid(-5.0, 5.0, 64)
-        pot = ExternalPotential.from_text("F*s", {"F": 0.01})
+        pot = ExternalPotential(parse("F*s"), {"F": 0.01})
         assert np.allclose(pot.sample(g), 0.01 * g.s)
         assert np.allclose(pot.sample_gradient_s(g), 0.01)
 

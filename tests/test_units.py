@@ -6,8 +6,13 @@ from gpesoliton import units
 from gpesoliton.errors import DomainError, UnsupportedRegimeError
 
 
-def li7(N=900.0, **kw):
-    return units.lithium7_params(N, **kw)
+LI7_MASS = units.LI7_MASS_U * units.ATOMIC_MASS
+
+
+def li7(N=900.0, frequency_convention=units.ANGULAR):
+    """7Li in a 150 Hz radial trap."""
+    return units.PhysicalParams(units.LI7_SCATTERING_LENGTH, LI7_MASS, 150.0, N,
+                                frequency_convention)
 
 
 class TestOscillatorLength:
@@ -20,7 +25,7 @@ class TestOscillatorLength:
         p = li7()
         omega = 2 * math.pi * 150.0
         assert units.oscillator_length(p) == pytest.approx(
-            math.sqrt(units.HBAR / (units.LI7_MASS * omega)), rel=1e-15)
+            math.sqrt(units.HBAR / (LI7_MASS * omega)), rel=1e-15)
 
     def test_sqrt_mass_scaling(self):
         p1 = units.PhysicalParams(-1e-9, 1e-26, 100.0, 1.0)
@@ -76,5 +81,5 @@ class TestInteractionStrength:
         q2 = units.q_from_n(li7(N=900.0))
         assert q2 == pytest.approx(2 * q1, rel=1e-12)
         p_half_a = units.PhysicalParams(0.5 * units.LI7_SCATTERING_LENGTH,
-                                        units.LI7_MASS, 150.0, 900.0)
+                                        LI7_MASS, 150.0, 900.0)
         assert units.q_from_n(p_half_a) == pytest.approx(0.5 * q2, rel=1e-12)
