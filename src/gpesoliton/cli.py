@@ -502,7 +502,7 @@ _SUBCOMMANDS = {
         _Row("--dt", float, PropagationConfig.dt, "time step (default %(default)g, tau = 0.01 "
              "per record; time error <= 1e-3 of the lattice error: see manifest time_error)"),
         _Row("--t-final", float, _REQUIRED, "final time, a whole number of --dt steps"),
-        _Row("--observe-every", int, PropagationConfig.observe_every),
+        _Row("--observe-every", int, PropagationConfig.observe_every, "steps per record"),
         _Row("--sponge-strength", float, PropagationConfig.sponge_strength),
         _Row("--sponge-width", float, PropagationConfig.sponge_width),
         _Row("--snapshot-times", str, None,

@@ -251,7 +251,7 @@ def test_trapped_displaced_evolve_loads_no_scipy(tmp_path):
 
 
 def test_short_trapped_run_reports_ehrenfest(tmp_path, caplog):
-    # 20 steps, far less than the 10 pi trap period: too short to fit the
+    # 10 steps, far less than the 10 pi trap period: too short to fit the
     # frequency, but the velocity and force mismatches are still reported
     caplog.set_level(logging.INFO)
     argv = ["evolve", "--geometry", "line", "--n-s", "64", "--lambda-z", "0.2",
@@ -395,7 +395,7 @@ boost = 0
 collapse_guard = 5
 command = evolve
 displace = 0
-dt = 0.0025000000000000001
+dt = 0.0050000000000000001
 energy_tol = 1e-10
 geometry = line
 initial = composite
@@ -403,7 +403,7 @@ lambda_z = 0
 max_iters = 200000
 n_rho = 96
 n_s = 64
-observe_every = 4
+observe_every = 2
 param = ['a=0.01']
 potential = a*s^2
 q = 5

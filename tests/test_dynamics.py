@@ -204,6 +204,7 @@ class TestKick:
     def test_taylor_range(self):
         assert _taylor_terms(0.0) == 2
         assert _taylor_terms(2e-4) == 3
+        assert _taylor_terms(4e-4) == 3  # a Q = 5 soliton's full kick at the default dt
         assert _taylor_terms(0.1) == 5
         assert _taylor_terms(0.11) is None
         assert _taylor_terms(math.nan) is None
@@ -283,25 +284,48 @@ class TestDefaultStep:
 
     V, T = 0.5, 0.5
 
-    @pytest.fixture(scope="class")
-    def runs(self):
+    @staticmethod
+    def start(v):
         # a boosted composite soliton on the tiny benchmark's evolve grid
         g = cylindrical_grid(6.0, -27.35145003726747, 27.35145003726747, 16, 64)
-        u0 = boost(default_initial(g, TrapSpec(0.0), 5.0), self.V).normalized()
+        return g, boost(default_initial(g, TrapSpec(0.0), 5.0), v).normalized()
+
+    @staticmethod
+    def assert_centroid_within_criterion(g, v, records, ref):
+        lattice = 2.0 * (v * g.ds) ** 2 / 6.0 * v
+        assert [r.tau for r in records] == pytest.approx([r.tau for r in ref])
+        for rec, r in zip(records, ref):
+            assert abs(rec.x_s - r.x_s) <= 1e-3 * lattice * r.tau
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        g, u0 = self.start(self.V)
         dt = PropagationConfig.dt
         out = {}
         for k in (1, 2, 4, 8):
-            cfg = PropagationConfig(t_final=self.T, dt=dt / k, observe_every=4 * k)
+            cfg = PropagationConfig(t_final=self.T, dt=dt / k,
+                                    observe_every=PropagationConfig.observe_every * k)
             out[k] = propagate(u0, TrapSpec(0.0), 5.0, None, cfg)
         cfg = PropagationConfig(t_final=self.T)
         return g, out, time_error(u0, TrapSpec(0.0), 5.0, None, cfg)
 
     def test_centroid_time_error_below_a_thousandth_of_the_lattice(self, runs):
         g, out, _ = runs
-        lattice = 2.0 * (self.V * g.ds) ** 2 / 6.0 * self.V
-        assert [r.tau for r in out[1][0]] == pytest.approx([r.tau for r in out[8][0]])
-        for rec, ref in zip(out[1][0], out[8][0]):
-            assert abs(rec.x_s - ref.x_s) <= 1e-3 * lattice * ref.tau
+        self.assert_centroid_within_criterion(g, self.V, out[1][0], out[8][0])
+
+    @pytest.mark.parametrize("v", [0.4, 0.6])
+    def test_criterion_holds_on_held_out_boosts(self, v):
+        g, u0 = self.start(v)
+        cfg = PropagationConfig(t_final=self.T)
+        ref_cfg = PropagationConfig(t_final=self.T, dt=cfg.dt / 8,
+                                    observe_every=8 * cfg.observe_every)
+        records, _ = propagate(u0, TrapSpec(0.0), 5.0, None, cfg)
+        ref, _ = propagate(u0, TrapSpec(0.0), 5.0, None, ref_cfg)
+        self.assert_centroid_within_criterion(g, v, records, ref)
+
+    def test_records_stay_at_a_hundredth(self):
+        assert (PropagationConfig.dt * PropagationConfig.observe_every
+                == pytest.approx(0.01, rel=1e-12))
 
     def test_second_order_and_estimate(self, runs):
         g, out, estimate = runs
@@ -309,6 +333,28 @@ class TestDefaultStep:
         assert 1.8 <= math.log2(diff[1] / diff[2]) <= 2.2
         measured = g.norm(out[1][1].values - out[8][1].values)
         assert measured / 1.5 <= estimate <= 1.5 * measured
+
+
+class TestNoExpansion:
+    """The paper's claim: a soliton released from its axial trap does not expand,
+    while a non-interacting cloud spreads (line grid, lambda_z = 0.1, tau = 20)."""
+
+    @staticmethod
+    def growth(Q):
+        g = line_grid(-60.0, 60.0, 512)
+        trap = TrapSpec(0.1)
+        res = relax(default_initial(g, trap, Q), trap, Q)
+        assert res.converged
+        # the trap switched off; records at tau = 0 and t_final only
+        cfg = PropagationConfig(t_final=20.0, observe_every=10 ** 6)
+        records, _ = propagate(res.wavefunction.normalized(), TrapSpec(0.0), Q, None, cfg)
+        return records[-1].w_s / records[0].w_s
+
+    def test_soliton_keeps_its_width(self):
+        assert self.growth(20.0) < 1.1
+
+    def test_noninteracting_cloud_more_than_doubles(self):
+        assert self.growth(0.0) > 2.0
 
 
 class TestDisplace:
