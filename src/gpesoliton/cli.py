@@ -174,12 +174,9 @@ def parse_params(pairs) -> dict:
 def write_state_csv(path, u: Wavefunction):
     grid = u.grid
     v = np.ravel(u.values)
-    if grid.kind is Geometry.CYLINDRICAL:
-        rho, s = np.repeat(grid.rho, grid.s.size), np.tile(grid.s, grid.rho.size)
-    elif grid.kind is Geometry.LINE:
-        rho, s = np.full(v.size, np.nan), grid.s
-    else:
-        rho, s = grid.r, np.full(v.size, np.nan)
+    rho = (np.full(v.size, np.nan) if grid.radial is None
+           else np.repeat(grid.radial, v.size // grid.radial.size))
+    s = np.full(v.size, np.nan) if grid.s is None else np.tile(grid.s, v.size // grid.s.size)
     note = UNITS_NOTE + "; rho column holds r on spherical grids, nan on line grids"
     write_csv(path, ("rho", "s", "re_u", "im_u"),
               np.column_stack((rho, s, v.real, v.imag)), note=note)
@@ -366,8 +363,6 @@ def cmd_evolve(args):
 
 
 def cmd_collapse(args):
-    if args.geometry == "spherical":
-        args.lambda_z = 1.0  # the radial grid models the isotropic trap
     cfg = _from_args(DescentConfig, args)
     bracket = (args.q_min, args.q_max)
     scan_lzs = _float_list(args, "--scan-lambda-z")
@@ -443,7 +438,8 @@ _Row = namedtuple("Row", "flag type default help", defaults=(None,))
 
 _Q = _Row("--q", float, _REQUIRED)
 _Q_LIST = _Q._replace(type=str, default=None, help="comma list of Q values")
-_LAMBDA_Z = _Row("--lambda-z", float, 0.0)
+_LAMBDA_Z = _Row("--lambda-z", float, None, "axial trap anisotropy (default 1 on "
+                 "spherical grids, which model the isotropic trap, and 0 elsewhere)")
 _S_EXTENT = _Row("--s-extent", float, None,
                  "axial half-extent (defaults to the soliton-width rule)")
 _N_S = _Row("--n-s", int, 384)
@@ -477,7 +473,7 @@ _SUBCOMMANDS = {
     "analytic": (cmd_analytic, "closed-form tables",
                  ("what", ("profile", "width", "ratio", "variational")), [
         _Q_LIST,
-        _LAMBDA_Z._replace(type=str, default=None),
+        _LAMBDA_Z._replace(type=str, default=None, help="comma list of anisotropies"),
         _Row("--rho", str, None),
         _Row("--s", str, None),
         _S_EXTENT,
@@ -566,6 +562,8 @@ def main(argv=None) -> int:
                 raise DomainError(f"{args.command} requires {row.flag}")
             if row.type is float and value is not None and not math.isfinite(value):
                 raise DomainError(f"{row.flag} must be finite, got {value}")
+        if _LAMBDA_Z in rows and args.lambda_z is None:  # the default follows the geometry
+            args.lambda_z = 1.0 if args.geometry == "spherical" else 0.0
         # basicConfig acts on the first call in a process only; the level is set on every call
         logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
         logging.getLogger("gpesoliton").setLevel(logging.WARNING if args.quiet else logging.INFO)

@@ -86,10 +86,7 @@ def _sponge_mask(grid: Grid, width: float):
     lo, hi = s[0] - 0.5 * grid.ds, s[-1] + 0.5 * grid.ds
     left = np.clip((lo + width - s) / width, 0.0, 1.0)
     right = np.clip((s - (hi - width)) / width, 0.0, 1.0)
-    ramp = left ** 2 + right ** 2
-    if grid.kind is Geometry.CYLINDRICAL:
-        return ramp[None, :]
-    return ramp
+    return left ** 2 + right ** 2  # along s, so it broadcasts over the rho rows
 
 
 # Taylor coefficients of cos(x) and of sin(x)/x in powers of x^2, to degrees 8 and 9:

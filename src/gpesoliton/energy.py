@@ -55,26 +55,24 @@ def quartic_coefficient(kind: Geometry, Q: float) -> float:
 
 def trap_terms(grid: Grid, trap: TrapSpec):
     """(radial, axial) terms of the doubled trap potential, 1-D arrays in the
-    order of `Grid.axis_sums`: the potential is their sum over the grid."""
-    if grid.kind is Geometry.LINE:
-        return None, (trap.lambda_z * grid.s) ** 2
-    if grid.kind is Geometry.CYLINDRICAL:
-        return grid.rho ** 2, (trap.lambda_z * grid.s) ** 2
-    if trap.lambda_z != 1.0:
+    order of `Grid.axis_sums` (None on an absent axis): the potential is their
+    sum over the grid."""
+    if grid.kind is Geometry.SPHERICAL_RADIAL and trap.lambda_z != 1.0:
         raise GridMismatchError(
             "spherical-radial geometry models the isotropic trap; lambda_z must be 1, "
             f"got {trap.lambda_z}"
         )
-    return grid.r ** 2, None
+    return (None if grid.radial is None else grid.radial ** 2,
+            None if grid.s is None else (trap.lambda_z * grid.s) ** 2)
 
 
 def trap_potential(grid: Grid, trap: TrapSpec):
     """Doubled trap potential: rho^2 + lambda_z^2 s^2 (cylindrical), lambda_z^2 s^2
     (line), r^2 (spherical-radial, which requires isotropy)."""
     radial, axial = trap_terms(grid, trap)
-    if grid.kind is Geometry.CYLINDRICAL:
-        return radial[:, None] + axial[None, :]
-    return axial if radial is None else radial
+    # the radial term down the rows plus the axial one along them
+    rows = (0.0 if radial is None else radial[:, None]) + (0.0 if axial is None else axial)
+    return rows.reshape(grid.shape)
 
 
 def gradient(values, grid: Grid, trap: TrapSpec, Q: float, potential=None):
@@ -116,12 +114,7 @@ def hamiltonian(u: Wavefunction, trap: TrapSpec, Q: float, external=None) -> Ene
     interaction = -c * quartic
     ext_e = 0.0
     if external is not None:
-        external = np.asarray(external)
-        if external.shape != grid.shape:
-            raise GridMismatchError(
-                f"external potential shape {external.shape} != grid shape {grid.shape}"
-            )
-        ext_e = 2.0 * float(np.vdot(weighted, external))
+        ext_e = 2.0 * float(np.vdot(weighted, grid.check(external, "external potential")))
     total = kinetic + trap_e + interaction + ext_e
     mu = (0.5 * (kinetic + trap_e + ext_e) + interaction) / norm2
     return EnergyBreakdown(kinetic=kinetic, trap=trap_e, interaction=interaction,

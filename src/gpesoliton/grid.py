@@ -1,5 +1,12 @@
 """Spatial grids in line (s), cylindrical (rho, s) and spherical-radial (r) geometry.
 
+Every geometry is a radial axis (rho or r), an axial axis (s), or both, and
+the grid treats every field as rows: shape (n_radial or 1, n_axial or 1), one
+row per radial node.  Fields keep their natural shape ((n_s,), (n_rho, n_s)
+or (n_r,), the shape of the weights); the stencil and the quadrature reshape
+them into rows, so the three geometries share one code path, and an absent
+axis has no couplings.
+
 Nodes are cell-centered: radial nodes sit at half-integer offsets
 (rho_i = (i + 1/2) * d_rho) so none touches the coordinate axis.  Quadrature
 weights are the exact integrals of the geometric measure over each cell, which
@@ -40,7 +47,14 @@ class Geometry(enum.Enum):
 
 
 class Grid:
-    """Immutable discretized domain; construct via the *_grid functions."""
+    """Immutable discretized domain; construct via the *_grid functions.
+
+    `radial` is the radial coordinate (`rho` or `r`) and `s` the axial one,
+    each None on a grid without that axis.  A field of `shape` is viewed as
+    rows of shape (n_radial or 1, n_axial or 1): the radial couplings join
+    neighbouring rows, the axial ones neighbouring columns, and the weights
+    are constant along a row.
+    """
 
     def __init__(self, kind, *, s=None, ds=None, rho=None, drho=None, r=None, dr=None,
                  weights=None, extents=None):
@@ -54,57 +68,59 @@ class Grid:
         self.weights = weights
         self.extents = extents  # dict used for repr/manifests
         self._radial_modes = {}  # radial_modes() results by potential, once computed
-        self._init_stencil()
-
-    def _init_stencil(self):
-        # up/down neighbor coefficients of the radial part of the divergence form
-        if self.kind is Geometry.CYLINDRICAL:
-            i = np.arange(self.rho.size, dtype=float)
-            self._rad_up = ((i + 1.0) / ((i + 0.5) * self.drho ** 2))[:, None]
-            self._rad_dn = (i / ((i + 0.5) * self.drho ** 2))[:, None]
-            self._inv_ds2 = 1.0 / self.ds ** 2
-            self._diag = -(self._rad_up + self._rad_dn) - 2.0 * self._inv_ds2
-        elif self.kind is Geometry.SPHERICAL_RADIAL:
-            i = np.arange(self.r.size, dtype=float)
-            cell = (i + 1.0) ** 3 - i ** 3
-            self._rad_up = 3.0 * (i + 1.0) ** 2 / (cell * self.dr ** 2)
-            self._rad_dn = 3.0 * i ** 2 / (cell * self.dr ** 2)
+        self.radial = rho if r is None else r
+        self._row_shape = (1 if self.radial is None else self.radial.size,
+                      1 if s is None else s.size)
+        # the stencil: axial 1/ds^2 and radial up/down columns, zero on an absent axis
+        self._inv_ds2 = 0.0 if s is None else 1.0 / ds ** 2
+        self._rad_up = self._rad_dn = np.zeros((1, 1))
+        if self.radial is not None:
+            # face area over cell volume in dim = 2 (rho) or 3 (r) dimensions:
+            # dim (i+1)^(dim-1) / (((i+1)^dim - i^dim) d^2) up, dim i^(dim-1) / (...) down
+            d, dim = (drho, 2) if r is None else (dr, 3)
+            i = np.arange(self.radial.size, dtype=float)[:, None]
+            cell = ((i + 1.0) ** dim - i ** dim) * d ** 2
+            self._rad_up = dim * (i + 1.0) ** (dim - 1) / cell
+            self._rad_dn = dim * i ** (dim - 1) / cell
+        self._diag = -(self._rad_up + self._rad_dn) - 2.0 * self._inv_ds2
+        # face couplings (cell weight x neighbour coefficient) per row
+        row_weights = weights.reshape(self._row_shape)[:, 0]
+        self._axial_coupling = row_weights * self._inv_ds2
+        self._radial_coupling = row_weights * self._rad_up[:, 0]
 
     @property
     def shape(self):
-        if self.kind is Geometry.LINE:
-            return (self.s.size,)
-        if self.kind is Geometry.CYLINDRICAL:
-            return (self.rho.size, self.s.size)
-        return (self.r.size,)
+        return self.weights.shape
 
     def __repr__(self):
         return f"Grid({self.kind.value}, {self.extents})"
 
+    def check(self, field, what="field"):
+        """`field` as an array, GridMismatchError unless it has the grid's shape."""
+        field = np.asarray(field)
+        if field.shape != self.shape:
+            raise GridMismatchError(
+                f"{what} shape {field.shape} does not match grid shape {self.shape}"
+            )
+        return field
+
     # -- coordinate arrays broadcastable against fields -------------------
 
     def s_coords(self):
-        if self.kind is Geometry.LINE:
-            return self.s
-        if self.kind is Geometry.CYLINDRICAL:
-            return self.s[None, :]
-        raise DomainError("spherical-radial grids have no s coordinate")
+        if self.s is None:
+            raise DomainError(f"{self.kind.value} grids have no s coordinate")
+        return self.s
 
     def rho_coords(self):
-        if self.kind is Geometry.CYLINDRICAL:
-            return self.rho[:, None]
-        raise DomainError(f"{self.kind.value} grids have no rho coordinate")
+        if self.rho is None:
+            raise DomainError(f"{self.kind.value} grids have no rho coordinate")
+        return self.rho[:, None]
 
     # -- quadrature --------------------------------------------------------
 
     def integrate(self, field):
         """Weighted sum of samples with the geometry's measure."""
-        field = np.asarray(field)
-        if field.shape != self.shape:
-            raise GridMismatchError(
-                f"field shape {field.shape} does not match grid shape {self.shape}"
-            )
-        return np.sum(self.weights * field)
+        return np.sum(self.weights * self.check(field))
 
     def axis_sums(self, weighted):
         """(radial, axial) sums of an already weighted field over every other axis.
@@ -112,11 +128,9 @@ class Grid:
         Each is a 1-D array over its axis (rho or r, and s), or None on a grid
         without that axis; `integrate(f)` is the total of either.
         """
-        if self.kind is Geometry.LINE:
-            return None, weighted
-        if self.kind is Geometry.CYLINDRICAL:
-            return weighted.sum(axis=1), weighted.sum(axis=0)
-        return weighted, None
+        rows = np.reshape(weighted, self._row_shape)
+        return (None if self.radial is None else rows.sum(axis=1),
+                None if self.s is None else rows.sum(axis=0))
 
     def norm(self, field) -> float:
         field = np.asarray(field)
@@ -127,65 +141,46 @@ class Grid:
     def laplacian(self, field):
         """Second-order finite-volume Laplacian with Dirichlet outer edges.
 
-        On cylindrical grids the two s-neighbour couplings run over the
-        flattened field, each as one product whose entries that would couple
-        the end of one rho row to the start of the next are zeroed; the radial
-        couplings add whole rows.  Every coefficient is real, so on a finite
+        The diagonal, then the couplings of each axis present: the axial ones
+        over the flattened rows, each as one product whose entries that would
+        couple the end of one row to the start of the next are zeroed, and the
+        radial ones as whole rows.  Every coefficient is real, so on a finite
         complex field the real and imaginary parts of the result are those of
         its parts, bit for bit.
         """
-        field = np.asarray(field)
-        if field.shape != self.shape:
-            raise GridMismatchError(
-                f"field shape {field.shape} does not match grid shape {self.shape}"
-            )
-        if self.kind is Geometry.LINE:
-            out = -2.0 * field
-            out[1:] += field[:-1]
-            out[:-1] += field[1:]
-            out /= self.ds ** 2
-            return out
-        if self.kind is Geometry.CYLINDRICAL:
-            field = np.ascontiguousarray(field)  # so out and both reshapes are views
-            out = field * self._diag
-            flat, f = out.reshape(-1), field.reshape(-1)
+        # contiguous, so that out and the flattened views share memory
+        rows = np.ascontiguousarray(self.check(field)).reshape(self._row_shape)
+        out = rows * self._diag
+        if self.s is not None:
+            flat, f = out.reshape(-1), rows.reshape(-1)
             row_ends = slice(self.s.size - 1, None, self.s.size)
-            coupling = f[:-1] * self._inv_ds2
-            coupling[row_ends] = 0.0
-            flat[1:] += coupling
-            coupling = f[1:] * self._inv_ds2
-            coupling[row_ends] = 0.0
-            flat[:-1] += coupling
-            out[1:, :] += self._rad_dn[1:] * field[:-1, :]
-            out[:-1, :] += self._rad_up[:-1] * field[1:, :]
-            return out
-        out = field * (-(self._rad_up + self._rad_dn))
-        out[1:] += self._rad_dn[1:] * field[:-1]
-        out[:-1] += self._rad_up[:-1] * field[1:]
-        return out
+            for neighbour, target in ((f[:-1], flat[1:]), (f[1:], flat[:-1])):
+                coupling = neighbour * self._inv_ds2
+                coupling[row_ends] = 0.0
+                target += coupling
+        if self.radial is not None:
+            out[1:] += self._rad_dn[1:] * rows[:-1]
+            out[:-1] += self._rad_up[:-1] * rows[1:]
+        return out.reshape(self.shape)
 
     def dirichlet_energy(self, field) -> float:
         """Discrete int |grad f|^2, equal to Re<f, -laplacian(f)> by summation by parts.
 
         The edge form of the stencil: the sum over its faces of the face
         coupling (cell weight x neighbour coefficient, the same seen from both
-        sides) times |jump|^2.  An outer face jumps to the zero Dirichlet
-        ghost; the axis face has no area.  No Laplacian is formed.
+        sides) times |jump|^2, per axis present.  An outer face jumps to the
+        zero Dirichlet ghost; the axis face has no area.  No Laplacian is formed.
         """
-        field = np.ascontiguousarray(field)
-        if field.shape != self.shape:
-            raise GridMismatchError(
-                f"field shape {field.shape} does not match grid shape {self.shape}"
-            )
-        if self.kind is Geometry.LINE:
-            # each face couples with weight ds times 1/ds^2
-            return float(_sq_sums(np.diff(field)) + _sq_sums(field[[0, -1]])) / self.ds
-        if self.kind is Geometry.SPHERICAL_RADIAL:
-            return _radial_faces(field, self.weights * self._rad_up)
-        axial = self.weights[:, 0] * self._inv_ds2  # per rho row
-        ends = _sq_sums(field[:, [0, -1]])
-        return (float(axial @ (_sq_sums(np.diff(field)) + ends))
-                + _radial_faces(field, self.weights[:, 0] * self._rad_up[:, 0]))
+        rows = self.check(np.ascontiguousarray(field)).reshape(self._row_shape)
+        energy = 0.0
+        if self.s is not None:
+            ends = _sq_sums(rows[:, [0, -1]])
+            energy += float(self._axial_coupling @ (_sq_sums(np.diff(rows)) + ends))
+        if self.radial is not None:
+            up = self._radial_coupling  # the face above each row; the last one to the ghost
+            energy += float(up[:-1] @ _sq_sums(np.diff(rows, axis=0))
+                            + up[-1] * _sq_sums(rows[-1]))
+        return energy
 
     # -- 1-D operator diagonals for implicit solves ---------------------------
 
@@ -194,22 +189,14 @@ class Grid:
 
         lower[0] and upper[-1] are zero (Dirichlet outer edge, vanishing axis face).
         """
-        if direction == "s":
-            if self.kind not in (Geometry.LINE, Geometry.CYLINDRICAL):
-                raise DomainError("no s direction on this grid")
-            n = self.s.size
-            lower = np.full(n, 1.0 / self.ds ** 2)
-            upper = np.full(n, 1.0 / self.ds ** 2)
-            diag = np.full(n, -2.0 / self.ds ** 2)
-        elif direction in ("rho", "r"):
-            radial = Geometry.CYLINDRICAL if direction == "rho" else Geometry.SPHERICAL_RADIAL
-            if self.kind is not radial:
-                raise DomainError(f"no {direction} direction on this grid")
-            upper = self._rad_up.ravel().copy()
-            lower = self._rad_dn.ravel().copy()
+        if direction == "s" and self.s is not None:
+            lower, upper = np.full((2, self.s.size), self._inv_ds2)
+            diag = np.full(self.s.size, -2.0 * self._inv_ds2)
+        elif direction in ("rho", "r") and getattr(self, direction) is not None:
+            upper, lower = self._rad_up.ravel().copy(), self._rad_dn.ravel().copy()
             diag = -(upper + lower)
         else:
-            raise DomainError(f"unknown direction {direction!r}")
+            raise DomainError(f"no {direction!r} direction on this {self.kind.value} grid")
         lower[0] = 0.0
         upper[-1] = 0.0
         return lower, diag, upper
@@ -250,14 +237,6 @@ def _sq_sums(x):
     if np.iscomplexobj(x):
         x = x.view(np.float64)
     return np.vecdot(x, x)
-
-
-def _radial_faces(field, coupling):
-    """Sum of coupling[i] |jump|^2 over the faces above radial node i of a
-    (radius, ...) field; the face above the last node jumps to the zero ghost."""
-    rows = field.reshape(field.shape[0], -1)
-    return float(coupling[:-1] @ _sq_sums(np.diff(rows, axis=0))
-                 + coupling[-1] * _sq_sums(rows[-1]))
 
 
 @functools.cache
@@ -441,13 +420,8 @@ class Wavefunction:
     """Complex (or real) field sampled on a grid, with normalization bookkeeping."""
 
     def __init__(self, grid: Grid, values):
-        values = np.asarray(values)
-        if values.shape != grid.shape:
-            raise GridMismatchError(
-                f"values shape {values.shape} does not match grid shape {grid.shape}"
-            )
         self.grid = grid
-        self.values = values
+        self.values = grid.check(values, "values")
 
     def norm(self) -> float:
         return self.grid.norm(self.values)

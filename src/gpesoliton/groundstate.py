@@ -162,11 +162,10 @@ class SobolevPreconditioner:
         if grid.kind is Geometry.CYLINDRICAL:
             theta, self.to_modes, self.from_modes = grid.radial_modes(grid.rho ** 2)
             potential = theta[:, None] + (trap.lambda_z * grid.s) ** 2
-            direction = "s"
         else:
             potential = trap_potential(grid, trap)
-            direction = "s" if grid.kind is Geometry.LINE else "r"
-        lo, di, up = grid.laplacian_diagonals(direction)
+        # the one axis left: s after the rho modes, or the only one
+        lo, di, up = grid.laplacian_diagonals("r" if grid.s is None else "s")
         self.factor = TridiagonalFactor(-lo, shift + potential - di, -up)
 
     def solve(self, rhs):

@@ -9,7 +9,7 @@ import numpy as np
 
 from .energy import EnergyBreakdown
 from .errors import DomainError
-from .grid import Geometry, Wavefunction
+from .grid import Wavefunction
 
 
 @dataclass
@@ -61,18 +61,13 @@ def moments(u: Wavefunction) -> ObservableRecord:
     rec = ObservableRecord(norm=math.sqrt(norm2), peak_density=peak)
     # the moments are taken against the density summed over the other axis
     radial, axial = grid.axis_sums(weighted)
-    if grid.kind is Geometry.SPHERICAL_RADIAL:
-        rec.x_s = float("nan")
-        rec.p_s = float("nan")
-        rec.w_s = float("nan")
-        rec.w_rho = math.sqrt(float(grid.r ** 2 @ radial) / norm2)
+    rec.w_rho = (float("nan") if radial is None
+                 else math.sqrt(float(grid.radial ** 2 @ radial) / norm2))
+    if axial is None:
+        rec.x_s = rec.p_s = rec.w_s = float("nan")
         return rec
     rec.x_s = float(grid.s @ axial) / norm2
     s2 = float(grid.s ** 2 @ axial) / norm2
     rec.w_s = math.sqrt(max(s2 - rec.x_s ** 2, 0.0))
     rec.p_s = _axial_momentum(np.asarray(u.values, dtype=complex), grid.ds, weighted, norm2)
-    if grid.kind is Geometry.CYLINDRICAL:
-        rec.w_rho = math.sqrt(float(grid.rho ** 2 @ radial) / norm2)
-    else:
-        rec.w_rho = float("nan")
     return rec

@@ -195,7 +195,7 @@ def _sample(expr: PotentialExpr, grid: Grid, params, step=0.0):
     if grid.kind not in (Geometry.LINE, Geometry.CYLINDRICAL):
         raise DomainError("external potentials apply to line or cylindrical grids")
     env = {"s": grid.s_coords() + 1j * step if step else grid.s_coords()}
-    if grid.kind is Geometry.CYLINDRICAL:
+    if grid.rho is not None:
         env["rho"] = grid.rho_coords()
     values = _eval(expr.root, env, params)
     if step:
@@ -204,10 +204,9 @@ def _sample(expr: PotentialExpr, grid: Grid, params, step=0.0):
     bad = ~np.isfinite(values)
     if np.any(bad):
         idx = tuple(int(k[0]) for k in np.nonzero(bad))
-        if grid.kind is Geometry.LINE:
-            where = f"s = {grid.s[idx[0]]:g}"
-        else:
-            where = f"rho = {grid.rho[idx[0]]:g}, s = {grid.s[idx[1]]:g}"
+        where = f"s = {grid.s[idx[-1]]:g}"
+        if grid.rho is not None:
+            where = f"rho = {grid.rho[idx[0]]:g}, {where}"
         source = f"d/ds({expr.source})" if step else expr.source
         raise DomainError(f"potential '{source}' is non-finite at node ({where})")
     return values

@@ -612,6 +612,30 @@ def test_spherical_collapse_records_the_lambda_z_it_ran(tmp_path):
     assert "lambda_z = 1" in manifest_lines(tmp_path / "c.csv.manifest")
 
 
+def test_spherical_ground_defaults_to_the_isotropic_trap(tmp_path):
+    out = tmp_path / "g.csv"
+    argv = ["ground", "--geometry", "spherical", "--q", "5", "--n-r", "64", "--quiet",
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert "lambda_z = 1" in manifest_lines(tmp_path / "g.csv.manifest")
+    lines = (tmp_path / "g.csv.summary").read_text().splitlines()
+    row = dict(zip(lines[1].split(","), lines[2].split(",")))
+    assert row["lambda_z"] == "1" and row["converged"] == "1"
+
+
+@pytest.mark.parametrize("command", ["collapse", "ground"])
+def test_spherical_anisotropic_trap_fails(tmp_path, capsys, command):
+    # a spherical grid models the isotropic trap only: lambda_z = 0.3 is an error,
+    # not a silent run at lambda_z = 1
+    argv = [command, "--geometry", "spherical", "--n-r", "48", "--lambda-z", "0.3",
+            "--out", str(tmp_path / "o.csv")]
+    argv += ["--tol", "8"] if command == "collapse" else ["--q", "5"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "lambda_z" in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command", ["units", "analytic", "ground", "evolve", "collapse",
                                      "figures"])
 def test_subcommand_help_formats(command, capsys):

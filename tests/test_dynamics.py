@@ -357,6 +357,60 @@ class TestNoExpansion:
         assert self.growth(0.0) > 2.0
 
 
+class TestQuasiparticle:
+    """The paper's claim: a soliton moves through a slowly varying potential as a
+    particle.  Its centroid follows the rigid profile, X'' = -U'(X) with
+    U(X) = int V(s) rho0(s - X) ds, not a point particle, X'' = -V'(X), in the
+    well V = -0.02 sech^2((s - 4)/3) (line grid, released at rest at s = 0, tau = 60)."""
+
+    @staticmethod
+    def force(s):
+        """-V'(s)."""
+        z = (s - 4.0) / 3.0
+        return -0.04 / 3.0 * np.tanh(z) / np.cosh(z) ** 2
+
+    @staticmethod
+    def rk4(accel, x, t_final, h=0.01, every=100):
+        """Positions of X'' = accel(X) from rest at x, every `every` steps of h."""
+        v, xs = 0.0, [x]
+        for k in range(1, round(t_final / h) + 1):
+            k1x, k1v = v, accel(x)
+            k2x, k2v = v + 0.5 * h * k1v, accel(x + 0.5 * h * k1x)
+            k3x, k3v = v + 0.5 * h * k2v, accel(x + 0.5 * h * k2x)
+            k4x, k4v = v + h * k3v, accel(x + h * k3x)
+            x += h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+            v += h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            if k % every == 0:
+                xs.append(x)
+        return np.array(xs)
+
+    def deviations(self, Q):
+        """Max |x_s - X| over tau = 0, 1, ..., 60 for the rigid profile and the point."""
+        g = line_grid(-60.0, 60.0, 1024)
+        trap = TrapSpec(0.0)
+        res = relax(default_initial(g, trap, Q), trap, Q, DescentConfig(residual_tol=1e-8))
+        assert res.converged
+        u0 = res.wavefunction.normalized()
+        # a record every tau = 1 at the default step
+        cfg = PropagationConfig(t_final=60.0, observe_every=round(1.0 / PropagationConfig.dt))
+        well = ExternalPotential(parse("-0.02*sech((s-4)/3)^2"), {})
+        records, _ = propagate(u0, trap, Q, well, cfg)
+        x_s = np.array([r.x_s for r in records])
+        rho0 = g.weights * u0.density()
+        rigid = self.rk4(lambda x: float(self.force(g.s + x) @ rho0), x_s[0], 60.0)
+        point = self.rk4(lambda x: float(self.force(x)), x_s[0], 60.0)
+        return np.max(np.abs(x_s - rigid)), np.max(np.abs(x_s - point))
+
+    def test_soliton_moves_as_its_rigid_profile(self):
+        rigid, point = self.deviations(20.0)  # 5.3e-3 and 0.37
+        assert rigid < 1e-2
+        assert point > 0.2
+
+    def test_wide_soliton_departs_from_the_rigid_profile(self):
+        rigid, _ = self.deviations(5.0)  # 6.7e-2: the wider soliton is not rigid in the well
+        assert rigid > 3e-2
+
+
 class TestDisplace:
     def test_zero_shift_identity(self):
         u = line_soliton()

@@ -155,6 +155,40 @@ class TestLaplacian:
         # a Fortran-ordered field gives the same result
         assert np.array_equal(g.laplacian(np.asfortranarray(f)), g.laplacian(f))
 
+    def test_line_matches_zero_ghost_stencil(self):
+        g = line_grid(-3.0, 5.0, 40)
+        f = np.random.default_rng(14).standard_normal(g.shape)
+        ghosted = np.pad(f, 1)  # a zero ghost beyond each edge
+        ref = (ghosted[:-2] - 2.0 * f + ghosted[2:]) / g.ds ** 2
+        assert np.max(np.abs(g.laplacian(f) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_spherical_matches_zero_ghost_stencil(self):
+        g = spherical_grid(4.0, 40)
+        f = np.random.default_rng(15).standard_normal(g.shape)
+        i = np.arange(g.r.size, dtype=float)
+        cell = ((i + 1.0) ** 3 - i ** 3) * g.dr ** 2
+        up, dn = 3.0 * (i + 1.0) ** 2 / cell, 3.0 * i ** 2 / cell  # dn[0] = 0: no axis face
+        ghosted = np.pad(f, 1)  # the outer ghost is zero; the inner one is never read
+        ref = up * (ghosted[2:] - f) + dn * (ghosted[:-2] - f)
+        assert np.max(np.abs(g.laplacian(f) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("make", [
+        lambda: line_grid(-3.0, 3.0, 48),
+        lambda: cylindrical_grid(3.0, -2.0, 2.0, 24, 20),
+        lambda: spherical_grid(3.0, 40),
+    ], ids=["line", "cylindrical", "spherical"])
+    @pytest.mark.parametrize("use", ["integrate", "laplacian", "dirichlet_energy",
+                                     "Wavefunction"])
+    def test_wrong_shape_rejected(self, make, use):
+        # shapes with the grid's node count among them: a reshape would take those
+        g = make()
+        apply = (lambda f: Wavefunction(g, f)) if use == "Wavefunction" else getattr(g, use)
+        wrong = {(1, *g.shape), (g.weights.size,), g.shape[::-1],
+                 (*g.shape[:-1], g.shape[-1] + 1)} - {g.shape}
+        for shape in wrong:
+            with pytest.raises(GridMismatchError):
+                apply(np.ones(shape))
+
     @pytest.mark.parametrize("make", [
         lambda: line_grid(-3.0, 3.0, 48),
         lambda: cylindrical_grid(3.0, -2.0, 2.0, 24, 20),
