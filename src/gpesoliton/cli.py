@@ -130,16 +130,13 @@ def load_config(path, rows) -> dict:
     return values
 
 
-GEOMETRIES = {"line": Geometry.LINE, "cylindrical": Geometry.CYLINDRICAL,
-              "spherical": Geometry.SPHERICAL_RADIAL}
-
-
 def build_run_grid(args, Q, lambda_z) -> Grid:
     # figures has no --geometry: its (rho, s) sections need a cylinder
-    kind = GEOMETRIES.get(getattr(args, "geometry", "cylindrical"))
-    if kind is None:
+    try:
+        kind = Geometry(getattr(args, "geometry", "cylindrical"))
+    except ValueError:
         raise DomainError(f"unknown geometry {args.geometry!r}; "
-                          f"choose from {', '.join(GEOMETRIES)}")
+                          f"choose from {', '.join(g.value for g in Geometry)}") from None
     if kind is Geometry.SPHERICAL_RADIAL:
         return spherical_grid(args.r_max, args.n_r)
     half = args.s_extent

@@ -2,6 +2,8 @@
 
 Bisection on Q with full relaxation probes on a grid the caller supplies; each
 probe is warm-started from the last converged state, the nearest one to it.
+The bracket moves on verdicts only: a probe that ends neither converged nor
+collapsed (max_iters reached) raises DomainError rather than guess a side.
 "Collapse" is the relaxation module's numerical proxy (the amplitude ceiling
 over the analytic peak), since the physical blowup lies outside the validity
 of the mean-field model.
@@ -10,7 +12,6 @@ of the mean-field model.
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass, field
 
 from .energy import TrapSpec
@@ -26,7 +27,7 @@ class ThresholdTrial:
     Q: float
     converged: bool
     collapsed: bool
-    resolved: bool       # False when the probe hit max_iters without a verdict
+    resolved: bool       # converged or collapsed; always True in a returned result
     iterations: int
     energy_total: float
 
@@ -35,7 +36,6 @@ class ThresholdTrial:
 class ThresholdResult:
     q_lo: float          # largest Q with a converged ground state
     q_hi: float          # smallest Q with detected collapse
-    tolerance: float
     trials: list[ThresholdTrial] = field(default_factory=list)
 
     @property
@@ -43,7 +43,7 @@ class ThresholdResult:
         return 0.5 * (self.q_lo + self.q_hi)
 
 
-def _probe(grid: Grid, trap: TrapSpec, Q: float, cfg: DescentConfig, seed):
+def _probe(trap: TrapSpec, Q: float, cfg: DescentConfig, seed):
     result = relax(seed, trap, Q, cfg)
     trial = ThresholdTrial(
         Q=Q,
@@ -60,9 +60,8 @@ def find_threshold(grid: Grid, lambda_z: float, bracket: tuple[float, float], to
                    cfg: DescentConfig = DescentConfig()) -> ThresholdResult:
     """Bracketed bisection for the critical Q on `grid`, which every probe shares.
 
-    Probes that exhaust max_iters without converging or collapsing count as
-    converged (no collapse signature appeared) but are recorded as unresolved;
-    more than three of them triggers a resolution warning.
+    Every probe must end converged or collapsed; one that reaches max_iters with
+    neither verdict raises DomainError naming its Q, lambda_z and max_iters.
     """
     q_min, q_max = bracket
     if not 0 < q_min < q_max:
@@ -74,39 +73,33 @@ def find_threshold(grid: Grid, lambda_z: float, bracket: tuple[float, float], to
                           "(lambda_z = 1)")
     trap = TrapSpec(lambda_z=lambda_z)
 
-    result = ThresholdResult(q_lo=q_min, q_hi=q_max, tolerance=q_max - q_min)
-    last_converged, trial = _probe(grid, trap, q_min, cfg, default_initial(grid, trap, q_min))
+    result = ThresholdResult(q_lo=q_min, q_hi=q_max)
+    last_converged, trial = _probe(trap, q_min, cfg, default_initial(grid, trap, q_min))
     result.trials.append(trial)
     if trial.collapsed or not trial.converged:
         raise DomainError(
             f"invalid bracket: relaxation at q_min = {q_min} did not converge")
-    _, trial = _probe(grid, trap, q_max, cfg, last_converged.wavefunction.normalized())
+    _, trial = _probe(trap, q_max, cfg, last_converged.wavefunction.normalized())
     result.trials.append(trial)
     if not trial.collapsed:
         raise DomainError(
             f"invalid bracket: relaxation at q_max = {q_max} did not collapse")
 
-    unresolved = 0
     while result.q_hi - result.q_lo > tol:
         q_mid = 0.5 * (result.q_lo + result.q_hi)
-        res, trial = _probe(grid, trap, q_mid, cfg, last_converged.wavefunction.normalized())
+        res, trial = _probe(trap, q_mid, cfg, last_converged.wavefunction.normalized())
         result.trials.append(trial)
         if not trial.resolved:
-            unresolved += 1
+            raise DomainError(
+                f"no verdict at Q = {q_mid} (lambda_z = {lambda_z}): relaxation neither "
+                f"converged nor collapsed within max_iters = {cfg.max_iters}")
         if trial.collapsed:
             result.q_hi = q_mid
         else:
-            result.q_lo = q_mid
-            if trial.converged:
-                last_converged = res
+            result.q_lo, last_converged = q_mid, res
         log.info("threshold probe Q=%.4f -> %s (bracket [%.4f, %.4f])", q_mid,
                  "collapsed" if trial.collapsed else "converged",
                  result.q_lo, result.q_hi)
-    result.tolerance = result.q_hi - result.q_lo
-    if unresolved > 3:
-        warnings.warn(
-            f"{unresolved} probes hit max_iters without a verdict; the grid may be "
-            "too coarse or max_iters too small for this bracket", RuntimeWarning)
     return result
 
 

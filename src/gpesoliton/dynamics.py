@@ -263,12 +263,12 @@ def propagate(u0: Wavefunction, trap: TrapSpec, Q: float,
             v, k = prop.advance(v, stop - k), stop
             tau = k * cfg.dt
             if not np.all(np.isfinite(v)):
-                raise BlowupError(f"non-finite state at tau = {tau:g}", tau=tau)
+                raise BlowupError(f"non-finite state at tau = {tau:g}")
             if k % cfg.observe_every == 0 or k == n_steps:
                 rec = prop.observe(v, tau)
                 if prop.sponge is None and abs(rec.norm - 1.0) > NORM_DRIFT_LIMIT:
                     raise StepSizeError(f"norm drifted to {rec.norm:.9f} at tau = {tau:g}; "
-                                        "reduce dt", tau=tau)
+                                        "reduce dt")
                 records.append(rec)
         if k in snapshot_steps:
             # advance kicks its input in place
@@ -293,9 +293,17 @@ def time_error(u0: Wavefunction, trap: TrapSpec, Q: float,
 
 
 def boost(u: Wavefunction, v: float) -> Wavefunction:
-    """Multiply by the plane-wave phase e^{i v s}; shifts <P_s> by exactly v."""
+    """Multiply by the plane-wave phase e^{i v s}; shifts <P_s> by exactly v.
+
+    Raises DomainError unless |v| ds < pi/2: beyond it the recorded <P_s>
+    aliases (its phase increment spans 2 ds) and the lattice group velocity
+    sin(v ds)/ds falls as v rises."""
     if u.grid.kind not in (Geometry.LINE, Geometry.CYLINDRICAL):
         raise DomainError("boost applies to line and cylindrical grids")
+    v_max = 0.5 * math.pi / u.grid.ds
+    if not abs(v) < v_max:
+        raise DomainError(f"boost |v| = {abs(v):g} must stay below pi/(2 ds) = {v_max:g} "
+                          f"on this grid (ds = {u.grid.ds:g}); use a finer s grid")
     phase = np.exp(1j * v * u.grid.s_coords())
     return Wavefunction(u.grid, np.asarray(u.values, dtype=complex) * phase)
 

@@ -20,17 +20,9 @@ class GridMismatchError(DomainError):
 class StepSizeError(GpeError):
     """Time or pseudo-time step too large for stable/accurate integration."""
 
-    def __init__(self, message, tau=None):
-        super().__init__(message)
-        self.tau = tau
-
 
 class BlowupError(GpeError):
     """Non-finite values appeared during propagation (collapse in supercritical runs)."""
-
-    def __init__(self, message, tau=None):
-        super().__init__(message)
-        self.tau = tau
 
 
 class ParseError(GpeError):

@@ -146,6 +146,25 @@ def test_bad_potential_fails(tmp_path, capsys, potential):
     assert not (tmp_path / "e.csv").exists()
 
 
+def test_collapse_probe_without_verdict_fails(tmp_path, capsys):
+    # at max_iters = 25 the probe at Q = 13.75 neither converges nor collapses
+    argv = ["collapse", "--geometry", "spherical", "--n-r", "96", "--tol", "0.5",
+            "--max-iters", "25", "--out", str(tmp_path / "c.csv")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no verdict at Q = 13.75 ") and "max_iters = 25" in err
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_aliasing_boost_fails(tmp_path, capsys):
+    # ds = 0.855 on 64 nodes: pi/(2 ds) = 1.838
+    argv = ["evolve", "--geometry", "line", "--n-s", "64", "--initial", "composite",
+            "--t-final", "0.05", "--boost", "1.9", "--out", str(tmp_path / "e.csv")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: boost |v| = 1.9 must stay below")
+    assert not (tmp_path / "e.csv").exists()
+
+
 def test_ehrenfest_runs_with_off_cadence_snapshot(tmp_path, caplog):
     # the snapshot at 0.335 (step 670) is off the 20-step sampling cadence: it
     # splits the step sequence but adds no row, so one check covers the whole run

@@ -5,6 +5,7 @@ import pytest
 from gpesoliton.collapse import find_threshold, optimality_scan
 from gpesoliton.errors import DomainError
 from gpesoliton.grid import cylindrical_grid, default_half_extent_s, spherical_grid
+from gpesoliton.groundstate import DescentConfig
 
 # isotropic collapse threshold, Ruprecht et al., PRA 51, 4704 (1995)
 ISOTROPIC_QC = 8.0 * math.pi * 0.575
@@ -25,6 +26,13 @@ class TestFindThreshold:
         with pytest.raises(DomainError, match=reason):
             find_threshold(spherical_grid(6.0, 64), 1.0, bracket, 0.5)
 
+    def test_probe_without_verdict_raises(self):
+        # capped at 25 iterations, the probe at Q = 13.75 ends neither converged
+        # nor collapsed; taken as converged it would move q_lo past Q_c
+        with pytest.raises(DomainError, match=r"Q = 13\.75 .*max_iters = 25"):
+            find_threshold(spherical_grid(6.0, 96), 1.0, (10.0, 25.0), 0.5,
+                           DescentConfig(max_iters=25))
+
 
 def scan_grid(lambda_z, q_min=8.0):
     # the axial box holds the widest state in the bracket, the one at q_min
@@ -44,3 +52,8 @@ class TestOptimalityScan:
     def test_lambda_above_one_rejected(self):
         with pytest.raises(DomainError, match="lambda_z values must lie in"):
             optimality_scan([(1.5, scan_grid(1.5))], (8.0, 30.0), 0.5)
+
+    def test_probe_without_verdict_propagates(self):
+        with pytest.raises(DomainError, match=r"no verdict at Q = 13\.75 "):
+            optimality_scan([(1.0, spherical_grid(6.0, 96))], (10.0, 25.0), 0.5,
+                            DescentConfig(max_iters=25))

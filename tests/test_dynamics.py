@@ -602,6 +602,20 @@ class TestGuards:
         with pytest.raises(DomainError):
             propagate(u, TrapSpec(1.0), 0.0, None, PropagationConfig(t_final=0.1))
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("grid", [line_grid(-27.35, 27.35, 64),
+                                      cylindrical_grid(6.0, -27.35, 27.35, 16, 64)],
+                             ids=lambda g: g.kind.value)
+    def test_boost_below_the_aliasing_bound(self, grid, sign):
+        # p_s reads the phase increment across 2 ds, which aliases once |v| ds
+        # reaches pi/2; below that bound it records the boost exactly
+        u = default_initial(grid, TrapSpec(0.0), 5.0)
+        v_max = 0.5 * math.pi / grid.ds
+        assert moments(boost(u, sign * 0.99 * v_max)).p_s == pytest.approx(
+            sign * 0.99 * v_max, rel=1e-12)
+        with pytest.raises(DomainError, match=r"must stay below pi/\(2 ds\)"):
+            boost(u, sign * 1.01 * v_max)
+
 
 class TestEhrenfestReportShape:
     def test_report_fields(self):
