@@ -328,8 +328,6 @@ def cmd_evolve(args):
         u0 = res.wavefunction.normalized()
     elif args.initial == "composite":
         u0 = default_initial(grid, TrapSpec(0.0), Q)
-    elif args.initial == "gaussian":
-        u0 = default_initial(grid, trap, 0.0)
     else:
         raise DomainError(f"unknown initial state {args.initial!r}")
     u0 = Wavefunction(grid, np.asarray(u0.values, dtype=complex))
@@ -445,15 +443,8 @@ _QUIET = _Row("--quiet", bool, False)
 _SECTION_ROWS = [_Row("--rho-max", float, 6.0), _Row("--n-rho", int, 96), _S_EXTENT, _N_S]
 _GEOMETRY = _Row("--geometry", str, "cylindrical", "line | cylindrical | spherical")
 _GRID_ROWS = [_GEOMETRY, *_SECTION_ROWS, _Row("--r-max", float, 6.0), _Row("--n-r", int, 512)]
-_SOLVER_ROWS = [
-    _Row("--step-size", float, DescentConfig.step_size,
-         "relaxation step tau along the preconditioned gradient (default %(default)g; "
-         "halved after any energy rise)"),
-    _Row("--max-iters", int, DescentConfig.max_iters),
-    _Row("--energy-tol", float, DescentConfig.energy_tol),
-    _Row("--residual-tol", float, DescentConfig.residual_tol),
-    _Row("--collapse-guard", float, DescentConfig.collapse_guard),
-]
+_SOLVER_ROWS = [_Row("--max-iters", int, DescentConfig.max_iters),
+                _Row("--residual-tol", float, DescentConfig.residual_tol)]
 
 # name: (function, help, positional (name, choices) or None, rows)
 _SUBCOMMANDS = {
@@ -485,7 +476,7 @@ _SUBCOMMANDS = {
         _GEOMETRY._replace(help="line | cylindrical"),
         *_SECTION_ROWS,
         *_SOLVER_ROWS,
-        _Row("--initial", str, "ground", "ground (relax first), composite, or gaussian"),
+        _Row("--initial", str, "ground", "ground (relax first) or composite"),
         _Row("--boost", float, 0.0),
         _Row("--displace", float, 0.0),
         _Row("--potential", str, None, "axial potential over s (and rho on cylindrical "

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .energy import TrapSpec
 from .errors import DomainError
-from .grid import Geometry, Grid
+from .grid import Grid
 from .groundstate import DescentConfig, default_initial, relax
 
 log = logging.getLogger(__name__)
@@ -44,12 +44,17 @@ class ThresholdResult:
 
 
 def _probe(trap: TrapSpec, Q: float, cfg: DescentConfig, seed):
+    """Relax at Q from `seed`; DomainError when it ends with neither verdict."""
     result = relax(seed, trap, Q, cfg)
+    if not (result.converged or result.collapsed):
+        raise DomainError(
+            f"no verdict at Q = {Q} (lambda_z = {trap.lambda_z}): relaxation neither "
+            f"converged nor collapsed within max_iters = {cfg.max_iters}")
     trial = ThresholdTrial(
         Q=Q,
         converged=result.converged,
         collapsed=result.collapsed,
-        resolved=result.converged or result.collapsed,
+        resolved=True,
         iterations=result.iterations,
         energy_total=result.energy.total,
     )
@@ -60,23 +65,22 @@ def find_threshold(grid: Grid, lambda_z: float, bracket: tuple[float, float], to
                    cfg: DescentConfig = DescentConfig()) -> ThresholdResult:
     """Bracketed bisection for the critical Q on `grid`, which every probe shares.
 
-    Every probe must end converged or collapsed; one that reaches max_iters with
-    neither verdict raises DomainError naming its Q, lambda_z and max_iters.
+    Every probe, the q_min and q_max ends included, must end converged or
+    collapsed; one that reaches max_iters with neither verdict raises
+    DomainError naming its Q, lambda_z and max_iters.  A q_min that collapses or
+    a q_max that converges raises DomainError for an invalid bracket.
     """
     q_min, q_max = bracket
     if not 0 < q_min < q_max:
         raise DomainError(f"need 0 < q_min < q_max, got {bracket}")
     if not 0 < tol < float("inf"):
         raise DomainError(f"tol must be positive and finite, got {tol}")
-    if grid.kind is Geometry.SPHERICAL_RADIAL and lambda_z != 1.0:
-        raise DomainError("spherical-radial thresholds model the isotropic trap "
-                          "(lambda_z = 1)")
     trap = TrapSpec(lambda_z=lambda_z)
 
     result = ThresholdResult(q_lo=q_min, q_hi=q_max)
     last_converged, trial = _probe(trap, q_min, cfg, default_initial(grid, trap, q_min))
     result.trials.append(trial)
-    if trial.collapsed or not trial.converged:
+    if trial.collapsed:
         raise DomainError(
             f"invalid bracket: relaxation at q_min = {q_min} did not converge")
     _, trial = _probe(trap, q_max, cfg, last_converged.wavefunction.normalized())
@@ -89,10 +93,6 @@ def find_threshold(grid: Grid, lambda_z: float, bracket: tuple[float, float], to
         q_mid = 0.5 * (result.q_lo + result.q_hi)
         res, trial = _probe(trap, q_mid, cfg, last_converged.wavefunction.normalized())
         result.trials.append(trial)
-        if not trial.resolved:
-            raise DomainError(
-                f"no verdict at Q = {q_mid} (lambda_z = {lambda_z}): relaxation neither "
-                f"converged nor collapsed within max_iters = {cfg.max_iters}")
         if trial.collapsed:
             result.q_hi = q_mid
         else:

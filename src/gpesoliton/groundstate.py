@@ -31,34 +31,29 @@ from .grid import Geometry, Grid, TridiagonalFactor, Wavefunction
 
 log = logging.getLogger(__name__)
 
+# The fixed step tau along the preconditioned direction.  P^{-1} times the
+# gradient is close to the identity at short wavelengths, so tau = 1 removes the
+# stiff part of the error in one step on any grid spacing.  Each rejected step
+# halves tau for the rest of the run, at most _MAX_HALVINGS times.
+_STEP = 1.0
 _MAX_HALVINGS = 30
+_ENERGY_TOL = 1e-10     # relative energy change per iteration at convergence
+_COLLAPSE_GUARD = 5.0   # amplitude ceiling over the analytic peak
 
 
 @dataclass(frozen=True)
 class DescentConfig:
-    """Settings of `relax`.
+    """Settings of `relax`."""
 
-    step_size is the fixed step tau along the preconditioned direction.  P^{-1}
-    times the gradient is close to the identity at short wavelengths, so tau = 1
-    removes the stiff part of the error in one step on any grid spacing.  Each
-    rejected step halves tau for the rest of the run.
-    """
-
-    step_size: float = 1.0
     max_iters: int = 200_000
-    energy_tol: float = 1e-10    # relative energy change per iteration
     residual_tol: float = 1e-5   # L2 eigenresidual target
-    collapse_guard: float = 5.0  # amplitude ceiling over the analytic peak
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise DomainError(f"step_size must be positive, got {self.step_size}")
-        if self.energy_tol <= 0 or self.residual_tol <= 0:
-            raise DomainError("tolerances must be positive")
-        if self.collapse_guard <= 1:
-            raise DomainError(f"collapse_guard must exceed 1, got {self.collapse_guard}")
-        if self.max_iters < 1:
-            raise DomainError("max_iters must be at least 1")
+        if not 0 < self.residual_tol < math.inf:
+            raise DomainError(f"residual_tol must be positive and finite, "
+                              f"got {self.residual_tol}")
+        if not 1 <= self.max_iters < math.inf:
+            raise DomainError(f"max_iters must be a finite number >= 1, got {self.max_iters}")
 
 
 @dataclass
@@ -69,7 +64,6 @@ class GroundStateResult:
     converged: bool
     collapsed: bool
     residual: float
-    final_step_size: float
     energy_increases: int  # steps rejected for raising the energy beyond round-off
 
 
@@ -77,7 +71,9 @@ def reference_peak(grid: Grid, trap: TrapSpec, Q: float) -> float:
     """Peak amplitude of the analytic profile(s) seeding this configuration."""
     peaks = []
     if Q > 0 and grid.kind is not Geometry.SPHERICAL_RADIAL:
-        peaks.append(analytic.soliton_amplitude(Q))
+        # line states carry unit norm, sqrt(pi) times the paper-normalized profile
+        line_norm = math.sqrt(math.pi) if grid.kind is Geometry.LINE else 1.0
+        peaks.append(line_norm * analytic.soliton_amplitude(Q))
     if grid.kind is Geometry.SPHERICAL_RADIAL:
         peaks.append(math.pi ** -0.75)
     elif trap.lambda_z > 0:
@@ -202,7 +198,7 @@ def relax(initial: Wavefunction, trap: TrapSpec, Q: float,
 
     ceiling = math.inf
     if Q > 0:
-        ceiling = cfg.collapse_guard * reference_peak(grid, trap, Q)
+        ceiling = _COLLAPSE_GUARD * reference_peak(grid, trap, Q)
     c = quartic_coefficient(grid.kind, Q)
     precond = None  # factored at the first step, with the seed's shift
     pot = trap_potential(grid, trap)
@@ -211,7 +207,7 @@ def relax(initial: Wavefunction, trap: TrapSpec, Q: float,
     def inner(a, b):
         return float(np.vdot(a, w * b).real)
 
-    tau = cfg.step_size
+    tau = _STEP
     rejected = 0
     v_prev = d = None
     energy_prev = math.inf
@@ -235,7 +231,7 @@ def relax(initial: Wavefunction, trap: TrapSpec, Q: float,
         else:
             tangent = g - vg * v  # twice the eigenresidual g/2 - mu*u
             residual = 0.5 * math.sqrt(inner(tangent, tangent))
-            if abs(energy - energy_prev) < cfg.energy_tol * scale \
+            if abs(energy - energy_prev) < _ENERGY_TOL * scale \
                     and residual < cfg.residual_tol:
                 converged = True
                 break
@@ -262,6 +258,5 @@ def relax(initial: Wavefunction, trap: TrapSpec, Q: float,
         converged=converged,
         collapsed=collapsed,
         residual=residual,
-        final_step_size=tau,
         energy_increases=rejected,
     )

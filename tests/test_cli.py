@@ -156,6 +156,14 @@ def test_collapse_probe_without_verdict_fails(tmp_path, capsys):
     assert not (tmp_path / "c.csv").exists()
 
 
+def test_unknown_initial_state_fails(tmp_path, capsys):
+    argv = ["evolve", "--geometry", "line", "--n-s", "64", "--initial", "gaussian",
+            "--t-final", "0.05", "--out", str(tmp_path / "e.csv")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: unknown initial state 'gaussian'")
+    assert not (tmp_path / "e.csv").exists()
+
+
 def test_aliasing_boost_fails(tmp_path, capsys):
     # ds = 0.855 on 64 nodes: pi/(2 ds) = 1.838
     argv = ["evolve", "--geometry", "line", "--n-s", "64", "--initial", "composite",
@@ -338,7 +346,8 @@ def test_analytic_profile_bad_grid_fails(flags, capsys):
 # One run per subcommand and per analytic table, and its manifest without the
 # numpy, lapack and out lines, as written before the flags were declared in one
 # table, less the keys of the flags removed since (units lambda_z, figures
-# geometry/r_max/n_r, evolve r_max/n_r).  A change to how flags, defaults and
+# geometry/r_max/n_r, evolve r_max/n_r, and step_size, energy_tol and
+# collapse_guard everywhere).  A change to how flags, defaults and
 # config files resolve must not move any of these values.
 GOLDEN_MANIFESTS = {
     "units": (["units", "--n", "1000,2000", "--q", "5"], """\
@@ -391,9 +400,7 @@ s = None
 s_extent = None
 what = variational"""),
     "ground": (["ground", "--q", "5", "--geometry", "line", "--n-s", "128"], """\
-collapse_guard = 5
 command = ground
-energy_tol = 1e-10
 geometry = line
 lambda_z = 0
 max_iters = 200000
@@ -405,17 +412,14 @@ quiet = True
 r_max = 6
 residual_tol = 1.0000000000000001e-05
 rho_max = 6
-s_extent = None
-step_size = 1"""),
+s_extent = None"""),
     "evolve": (["evolve", "--geometry", "line", "--n-s", "64", "--initial", "composite",
                 "--t-final", "0.05", "--snapshot-times", "0.02", "--potential", "a*s^2",
                 "--param", "a=0.01"], """\
 boost = 0
-collapse_guard = 5
 command = evolve
 displace = 0
 dt = 0.0050000000000000001
-energy_tol = 1e-10
 geometry = line
 initial = composite
 lambda_z = 0
@@ -433,13 +437,10 @@ s_extent = None
 snapshot_times = 0.02
 sponge_strength = 0
 sponge_width = 0
-step_size = 1
 t_final = 0.050000000000000003"""),
     "collapse": (["collapse", "--lambda-z", "0.5", "--n-rho", "16", "--n-s", "48",
                   "--tol", "8"], """\
-collapse_guard = 5
 command = collapse
-energy_tol = 1e-10
 geometry = cylindrical
 lambda_z = 0.5
 max_iters = 200000
@@ -454,12 +455,9 @@ residual_tol = 1.0000000000000001e-05
 rho_max = 6
 s_extent = None
 scan_lambda_z = None
-step_size = 1
 tol = 8"""),
     "figures": (["figures", "fig2", "--n-rho", "16", "--n-s", "48"], """\
-collapse_guard = 5
 command = figures
-energy_tol = 1e-10
 max_iters = 200000
 n_rho = 16
 n_s = 48
@@ -467,7 +465,6 @@ quiet = True
 residual_tol = 1.0000000000000001e-05
 rho_max = 6
 s_extent = None
-step_size = 1
 which = fig2"""),
 }
 
@@ -504,9 +501,9 @@ def run_outputs(run_dir, argv):
 
 
 @pytest.mark.parametrize("flags,config", [
-    (["ground", "--q", "5", "--geometry", "line", "--n-s", "128", "--step-size", "0.5",
+    (["ground", "--q", "5", "--geometry", "line", "--n-s", "128", "--residual-tol", "1e-6",
       "--quiet"],
-     "q = 5\ngeometry = line  # a comment\nn-s = 128\nstep_size = 0.5\nquiet = yes\n"),
+     "q = 5\ngeometry = line  # a comment\nn-s = 128\nresidual_tol = 1e-6\nquiet = yes\n"),
     (["evolve", "--geometry", "line", "--n-s", "64", "--q", "4", "--initial", "composite",
       "--boost", "0.2", "--t-final", "0.05", "--snapshot-times", "0.02",
       "--potential", "a*s^2 + b*s", "--param", "a=0.01", "--param", "b=0.001", "--quiet"],
@@ -543,7 +540,8 @@ def test_flags_override_config_file(tmp_path):
     (["ground", "--q", "5"], "bogus = 1\n", "bogus"),
     (["analytic", "profile"], "what = width\n", "what"),
     (["figures", "fig1"], "which = fig2\n", "which"),
-], ids=["ground-bogus", "analytic-what", "figures-which"])
+    (["ground", "--q", "5"], "step_size = 1\n", "step_size"),
+], ids=["ground-bogus", "analytic-what", "figures-which", "ground-step-size"])
 def test_config_unknown_key_fails(tmp_path, capsys, argv, text, key):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
@@ -682,7 +680,11 @@ def test_quiet_holds_on_every_call(tmp_path, caplog):
     ["figures", "fig2", "--r-max", "6"],
     ["evolve", "--t-final", "0.05", "--n-r", "64"],
     ["units", "--n", "1000", "--lambda-z", "0.1"],
-], ids=["figures-geometry", "figures-r-max", "evolve-n-r", "units-lambda-z"])
+    ["ground", "--q", "5", "--step-size", "0.5"],
+    ["ground", "--q", "5", "--energy-tol", "1e-10"],
+    ["ground", "--q", "5", "--collapse-guard", "5"],
+], ids=["figures-geometry", "figures-r-max", "evolve-n-r", "units-lambda-z",
+        "ground-step-size", "ground-energy-tol", "ground-collapse-guard"])
 def test_removed_flags_are_rejected(tmp_path, argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + ["--out", str(tmp_path / "o")])

@@ -28,10 +28,19 @@ class TestFindThreshold:
 
     def test_probe_without_verdict_raises(self):
         # capped at 25 iterations, the probe at Q = 13.75 ends neither converged
-        # nor collapsed; taken as converged it would move q_lo past Q_c
-        with pytest.raises(DomainError, match=r"Q = 13\.75 .*max_iters = 25"):
-            find_threshold(spherical_grid(6.0, 96), 1.0, (10.0, 25.0), 0.5,
-                           DescentConfig(max_iters=25))
+        # nor collapsed; taken as converged it would move q_lo past Q_c.  Capped
+        # at 5, the q_min probe does: the cap, not the bracket, is at fault
+        for max_iters, q in ((25, r"13\.75"), (5, r"10\.0")):
+            with pytest.raises(DomainError, match=rf"no verdict at Q = {q} .*max_iters = "
+                                                  rf"{max_iters}"):
+                find_threshold(spherical_grid(6.0, 96), 1.0, (10.0, 25.0), 0.5,
+                               DescentConfig(max_iters=max_iters))
+
+    def test_spherical_anisotropic_trap_rejected(self):
+        # a spherical grid models the isotropic trap only; the trap check fires
+        # at the first probe
+        with pytest.raises(DomainError, match="lambda_z"):
+            find_threshold(spherical_grid(6.0, 48), 0.3, (10.0, 25.0), 8.0)
 
 
 def scan_grid(lambda_z, q_min=8.0):

@@ -28,7 +28,7 @@ def relaxed_iso():
     # tight discrete eigenstate on a small cylindrical grid
     g = cylindrical_grid(5.0, -5.0, 5.0, 48, 48)
     trap = TrapSpec(1.0)
-    cfg = DescentConfig(residual_tol=1e-9, energy_tol=1e-14, max_iters=200_000)
+    cfg = DescentConfig(residual_tol=1e-9, max_iters=200_000)
     res = relax(default_initial(g, trap, 0.0), trap, 0.0, cfg)
     assert res.converged
     return res
