@@ -22,7 +22,8 @@ class StepSizeError(GpeError):
 
 
 class BlowupError(GpeError):
-    """Non-finite values appeared during propagation (collapse in supercritical runs)."""
+    """Non-finite values appeared during propagation or relaxation (collapse in
+    supercritical runs)."""
 
 
 class ParseError(GpeError):

@@ -1,18 +1,26 @@
-"""Constrained energy minimization by preconditioned normalized gradient descent.
+"""Constrained energy minimization by preconditioned Riemannian conjugate gradients.
 
 Each iteration takes the functional gradient g (doubled convention), its
-tangent part r = g - <u, g> u, and the Sobolev direction d = P^{-1} r with
-P = shift - lap + V, projected back onto the tangent space of the unit sphere;
-the state moves to u - tau * d and is renormalized (Bao & Du, SIAM J. Sci.
-Comput. 25, 1674, 2004; Antoine, Levitt & Tang, J. Comput. Phys. 343, 92,
-2017).  The shift puts the bottom of P's spectrum near 1 on every geometry, or,
-for a bound seed, makes P the linear part of the Newton operator
--lap + V - <u, g>; either way P is positive definite on any grid that resolves
-the oscillator length (`descent_shift`).  Because the trap is separable on
-every grid, P^{-1} is applied exactly with banded solves.  A step that raises
-the energy is rejected and retried at half the size.  Collapse is flagged by an
-amplitude ceiling relative to the analytic profiles, since the physical blowup
-lies outside the validity of the mean-field model.
+tangent part r = g - <u, g> u, and the Sobolev gradient y = P^{-1} r with
+P = shift - lap + V.  The search direction d is y plus a Polak-Ribiere+
+multiple of the last direction, projected onto the tangent space of the unit
+sphere; where that sum would not descend, it restarts from y, or from r where
+P is not positive on r.  The state moves along the normalized ray
+(u - tau d)/|u - tau d| to the first minimum of the energy on it (`ray_step`):
+the energy there is a rational function of tau whose coefficients are a few
+weighted sums, so the step needs no extra Laplacian and no extra solve
+(Danaila & Protas, SIAM J. Sci. Comput. 39, B1102, 2017; Antoine, Levitt &
+Tang, J. Comput. Phys. 343, 92, 2017).  The first minimum, never a lower one
+further out, keeps a descent below the threshold from jumping the barrier
+into the collapsed basin.
+
+The shift puts the bottom of P's spectrum near 1 on every geometry, or, for a
+bound seed, makes P the linear part of the Newton operator -lap + V - <u, g>;
+either way P is positive definite on any grid that resolves the oscillator
+length (`descent_shift`).  Because the trap is separable on every grid, P^{-1}
+is applied exactly with banded solves.  Collapse is flagged by an amplitude
+ceiling relative to the analytic profiles, since the physical blowup lies
+outside the validity of the mean-field model.
 """
 
 from __future__ import annotations
@@ -26,17 +34,11 @@ import numpy as np
 from . import analytic
 from .energy import (EnergyBreakdown, TrapSpec, gradient, hamiltonian, quartic_coefficient,
                      trap_potential)
-from .errors import DomainError, StepSizeError
+from .errors import BlowupError, DomainError
 from .grid import Geometry, Grid, TridiagonalFactor, Wavefunction
 
 log = logging.getLogger(__name__)
 
-# The fixed step tau along the preconditioned direction.  P^{-1} times the
-# gradient is close to the identity at short wavelengths, so tau = 1 removes the
-# stiff part of the error in one step on any grid spacing.  Each rejected step
-# halves tau for the rest of the run, at most _MAX_HALVINGS times.
-_STEP = 1.0
-_MAX_HALVINGS = 30
 _ENERGY_TOL = 1e-10     # relative energy change per iteration at convergence
 _COLLAPSE_GUARD = 5.0   # amplitude ceiling over the analytic peak
 
@@ -64,7 +66,6 @@ class GroundStateResult:
     converged: bool
     collapsed: bool
     residual: float
-    energy_increases: int  # steps rejected for raising the energy beyond round-off
 
 
 def reference_peak(grid: Grid, trap: TrapSpec, Q: float) -> float:
@@ -171,18 +172,106 @@ class SobolevPreconditioner:
         return self.from_modes @ self.factor.solve(self.to_modes @ rhs, overwrite=True)
 
 
+def _polyval(p, t):
+    """p[0] + p[1] t + p[2] t^2 + ... by Horner's rule."""
+    acc = 0.0
+    for coef in reversed(p):
+        acc = acc * t + coef
+    return acc
+
+
+def _illinois(p, a, b, fa, fb):
+    """The root of the polynomial p between a and b, where fa = p(a) and
+    fb = p(b) differ in sign: regula falsi that halves a stale end's value,
+    until a step moves the estimate by less than 1e-12 of itself."""
+    for _ in range(100):
+        t = b - fb * (b - a) / (fb - fa)
+        ft = _polyval(p, t)
+        if ft * fb < 0:
+            a, fa = b, fb
+        else:
+            fa *= 0.5
+        converged = abs(t - b) <= 1e-12 * abs(t)
+        b, fb = t, ft
+        if converged or ft == 0.0:
+            break
+    return b
+
+
+def _sign_changes(p, lo, hi):
+    """Sorted points in (lo, hi) where the polynomial p changes sign.
+
+    The sign changes of p' cut (lo, hi) into pieces on which p is monotone, so
+    each piece holds at most one root of p.
+    """
+    if len(p) < 2:
+        return []
+    ends = [lo, *_sign_changes([k * p[k] for k in range(1, len(p))], lo, hi), hi]
+    roots, f_b = [], _polyval(p, lo)
+    for a, b in zip(ends, ends[1:]):
+        f_a, f_b = f_b, _polyval(p, b)
+        if f_a * f_b < 0:
+            roots.append(_illinois(p, a, b, f_a, f_b))
+    return roots
+
+
+def ray_step(quadratic, quartic, dd, tau0=1.0):
+    """The first local minimum tau > 0 of E(tau) = q(tau)/n^2 - m(tau)/n^4.
+
+    q and m are the polynomials with the ascending coefficients `quadratic`
+    (3) and `quartic` (5), and n^2 = 1 + dd tau^2: the energy along the
+    normalized ray (u - tau d)/|u - tau d| with <u, d> = 0, |u| = 1 and
+    dd = <d, d>.  E' has the sign of a quartic p (the tau^5 terms cancel)
+    that must be negative at 0, and the step is its first positive root.
+
+    Doubling from tau0 brackets a root in [0, tau], or stops where the ray
+    has turned onto -d to double precision.  One sign change among p's
+    Bernstein coefficients on that bracket proves the root unique, and
+    Illinois steps refine it.  Otherwise tau = tau0 x/(1 - x) maps the whole
+    ray onto 0 < x < 1, where p times (1 - x)^4 is a quartic in x, and its
+    first root is isolated from any further ones, so a step never passes a
+    barrier however close the next minimum lies.  Where E falls on the whole
+    ray, the step ends where doubling stopped.
+    """
+    q0, q1, q2 = map(float, quadratic)  # Python floats: numpy scalars are slower
+    m0, m1, m2, m3, m4 = map(float, quartic)
+    dd = float(dd)
+    e = q2 - dd * q0
+    slope = (q1 - m1, 2.0 * (e - m2) + 4.0 * dd * m0, 3.0 * (dd * m1 - m3),
+             2.0 * dd * (e + m2) - 4.0 * m4, dd * (m3 - dd * q1))
+    tau = tau0
+    while _polyval(slope, tau) < 0 and dd * tau * tau < 1e32:
+        tau *= 2.0
+    a0, a1, a2, a3, a4 = a = [coef * tau ** k for k, coef in enumerate(slope)]  # p(tau x)
+    bernstein = (a0, a0 + a1 / 4, a0 + a1 / 2 + a2 / 6, a0 + 0.75 * a1 + a2 / 2 + a3 / 4,
+                 a0 + a1 + a2 + a3 + a4)
+    changes = sum((x < 0) != (y < 0) for x, y in zip(bernstein, bernstein[1:]))
+    if changes == 1:
+        return tau * _illinois(a, 0.0, 1.0, a0, bernstein[4])
+    if changes == 0:
+        return tau
+    mapped = [0.0] * 5  # sum over k of slope[k] (tau0 x)^k (1 - x)^(4 - k)
+    for k, coef in enumerate(slope):
+        coef *= tau0 ** k
+        for j in range(5 - k):
+            mapped[k + j] += coef * (-1) ** j * math.comb(4 - k, j)
+    roots = _sign_changes(mapped, 0.0, 1.0)
+    return tau0 * roots[0] / (1.0 - roots[0]) if roots else tau
+
+
 def relax(initial: Wavefunction, trap: TrapSpec, Q: float,
           cfg: DescentConfig = DescentConfig()) -> GroundStateResult:
     """Relax an initial state to the constrained minimizer (or detect collapse).
 
     Real seeds relax in real arithmetic, complex ones in complex; both run the
     same loop.  The trap potential is evaluated once per call.  Each iteration
-    forms the density once, for the quartic energy and the amplitude ceiling,
-    and takes every inner product as one dot product against the quadrature
-    weights.
+    applies the Laplacian once (in the gradient) and P^{-1} once, forms the
+    density once, for the quartic energy and the amplitude ceiling, and takes
+    the line search's seven sums as dot products of plain fields with fields
+    weighted once.  No step raises the energy along its ray, so none is
+    rejected or retried.
 
-    Raises StepSizeError when the energy rises even after _MAX_HALVINGS
-    halvings of the step.
+    Raises BlowupError as soon as the energy is not finite.
     """
     if Q < 0:
         raise DomainError(f"Q must be non-negative, got {Q}")
@@ -203,13 +292,16 @@ def relax(initial: Wavefunction, trap: TrapSpec, Q: float,
     precond = None  # factored at the first step, with the seed's shift
     pot = trap_potential(grid, trap)
     w = grid.weights  # full field shape on every geometry
+    # Re(conj(a) b), pointwise
+    re_mul = (lambda a, b: (a.conj() * b).real) if np.iscomplexobj(v) else np.multiply
 
     def inner(a, b):
         return float(np.vdot(a, w * b).real)
 
-    tau = _STEP
-    rejected = 0
-    v_prev = d = None
+    w_pot = w * pot
+
+    tau = 1.0
+    d = wr_prev = ry_prev = None
     energy_prev = math.inf
     converged = collapsed = False
     residual = math.inf
@@ -219,32 +311,54 @@ def relax(initial: Wavefunction, trap: TrapSpec, Q: float,
         iterations += 1
         g = gradient(v, grid, trap, Q, potential=pot)
         density = np.abs(v) ** 2
+        wa = w * density
         vg = inner(v, g)
-        energy = vg + c * inner(density, density)
-        scale = max(abs(energy), 1.0)
-        if not energy <= energy_prev + 1e-12 * scale:  # a rise, or a non-finite energy
-            rejected += 1
-            if v_prev is None or rejected > _MAX_HALVINGS:
-                raise StepSizeError(f"the energy still rose at step size {tau:g} "
-                                    f"after {rejected - 1} halvings")
-            tau *= 0.5
-        else:
-            tangent = g - vg * v  # twice the eigenresidual g/2 - mu*u
-            residual = 0.5 * math.sqrt(inner(tangent, tangent))
-            if abs(energy - energy_prev) < _ENERGY_TOL * scale \
-                    and residual < cfg.residual_tol:
-                converged = True
-                break
-            if math.sqrt(density.max()) > ceiling:
-                collapsed = True
-                break
-            if precond is None:
-                precond = SobolevPreconditioner(
-                    grid, trap, descent_shift(grid, trap, Q, vg, energy))
-            d = precond.solve(tangent)
-            d -= inner(v, d) * v
-            v_prev, energy_prev = v, energy
-        v = v_prev - tau * d
+        quartic = float(np.vdot(wa, density))
+        energy = vg + c * quartic
+        if not math.isfinite(energy):
+            raise BlowupError(f"non-finite energy at iteration {iterations}")
+        r = g
+        r -= vg * v  # the tangent gradient, twice the eigenresidual g/2 - mu*u
+        wr = w * r
+        rr = float(np.vdot(wr, r).real)
+        residual = 0.5 * math.sqrt(rr)
+        if abs(energy - energy_prev) < _ENERGY_TOL * max(abs(energy), 1.0) \
+                and residual < cfg.residual_tol:
+            converged = True
+            break
+        if math.sqrt(density.max()) > ceiling:
+            collapsed = True
+            break
+        if precond is None:
+            precond = SobolevPreconditioner(
+                grid, trap, descent_shift(grid, trap, Q, vg, energy))
+        y = precond.solve(r)
+        ry = float(np.vdot(wr, y).real)
+        # Polak-Ribiere+, restarted where the sum would not descend: from y, or
+        # from r itself where P is not positive on r (an under-resolved grid)
+        beta = 0.0 if d is None else max(0.0, (ry - float(np.vdot(wr_prev, y).real))
+                                         / ry_prev)
+        d = y + beta * d if beta > 0 else y
+        dr = float(np.vdot(wr, d).real)
+        if not dr > 0:
+            d, dr = (y, ry) if ry > 0 else (r.copy(), rr)
+        d -= inner(v, d) * v
+        wr_prev, ry_prev, energy_prev = wr, ry, energy
+
+        # the energy along the ray: (a0 - 2 a1 tau + a2 tau^2)/n^2 - c N4(tau)/n^4
+        # with N4 = int |u - tau d|^4, from the weighted sums of C against 1, A,
+        # V, B and C and of B against A and B, where A = |u|^2, B = Re(conj(u) d)
+        # and C = |d|^2
+        cross, d_sq = re_mul(v, d), re_mul(d, d)
+        wb, wc = w * cross, w * d_sq
+        dd, ac, vc, bc, cc = (float(np.vdot(x, d_sq)) for x in (w, wa, w_pot, wb, wc))
+        ab, bb = float(np.vdot(wa, cross)), float(np.vdot(wb, cross))
+        a0 = vg + 2.0 * c * quartic  # <u, (-lap + V) u>
+        a1 = dr + 2.0 * c * ab       # <d, (-lap + V) u>
+        a2 = grid.dirichlet_energy(d) + vc
+        n4 = (quartic, -4.0 * ab, 4.0 * bb + 2.0 * ac, -4.0 * bc, cc)
+        tau = ray_step((a0, -2.0 * a1, a2), [c * n for n in n4], dd, tau)
+        v = v - tau * d
         v /= math.sqrt(inner(v, v))
 
     final = Wavefunction(grid, np.asarray(v, dtype=complex))
@@ -258,5 +372,4 @@ def relax(initial: Wavefunction, trap: TrapSpec, Q: float,
         converged=converged,
         collapsed=collapsed,
         residual=residual,
-        energy_increases=rejected,
     )

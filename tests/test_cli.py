@@ -147,12 +147,13 @@ def test_bad_potential_fails(tmp_path, capsys, potential):
 
 
 def test_collapse_probe_without_verdict_fails(tmp_path, capsys):
-    # at max_iters = 25 the probe at Q = 13.75 neither converges nor collapses
+    # at max_iters = 10 the probe at Q = 13.75 (13 iterations to converge)
+    # neither converges nor collapses
     argv = ["collapse", "--geometry", "spherical", "--n-r", "96", "--tol", "0.5",
-            "--max-iters", "25", "--out", str(tmp_path / "c.csv")]
+            "--max-iters", "10", "--out", str(tmp_path / "c.csv")]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: no verdict at Q = 13.75 ") and "max_iters = 25" in err
+    assert err.startswith("error: no verdict at Q = 13.75 ") and "max_iters = 10" in err
     assert not (tmp_path / "c.csv").exists()
 
 

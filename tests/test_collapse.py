@@ -27,14 +27,24 @@ class TestFindThreshold:
             find_threshold(spherical_grid(6.0, 64), 1.0, bracket, 0.5)
 
     def test_probe_without_verdict_raises(self):
-        # capped at 25 iterations, the probe at Q = 13.75 ends neither converged
-        # nor collapsed; taken as converged it would move q_lo past Q_c.  Capped
-        # at 5, the q_min probe does: the cap, not the bracket, is at fault
-        for max_iters, q in ((25, r"13\.75"), (5, r"10\.0")):
+        # capped at 10 iterations, the probe at Q = 13.75 (13 to converge) ends
+        # neither converged nor collapsed; taken as converged it would move q_lo
+        # past Q_c.  Capped at 5, the q_min probe (8 to converge) does: the cap,
+        # not the bracket, is at fault
+        for max_iters, q in ((10, r"13\.75"), (5, r"10\.0")):
             with pytest.raises(DomainError, match=rf"no verdict at Q = {q} .*max_iters = "
                                                   rf"{max_iters}"):
                 find_threshold(spherical_grid(6.0, 96), 1.0, (10.0, 25.0), 0.5,
                                DescentConfig(max_iters=max_iters))
+
+    def test_verdicts_near_the_threshold_are_pinned(self):
+        # bisection to 0.01 ends 0.007 wide around Q_c on this grid: the last
+        # probes lie within 0.02 of the threshold on both sides, where a
+        # descent that overshoots a barrier or stalls would change a verdict.
+        # The fixed step with halving gave the same sequence and bracket.
+        res = find_threshold(spherical_grid(6.0, 96), 1.0, (10.0, 25.0), 0.01)
+        assert (res.q_lo, res.q_hi) == (14.3505859375, 14.35791015625)
+        assert "".join("C" if t.converged else "X" for t in res.trials) == "CXXCXXCXCXXCX"
 
     def test_spherical_anisotropic_trap_rejected(self):
         # a spherical grid models the isotropic trap only; the trap check fires
@@ -65,4 +75,4 @@ class TestOptimalityScan:
     def test_probe_without_verdict_propagates(self):
         with pytest.raises(DomainError, match=r"no verdict at Q = 13\.75 "):
             optimality_scan([(1.0, spherical_grid(6.0, 96))], (10.0, 25.0), 0.5,
-                            DescentConfig(max_iters=25))
+                            DescentConfig(max_iters=10))
