@@ -11,11 +11,16 @@ and the LAPACK that served the run (and, for evolve, the estimated time_error).
 Each flag is one row of `_SUBCOMMANDS`.  A `--config` file's keys are exactly
 the subcommand's flag names (`--config` aside); a value is taken from the
 table's default, overridden by the config file, overridden by the flag.
+
+The parser is built on the first `main` call in a process and reused by every
+later one.  A `--config` call parses a second time with a parser of its own,
+whose defaults the file sets, so that no file value reaches another call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import math
 import sys
@@ -509,8 +514,14 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
-    """The parser and its subparsers by name, built from _SUBCOMMANDS."""
+    """The parser and its subparsers by name, built from _SUBCOMMANDS.
+
+    Built once per process and shared by every `main` call: the parser is a
+    pure function of `_SUBCOMMANDS`, and parsing does not change it.
+    `build_parser.__wrapped__()` builds a parser of its own.
+    """
     parser = argparse.ArgumentParser(
         prog="gpesoliton", allow_abbrev=False,
         description="Attractive-condensate soliton toolkit (CSV outputs)")
@@ -532,7 +543,7 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser, subparsers = build_parser()
+    parser, _ = build_parser()
     args = parser.parse_args(argv)
     try:
         rows = (_QUIET, *_SUBCOMMANDS[args.command][3])
@@ -542,6 +553,8 @@ def main(argv=None) -> int:
                 # a repeatable flag appends to its default: the flag's list replaces the file's
                 if row.type is list and getattr(args, _dest(row.flag)) is not None:
                     values.pop(_dest(row.flag), None)
+            # a parser of this call's own: the file's defaults must not reach the shared one
+            parser, subparsers = build_parser.__wrapped__()
             subparsers[args.command].set_defaults(**values)
             args = parser.parse_args(argv)
         for row in rows:

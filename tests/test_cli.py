@@ -537,6 +537,49 @@ def test_flags_override_config_file(tmp_path):
     assert "q = 6" in lines and "param = ['a=0.02']" in lines
 
 
+def parser_defaults(parser, subparsers):
+    """Every default of the parser and of each subparser, by subcommand and dest."""
+    return {name: {a.dest: p.get_default(a.dest) for a in p._actions} | p._defaults
+            for name, p in [("", parser), *subparsers.items()]}
+
+
+def test_config_values_reach_no_later_call(tmp_path, capsys):
+    # the parser is shared by the calls of a process; a file's values must stay in its call
+    shared = cli.build_parser()
+    before = parser_defaults(*shared)
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text(f"q = 5\nout = {tmp_path / 'file.csv'}\n")
+    assert cli.main(["ground", "--config", str(cfg), "--geometry", "line", "--n-s", "64",
+                     "--quiet"]) == 0
+    assert (tmp_path / "file.csv").exists()
+    capsys.readouterr()
+    assert cli.main(["ground", "--geometry", "line", "--n-s", "64",
+                     "--out", str(tmp_path / "flag.csv")]) == 1
+    assert capsys.readouterr().err == "error: ground requires --q\n"
+    assert not (tmp_path / "flag.csv").exists()
+    assert cli.build_parser() is shared
+    assert parser_defaults(*shared) == before
+
+
+def test_rejected_call_leaves_the_next_one_as_in_a_fresh_process(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    argv = ["ground", "--q", "5", "--geometry", "line", "--n-s", "64", "--quiet",
+            "--out", str(run_dir / "g.csv")]
+    run_dir.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "gpesoliton.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    fresh = {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ground", "--q", "7", "--n-s", "32", "--bogus", "1",
+                  "--out", str(run_dir / "g.csv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert len(fresh) >= 3
+    assert run_outputs(run_dir, argv) == fresh
+
+
 @pytest.mark.parametrize("argv,text,key", [
     (["ground", "--q", "5"], "bogus = 1\n", "bogus"),
     (["analytic", "profile"], "what = width\n", "what"),

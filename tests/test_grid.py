@@ -205,6 +205,38 @@ class TestLaplacian:
         ref_real = -float(g.integrate(f.real * g.laplacian(f.real)))
         assert abs(g.dirichlet_energy(f.real) - ref_real) <= 1e-13 * ref
 
+    @pytest.mark.parametrize("make", [
+        lambda: line_grid(-3.0, 3.0, 48),
+        lambda: cylindrical_grid(3.0, -2.0, 2.0, 24, 20),
+        lambda: spherical_grid(6.0, 512),
+    ], ids=["line", "cylindrical", "spherical"])
+    def test_dirichlet_energy_matches_the_per_row_dot_form(self, make):
+        # relax's line search reads it every iteration: the same bits as one
+        # BLAS dot of |.|^2 per row of jumps, so that no iteration count moves
+        def sq_sums(x):
+            x = np.ascontiguousarray(x)
+            x = x.view(np.float64) if np.iscomplexobj(x) else x
+            return np.vecdot(x, x)
+
+        def reference(f):
+            rows = f.reshape(g._row_shape)
+            energy = 0.0
+            if g.s is not None:
+                energy += float(g._axial_coupling @ (sq_sums(np.diff(rows))
+                                                     + sq_sums(rows[:, [0, -1]])))
+            if g.radial is not None:
+                up = g._radial_coupling
+                energy += float(up[:-1] @ sq_sums(np.diff(rows, axis=0))
+                                + up[-1] * sq_sums(rows[-1]))
+            return energy
+
+        g = make()
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            f = rng.standard_normal(g.shape) * 10.0 ** rng.uniform(-3, 3)
+            for field in (f, f.astype(complex), f + 1j * rng.standard_normal(g.shape)):
+                assert g.dirichlet_energy(field) == reference(field)
+
 
 def banded_solve(lower, diag, upper, rhs):
     """One solve_banded call per line: the reference for the stacked solvers."""
