@@ -303,23 +303,40 @@ def cmd_ground(args):
     return 0
 
 
-def _lattice_step(t, dt, what) -> int:
-    """The step count k with k * dt = t; DomainError naming `what` when t is off that lattice."""
+def _steps(t, dt):
+    """t / dt, as the int k when t is k * dt to within 1e-9 dt."""
     k = round(t / dt)
-    if abs(t - k * dt) > 1e-9 * dt:
-        raise DomainError(f"{what} {t:g} is off the dt = {dt:g} lattice; the "
-                          f"nearest lattice times are {math.floor(t / dt) * dt:.12g} "
-                          f"and {math.ceil(t / dt) * dt:.12g}")
+    return k if abs(t - k * dt) <= 1e-9 * dt else t / dt
+
+
+def _final_step(t, dt) -> int:
+    """The step count k with k * dt = t; DomainError when t is off that lattice."""
+    k = _steps(t, dt)
+    if not isinstance(k, int):
+        raise DomainError(f"t_final {t:g} is off the dt = {dt:g} lattice; the "
+                          f"nearest lattice times are {math.floor(k) * dt:.12g} "
+                          f"and {math.ceil(k) * dt:.12g}")
     return k
+
+
+def _snapshot_name(t) -> str:
+    return f"snapshot_{t:g}"
 
 
 def cmd_evolve(args):
     if args.geometry == "spherical":
         raise DomainError("evolve supports line and cylindrical geometry")
     cfg = _from_args(PropagationConfig, args)
-    n_final = _lattice_step(cfg.t_final, cfg.dt, "t_final")
+    n_final = _final_step(cfg.t_final, cfg.dt)
     snap_times = sorted(_float_list(args, "--snapshot-times"))
-    snap_steps = [_lattice_step(t, cfg.dt, "snapshot time") for t in snap_times]
+    named = {}
+    for t in snap_times:
+        other = named.setdefault(_snapshot_name(t), t)
+        if other != t:
+            raise DomainError(f"snapshot times {other!r} and {t!r} would share the file "
+                              f"name {_snapshot_name(t)}, which keeps 6 significant "
+                              "digits")
+    snap_steps = [_steps(t, cfg.dt) for t in snap_times]
     if snap_steps and (snap_steps[0] < 0 or snap_steps[-1] > n_final):
         raise DomainError("snapshot times must lie within [0, t_final]")
     Q, lambda_z = args.q, args.lambda_z
@@ -347,7 +364,7 @@ def cmd_evolve(args):
     records, *snapshots, _ = propagate(u0, trap, Q, ext, cfg, snap_steps)
     out = Path(args.out)
     for t, u in zip(snap_times, snapshots):
-        write_state_csv(out.parent / f"{out.stem}.snapshot_{t:g}.csv", u)
+        write_state_csv(out.parent / f"{out.stem}.{_snapshot_name(t)}.csv", u)
     write_csv(out, ObservableRecord.csv_columns(), [r.csv_row() for r in records])
     write_manifest(out, args, time_error=err)
     try:
@@ -488,15 +505,18 @@ _SUBCOMMANDS = {
              "grids): numbers, parameters, + - * /, ^ for a power, parentheses and the "
              "functions " + " ".join(FUNCTIONS)),
         _Row("--param", list, None, "name=value binding for the potential (repeatable)"),
-        _Row("--dt", float, PropagationConfig.dt, "time step (default %(default)g, tau = 0.01 "
-             "per record; time error <= 1e-3 of the lattice error: see manifest time_error)"),
+        _Row("--dt", float, PropagationConfig.dt, "time step (default %(default)g; time "
+             "error <= 1e-3 of the lattice error: see manifest time_error)"),
         _Row("--t-final", float, _REQUIRED, "final time, a whole number of --dt steps"),
-        _Row("--observe-every", int, PropagationConfig.observe_every, "steps per record"),
+        _Row("--observe-every", int, PropagationConfig.observe_every,
+             "steps per record (default %(default)d: tau = 0.01 per record at the default "
+             "--dt)"),
         _Row("--sponge-strength", float, PropagationConfig.sponge_strength),
         _Row("--sponge-width", float, PropagationConfig.sponge_width),
         _Row("--snapshot-times", str, None,
-             "comma list of times at which to write state snapshots, each a whole "
-             "number of --dt steps; a snapshot adds no CSV row"),
+             "comma list of times in [0, --t-final] at which to write state "
+             "snapshots; a time between two steps is reached by one partial step from "
+             "the earlier; a snapshot adds no CSV row"),
         _OUT,
     ]),
     "collapse": (cmd_collapse, "critical Q by bisection", None, [

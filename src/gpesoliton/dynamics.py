@@ -17,7 +17,7 @@ diagonal factor in the radial eigenbasis of K_rho.
 A phase kick multiplies by exp(-i*h*V) * damping, built once per dt (one factor
 per axis, the trap and the sponge being separable, or one field with an
 external potential), and by the nonlinear phase exp(i*phi), phi = h*c|v|^2.
-phi is small (~4e-4 for a Q = 5 soliton at the default dt), so its cos and sin
+phi is small (~8e-4 for a Q = 5 soliton at the default dt), so its cos and sin
 are Taylor polynomials (three terms each there), evaluated on contiguous real
 buffers to below half an ulp; past |phi| ~ 0.1 the kick falls back to np.cos
 and np.sin.  Kicks and kinetic steps work in place on the state and two
@@ -25,15 +25,15 @@ scratch fields held by the propagator, so a step allocates no grid-sized array.
 
 `propagate` returns (records, a state per snapshot step, final state) from one
 propagator.  Records keep one cadence (tau = 0, every `observe_every` steps, the
-final step); a snapshot splits the step sequence there and adds no record.
+final step); a snapshot splits the step sequence there and adds no record.  A
+snapshot between steps k and k + 1 splits it at step k and is a copy of the
+state there taken one Strang step of the remainder further, by a propagator
+factored for that step; the main trajectory never sees the copy.
 
-The default step dt = 5e-3, recorded every 2 steps (tau = 0.01), keeps the
-time error at most 1e-3 of the lattice error: a boosted soliton's centroid moves
-off its dt -> 0 path by ~1e-4 of the lattice deficit 2 (v ds)^2/6 v tau on a
-96 x 384 cylinder (v = 0.4 to 0.6).  dt = 1e-2 meets the criterion too, but
-leaves tau = 0.025, the snapshot of the tiny evolve benchmark (perfbench), off
-the step lattice; 5e-3 = gcd(0.01, 0.025) is the largest step that keeps it and
-the tau = 0.01 records on the lattice.  `time_error` estimates each run's own
+The default step dt = 1e-2, recorded every step (tau = 0.01), keeps the time
+error at most 1e-3 of the lattice error: a boosted soliton's centroid moves off
+its dt -> 0 path by 3e-4 to 5e-4 of the lattice deficit 2 (v ds)^2/6 v tau on a
+96 x 384 cylinder (v = 0.4 to 0.6).  `time_error` estimates each run's own
 error by step doubling.
 
 Optional sponge layers damp outgoing radiation near the axial edges; they
@@ -47,7 +47,7 @@ scipy.optimize would take longer than a short trapped run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,8 +63,8 @@ NORM_DRIFT_LIMIT = 1e-6
 @dataclass(frozen=True)
 class PropagationConfig:
     t_final: float
-    dt: float = 5e-3  # time error <= 1e-3 of the lattice error (module docstring)
-    observe_every: int = 2  # a record every tau = 0.01 at the default dt
+    dt: float = 1e-2  # time error <= 1e-3 of the lattice error (module docstring)
+    observe_every: int = 1  # a record every tau = 0.01 at the default dt
     sponge_strength: float = 0.0
     sponge_width: float = 0.0  # absolute width of each absorbing edge layer
 
@@ -243,7 +243,9 @@ def propagate(u0: Wavefunction, trap: TrapSpec, Q: float,
     duplicates kept).  n_steps rounds `cfg.t_final / cfg.dt` (`evolve` rejects a
     t_final off that lattice).  Records are taken at tau = k * dt for k = 0, every
     `observe_every` steps and the final step (off that cadence when n_steps is not
-    a multiple of it); a snapshot splits the step sequence and adds no record.
+    a multiple of it); a snapshot splits the step sequence and adds no record.  A
+    fractional snapshot step s splits it at floor(s) and is the state there taken
+    one Strang step of (s - floor(s)) * dt further, on a copy.
 
     Raises StepSizeError when the norm drifts beyond 1e-6 (never expected with this
     unitary scheme unless inputs are broken) and BlowupError on non-finite values.
@@ -258,7 +260,9 @@ def propagate(u0: Wavefunction, trap: TrapSpec, Q: float,
     v = np.array(u0.values, dtype=complex, order="C")
     records = [prop.observe(v, 0.0)]
     k, taken = 0, {}
-    for stop in sorted({*range(0, n_steps, cfg.observe_every), n_steps, *snapshot_steps}):
+    stops = {*range(0, n_steps, cfg.observe_every), n_steps,
+             *(math.floor(s) for s in snapshot_steps)}
+    for stop in sorted(stops):
         if stop > k:
             v, k = prop.advance(v, stop - k), stop
             tau = k * cfg.dt
@@ -270,10 +274,15 @@ def propagate(u0: Wavefunction, trap: TrapSpec, Q: float,
                     raise StepSizeError(f"norm drifted to {rec.norm:.9f} at tau = {tau:g}; "
                                         "reduce dt")
                 records.append(rec)
-        if k in snapshot_steps:
-            # advance kicks its input in place
-            taken[k] = Wavefunction(u0.grid, v.copy())
-    return (records, *(taken[k] for k in snapshot_steps), Wavefunction(u0.grid, v))
+        for s in snapshot_steps:
+            if math.floor(s) == k and s not in taken:
+                # advance kicks its input in place
+                snap = v.copy()
+                if s > k:
+                    part = replace(cfg, dt=(s - k) * cfg.dt)
+                    _Propagator(u0.grid, trap, Q, external, part).advance(snap, 1)
+                taken[s] = Wavefunction(u0.grid, snap)
+    return (records, *(taken[s] for s in snapshot_steps), Wavefunction(u0.grid, v))
 
 
 def time_error(u0: Wavefunction, trap: TrapSpec, Q: float,

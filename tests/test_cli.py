@@ -192,16 +192,47 @@ def test_ehrenfest_runs_with_off_cadence_snapshot(tmp_path, caplog):
     assert taus == pytest.approx([k * 5e-4 for k in range(0, 1001, 20)], abs=1e-15)
 
 
-def test_off_lattice_snapshot_time_rejected(tmp_path, capsys):
-    # 0.3352 lies between steps 670 and 671 of dt = 5e-4
-    argv = ["evolve", "--geometry", "line", "--n-s", "256", "--q", "5", "--initial",
-            "composite", "--dt", "5e-4", "--t-final", "0.5", "--snapshot-times", "0.3352",
-            "--out", str(tmp_path / "e.csv")]
+TINY_EVOLVE = ["evolve", "--q", "5", "--lambda-z", "0", "--initial", "composite",
+               "--boost", "0.5", "--t-final", "0.05", "--geometry", "cylindrical",
+               "--rho-max", "6", "--n-rho", "16", "--n-s", "64",
+               "--s-extent", "27.35145003726747", "--quiet"]
+
+
+def test_off_lattice_snapshot_leaves_the_records_unchanged(tmp_path):
+    # 0.025 lies halfway between steps 2 and 3 of the default dt = 0.01
+    assert cli.main(TINY_EVOLVE + ["--out", str(tmp_path / "plain.csv")]) == 0
+    assert cli.main(TINY_EVOLVE + ["--snapshot-times", "0.025",
+                                   "--out", str(tmp_path / "snap.csv")]) == 0
+    assert (tmp_path / "snap.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    assert (tmp_path / "snap.snapshot_0.025.csv").exists()
+
+
+def test_off_lattice_snapshot_matches_a_run_whose_lattice_holds_it(tmp_path):
+    # one partial step from step 2 of dt = 0.01 against step 5 of dt = 0.005
+    argv = TINY_EVOLVE + ["--snapshot-times", "0.025"]
+    assert cli.main(argv + ["--out", str(tmp_path / "a.csv")]) == 0
+    assert cli.main(argv + ["--dt", "0.005", "--observe-every", "2",
+                            "--out", str(tmp_path / "b.csv")]) == 0
+    a, b = (np.loadtxt(tmp_path / f"{x}.snapshot_0.025.csv", delimiter=",", skiprows=2)
+            for x in "ab")
+    assert np.array_equal(a[:, :2], b[:, :2])
+    manifest = (tmp_path / "a.csv.manifest").read_text()
+    (time_error,) = (float(line.split(" = ")[1]) for line in manifest.splitlines()
+                     if line.startswith("time_error = "))
+    dv = (a[:, 2] - b[:, 2]) + 1j * (a[:, 3] - b[:, 3])
+    diff = cylindrical_grid(6.0, -27.35145003726747, 27.35145003726747, 16, 64).norm(
+        dv.reshape(16, 64))
+    # time_error estimates the error at t_final = 0.05, twice the snapshot's time
+    assert 0.0 < diff <= time_error
+
+
+def test_snapshot_times_sharing_a_file_name_rejected(tmp_path, capsys):
+    argv = TINY_EVOLVE + ["--snapshot-times", "0.02000001,0.02", "--out", str(tmp_path / "e.csv")]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert "snapshot time 0.3352 is off the dt = 0.0005 lattice" in err
-    assert "nearest lattice times are 0.335 and 0.3355" in err
-    assert not (tmp_path / "e.csv").exists()
+    assert err.startswith("error: snapshot times 0.02 and 0.02000001 would share the file "
+                          "name snapshot_0.02")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_off_lattice_t_final_rejected(tmp_path, capsys):
@@ -420,14 +451,14 @@ s_extent = None"""),
 boost = 0
 command = evolve
 displace = 0
-dt = 0.0050000000000000001
+dt = 0.01
 geometry = line
 initial = composite
 lambda_z = 0
 max_iters = 200000
 n_rho = 96
 n_s = 64
-observe_every = 2
+observe_every = 1
 param = ['a=0.01']
 potential = a*s^2
 q = 5

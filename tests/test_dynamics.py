@@ -246,6 +246,26 @@ class TestSnapshots:
         assert [r.csv_row() for r in records] == [r.csv_row() for r in plain]
         assert np.array_equal(fin_snap.values, fin.values)
 
+    @pytest.mark.parametrize("cylindrical", [False, True], ids=["line", "cylindrical"])
+    def test_fractional_snapshot_is_the_stopped_run_one_partial_step_on(self, cylindrical):
+        u0 = small_soliton(cylindrical)
+        trap = TrapSpec(0.3)
+        plain, fin = propagate(u0, trap, 5.0, None, self.CFG)
+        # steps 0, 12 and 20 are on the record cadence, so the run is not split
+        records, *snaps, fin_snap = propagate(u0, trap, 5.0, None, self.CFG,
+                                              [12.25, 0.5, 12.25, 20.75])
+        assert np.array_equal([r.csv_row() for r in records], [r.csv_row() for r in plain],
+                              equal_nan=True)
+        assert np.array_equal(fin_snap.values, fin.values)
+        for s, snap in zip([0.5, 12.25, 12.25, 20.75], snaps):
+            k = math.floor(s)
+            _, stopped = propagate(u0, trap, 5.0, None,
+                                   PropagationConfig(t_final=k * 1e-3, dt=1e-3,
+                                                     observe_every=4))
+            h = (s - k) * 1e-3
+            _, partial = propagate(stopped, trap, 5.0, None, PropagationConfig(t_final=h, dt=h))
+            assert np.array_equal(snap.values, partial.values)
+
     def test_one_state_per_step_in_order(self):
         u0 = small_soliton(False)
         records, *snaps, fin = propagate(u0, TrapSpec(0.0), 5.0, None, self.CFG, [22, 5, 0, 5])
