@@ -208,8 +208,7 @@ def cmd_units(args):
             scattering_length_a=args.a,
             atom_mass_m=args.mass_u * units.ATOMIC_MASS,
             radial_frequency_nu=args.nu,
-            particle_number_N=N,
-            frequency_convention=args.frequency_convention)
+            particle_number_N=N)
 
     for N in _float_list(args, "--n"):
         p = params_for(N)
@@ -303,22 +302,6 @@ def cmd_ground(args):
     return 0
 
 
-def _steps(t, dt):
-    """t / dt, as the int k when t is k * dt to within 1e-9 dt."""
-    k = round(t / dt)
-    return k if abs(t - k * dt) <= 1e-9 * dt else t / dt
-
-
-def _final_step(t, dt) -> int:
-    """The step count k with k * dt = t; DomainError when t is off that lattice."""
-    k = _steps(t, dt)
-    if not isinstance(k, int):
-        raise DomainError(f"t_final {t:g} is off the dt = {dt:g} lattice; the "
-                          f"nearest lattice times are {math.floor(k) * dt:.12g} "
-                          f"and {math.ceil(k) * dt:.12g}")
-    return k
-
-
 def _snapshot_name(t) -> str:
     return f"snapshot_{t:g}"
 
@@ -327,7 +310,6 @@ def cmd_evolve(args):
     if args.geometry == "spherical":
         raise DomainError("evolve supports line and cylindrical geometry")
     cfg = _from_args(PropagationConfig, args)
-    n_final = _final_step(cfg.t_final, cfg.dt)
     snap_times = sorted(_float_list(args, "--snapshot-times"))
     named = {}
     for t in snap_times:
@@ -336,9 +318,6 @@ def cmd_evolve(args):
             raise DomainError(f"snapshot times {other!r} and {t!r} would share the file "
                               f"name {_snapshot_name(t)}, which keeps 6 significant "
                               "digits")
-    snap_steps = [_steps(t, cfg.dt) for t in snap_times]
-    if snap_steps and (snap_steps[0] < 0 or snap_steps[-1] > n_final):
-        raise DomainError("snapshot times must lie within [0, t_final]")
     Q, lambda_z = args.q, args.lambda_z
     grid = build_run_grid(args, Q, lambda_z)
     trap = TrapSpec(lambda_z)
@@ -361,7 +340,7 @@ def cmd_evolve(args):
     ext = (ExternalPotential(parse_potential(args.potential), parse_params(args.param))
            if args.potential else None)
     err = time_error(u0, trap, Q, ext, cfg)
-    records, *snapshots, _ = propagate(u0, trap, Q, ext, cfg, snap_steps)
+    records, *snapshots, _ = propagate(u0, trap, Q, ext, cfg, snap_times)
     out = Path(args.out)
     for t, u in zip(snap_times, snapshots):
         write_state_csv(out.parent / f"{out.stem}.{_snapshot_name(t)}.csv", u)
@@ -476,8 +455,6 @@ _SUBCOMMANDS = {
         _Row("--a", float, units.LI7_SCATTERING_LENGTH, "scattering length in m (negative)"),
         _Row("--nu", float, 150.0, "radial frequency in Hz"),
         _Row("--mass-u", float, units.LI7_MASS_U, "atom mass in u"),
-        _Row("--frequency-convention", str, units.ANGULAR,
-             "angular (omega = 2 pi nu, default) or linear"),
         _OUT._replace(default=None),
     ]),
     "analytic": (cmd_analytic, "closed-form tables",
@@ -511,12 +488,12 @@ _SUBCOMMANDS = {
         _Row("--observe-every", int, PropagationConfig.observe_every,
              "steps per record (default %(default)d: tau = 0.01 per record at the default "
              "--dt)"),
-        _Row("--sponge-strength", float, PropagationConfig.sponge_strength),
-        _Row("--sponge-width", float, PropagationConfig.sponge_width),
+        _Row("--sponge-width", float, PropagationConfig.sponge_width,
+             "width of the absorbing layer at each axial edge (default 0: none)"),
         _Row("--snapshot-times", str, None,
              "comma list of times in [0, --t-final] at which to write state "
              "snapshots; a time between two steps is reached by one partial step from "
-             "the earlier; a snapshot adds no CSV row"),
+             "the earlier; a snapshot adds no CSV row and changes none"),
         _OUT,
     ]),
     "collapse": (cmd_collapse, "critical Q by bisection", None, [

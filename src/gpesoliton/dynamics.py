@@ -23,12 +23,16 @@ buffers to below half an ulp; past |phi| ~ 0.1 the kick falls back to np.cos
 and np.sin.  Kicks and kinetic steps work in place on the state and two
 scratch fields held by the propagator, so a step allocates no grid-sized array.
 
-`propagate` returns (records, a state per snapshot step, final state) from one
-propagator.  Records keep one cadence (tau = 0, every `observe_every` steps, the
-final step); a snapshot splits the step sequence there and adds no record.  A
-snapshot between steps k and k + 1 splits it at step k and is a copy of the
-state there taken one Strang step of the remainder further, by a propagator
-factored for that step; the main trajectory never sees the copy.
+`PropagationConfig` owns the time lattice: t_final must be a whole number of
+steps, and a time within 1e-9 dt of step k is step k.  `propagate` returns
+(records, a state per snapshot time, final state) from one propagator.  Records
+keep one cadence (tau = 0, every `observe_every` steps, the final step), and
+only a record cuts the merged step sequence.  A snapshot at step k is the state
+of the run stopped there: at a record a copy of it, elsewhere a copy tapped
+after step k's kinetic step and given its own trailing half-phase.  So it adds
+no record and leaves the run's bits as they are.  A snapshot between steps k
+and k + 1 is that copy taken one Strang step of the remainder further, by the
+same propagator refactored for that step once the run is done.
 
 The default step dt = 1e-2, recorded every step (tau = 0.01), keeps the time
 error at most 1e-3 of the lattice error: a boosted soliton's centroid moves off
@@ -36,8 +40,9 @@ its dt -> 0 path by 3e-4 to 5e-4 of the lattice deficit 2 (v ds)^2/6 v tau on a
 96 x 384 cylinder (v = 0.4 to 0.6).  `time_error` estimates each run's own
 error by step doubling.
 
-Optional sponge layers damp outgoing radiation near the axial edges; they
-intentionally absorb norm, so runs with a sponge skip the norm-drift guard.
+Optional sponge layers of width `sponge_width` damp outgoing radiation near the
+axial edges at the rate SPONGE_STRENGTH; they intentionally absorb norm, so runs
+with a sponge skip the norm-drift guard.
 
 `displace` (its natural cubic spline) and the Ehrenfest frequency fit are
 numpy and `TridiagonalFactor` only: importing scipy.interpolate or
@@ -47,7 +52,7 @@ scipy.optimize would take longer than a short trapped run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,25 +63,36 @@ from .observables import ObservableRecord, moments
 from .potentials import ExternalPotential
 
 NORM_DRIFT_LIMIT = 1e-6
+SPONGE_STRENGTH = 5.0  # damping rate at the outer edge of a sponge layer
+
+
+def _step(t, dt):
+    """t / dt, as the int k when t is k * dt to within 1e-9 dt."""
+    k = round(t / dt)
+    return k if abs(t - k * dt) <= 1e-9 * dt else t / dt
 
 
 @dataclass(frozen=True)
 class PropagationConfig:
-    t_final: float
+    t_final: float  # a whole number of steps
     dt: float = 1e-2  # time error <= 1e-3 of the lattice error (module docstring)
     observe_every: int = 1  # a record every tau = 0.01 at the default dt
-    sponge_strength: float = 0.0
-    sponge_width: float = 0.0  # absolute width of each absorbing edge layer
+    sponge_width: float = 0.0  # absolute width of each absorbing edge layer; 0 for none
 
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
             raise DomainError(f"dt must be positive and finite, got {self.dt}")
         if not 0 <= self.t_final < math.inf:
             raise DomainError(f"t_final must be non-negative and finite, got {self.t_final}")
+        k = _step(self.t_final, self.dt)
+        if not isinstance(k, int):
+            raise DomainError(f"t_final {self.t_final:g} is off the dt = {self.dt:g} lattice; "
+                              f"the nearest lattice times are {math.floor(k) * self.dt:.12g} "
+                              f"and {math.ceil(k) * self.dt:.12g}")
         if self.observe_every < 1:
             raise DomainError(f"observe_every must be >= 1, got {self.observe_every}")
-        if self.sponge_strength < 0 or self.sponge_width < 0:
-            raise DomainError("sponge parameters must be non-negative")
+        if self.sponge_width < 0:
+            raise DomainError(f"sponge_width must be non-negative, got {self.sponge_width}")
 
 
 def _sponge_mask(grid: Grid, width: float):
@@ -120,8 +136,8 @@ class _Propagator:
             self.ext_samples = external.sample(grid)
             self.ext_grad = external.sample_gradient_s(grid)
         self.sponge = None
-        if cfg.sponge_strength > 0 and cfg.sponge_width > 0:
-            self.sponge = cfg.sponge_strength * _sponge_mask(grid, cfg.sponge_width)
+        if cfg.sponge_width > 0:
+            self.sponge = SPONGE_STRENGTH * _sponge_mask(grid, cfg.sponge_width)
         if grid.kind is Geometry.CYLINDRICAL:
             # eigenvalues of -lap_rho and the maps into and out of its eigenbasis
             self.eig, self.to_modes, self.from_modes = grid.radial_modes()
@@ -212,15 +228,21 @@ class _Propagator:
         np.matmul(self.from_modes, x.view(np.float64), out=v.view(np.float64))
         return v
 
-    def advance(self, v, n_steps):
-        """Take n_steps steps from v, a C-contiguous complex field, in place; returns v."""
-        self._kick(v, self.half_phase)
-        for k in range(n_steps):
-            if k:
-                self._kick(v, self.full_phase)
+    def advance(self, v, n_steps, taps=()):
+        """Take n_steps steps from v, a C-contiguous complex field, in place.
+
+        Returns the state after j steps for each j of the ascending `taps`
+        (0 < j < n_steps): a copy tapped after step j's kinetic step and given
+        its own trailing half-phase, so v's merged sequence is not cut."""
+        tapped = []
+        for j in range(1, n_steps + 1):
+            self._kick(v, self.full_phase if j > 1 else self.half_phase)
             self._kinetic(v)
+            if j in taps:
+                tapped.append(v.copy())
+                self._kick(tapped[-1], self.half_phase)
         self._kick(v, self.half_phase)
-        return v
+        return tapped
 
     def observe(self, v, tau):
         u = Wavefunction(self.grid, v)
@@ -236,53 +258,52 @@ class _Propagator:
 
 
 def propagate(u0: Wavefunction, trap: TrapSpec, Q: float,
-              external: ExternalPotential | None, cfg: PropagationConfig, snapshot_steps=()):
+              external: ExternalPotential | None, cfg: PropagationConfig, snapshot_times=()):
     """Propagate a unit-norm state; returns (records, *snapshots, final wavefunction).
 
-    One snapshot state per entry of `snapshot_steps` (in [0, n_steps], sorted,
-    duplicates kept).  n_steps rounds `cfg.t_final / cfg.dt` (`evolve` rejects a
-    t_final off that lattice).  Records are taken at tau = k * dt for k = 0, every
-    `observe_every` steps and the final step (off that cadence when n_steps is not
-    a multiple of it); a snapshot splits the step sequence and adds no record.  A
-    fractional snapshot step s splits it at floor(s) and is the state there taken
-    one Strang step of (s - floor(s)) * dt further, on a copy.
+    One snapshot state per entry of `snapshot_times` (in [0, t_final]), in
+    ascending order of time, duplicates kept.  Records are taken at tau = k * dt
+    for k = 0, every `observe_every` steps and the final step (off that cadence
+    when the step count is not a multiple of it).  A time within 1e-9 dt of step
+    k is that step: its snapshot is the state of the run stopped there, tapped
+    without cutting the run, and adds no record.  A time t between steps k and
+    k + 1 is the state at step k taken one Strang step of (t / dt - k) * dt
+    further, on a copy.
 
     Raises StepSizeError when the norm drifts beyond 1e-6 (never expected with this
     unitary scheme unless inputs are broken) and BlowupError on non-finite values.
     """
     if abs(u0.norm() - 1.0) > 1e-8:
         raise DomainError("initial state must have norm 1; call .normalized() first")
-    n_steps = int(round(cfg.t_final / cfg.dt))
-    snapshot_steps = sorted(snapshot_steps)
-    if snapshot_steps and not 0 <= snapshot_steps[0] <= snapshot_steps[-1] <= n_steps:
-        raise DomainError(f"snapshot steps must lie within [0, {n_steps}]")
+    n_steps = _step(cfg.t_final, cfg.dt)
+    steps = sorted(_step(t, cfg.dt) for t in snapshot_times)
+    if not all(0 <= s <= n_steps for s in steps):
+        raise DomainError("snapshot times must lie within [0, t_final]")
     prop = _Propagator(u0.grid, trap, Q, external, cfg)
     v = np.array(u0.values, dtype=complex, order="C")
     records = [prop.observe(v, 0.0)]
-    k, taken = 0, {}
-    stops = {*range(0, n_steps, cfg.observe_every), n_steps,
-             *(math.floor(s) for s in snapshot_steps)}
-    for stop in sorted(stops):
-        if stop > k:
-            v, k = prop.advance(v, stop - k), stop
-            tau = k * cfg.dt
-            if not np.all(np.isfinite(v)):
-                raise BlowupError(f"non-finite state at tau = {tau:g}")
-            if k % cfg.observe_every == 0 or k == n_steps:
-                rec = prop.observe(v, tau)
-                if prop.sponge is None and abs(rec.norm - 1.0) > NORM_DRIFT_LIMIT:
-                    raise StepSizeError(f"norm drifted to {rec.norm:.9f} at tau = {tau:g}; "
-                                        "reduce dt")
-                records.append(rec)
-        for s in snapshot_steps:
-            if math.floor(s) == k and s not in taken:
-                # advance kicks its input in place
-                snap = v.copy()
-                if s > k:
-                    part = replace(cfg, dt=(s - k) * cfg.dt)
-                    _Propagator(u0.grid, trap, Q, external, part).advance(snap, 1)
-                taken[s] = Wavefunction(u0.grid, snap)
-    return (records, *(taken[s] for s in snapshot_steps), Wavefunction(u0.grid, v))
+    floors = sorted({math.floor(s) for s in steps})
+    states = {0: v.copy()} if 0 in floors else {}
+    k = 0
+    for stop in sorted({*range(cfg.observe_every, n_steps, cfg.observe_every), n_steps} - {0}):
+        taps = [j for j in floors if k < j < stop]
+        states.update(zip(taps, prop.advance(v, stop - k, [j - k for j in taps])))
+        k, tau = stop, stop * cfg.dt
+        if not np.all(np.isfinite(v)):
+            raise BlowupError(f"non-finite state at tau = {tau:g}")
+        rec = prop.observe(v, tau)
+        if prop.sponge is None and abs(rec.norm - 1.0) > NORM_DRIFT_LIMIT:
+            raise StepSizeError(f"norm drifted to {rec.norm:.9f} at tau = {tau:g}; reduce dt")
+        records.append(rec)
+        if k in floors:
+            states[k] = v.copy()
+    for s in steps:
+        if s % 1 and s not in states:  # the run is done, so `prop` is free to refactor
+            states[s] = states[math.floor(s)].copy()
+            prop.set_dt(s % 1 * cfg.dt)
+            prop.advance(states[s], 1)
+    return (records, *(Wavefunction(u0.grid, states[s]) for s in steps),
+            Wavefunction(u0.grid, v))
 
 
 def time_error(u0: Wavefunction, trap: TrapSpec, Q: float,
@@ -295,9 +316,11 @@ def time_error(u0: Wavefunction, trap: TrapSpec, Q: float,
     the one `propagate` builds on the same grid."""
     prop = _Propagator(u0.grid, trap, Q, external, cfg)
     v = np.array(u0.values, dtype=complex, order="C")
-    fine = prop.advance(v.copy(), 2)
+    fine = v.copy()
+    prop.advance(fine, 2)
     prop.set_dt(2.0 * cfg.dt)
-    fine -= prop.advance(v, 1)
+    prop.advance(v, 1)
+    fine -= v
     return u0.grid.norm(fine) / 3.0 * cfg.t_final / (2.0 * cfg.dt)
 
 

@@ -20,9 +20,6 @@ ATOMIC_MASS = 1.66053906660e-27  # kg
 LI7_MASS_U = 7.016003
 LI7_SCATTERING_LENGTH = -14.5e-10  # m
 
-ANGULAR = "angular"  # omega = 2*pi*nu (default; reproduces a0 ~ 3 um at nu = 150 Hz)
-LINEAR = "linear"    # omega = nu taken literally
-
 
 @dataclass(frozen=True)
 class PhysicalParams:
@@ -30,9 +27,8 @@ class PhysicalParams:
 
     scattering_length_a: float          # m, negative for attractive interactions
     atom_mass_m: float                  # kg
-    radial_frequency_nu: float          # Hz (interpreted per frequency_convention)
+    radial_frequency_nu: float          # Hz; omega = 2*pi*nu
     particle_number_N: float
-    frequency_convention: str = ANGULAR
 
     def __post_init__(self):
         if self.atom_mass_m <= 0:
@@ -45,23 +41,11 @@ class PhysicalParams:
             raise DomainError(
                 f"particle number must be non-negative, got {self.particle_number_N}"
             )
-        if self.frequency_convention not in (ANGULAR, LINEAR):
-            raise DomainError(
-                f"frequency convention must be '{ANGULAR}' or '{LINEAR}', "
-                f"got {self.frequency_convention!r}"
-            )
-
-
-def angular_frequency(p: PhysicalParams) -> float:
-    """Radial angular frequency in rad/s under the chosen convention."""
-    if p.frequency_convention == ANGULAR:
-        return 2.0 * math.pi * p.radial_frequency_nu
-    return p.radial_frequency_nu
 
 
 def oscillator_length(p: PhysicalParams) -> float:
-    """Radial oscillator length a0 = sqrt(hbar/(m*omega)) in meters."""
-    return math.sqrt(HBAR / (p.atom_mass_m * angular_frequency(p)))
+    """Radial oscillator length a0 = sqrt(hbar/(m*omega)) in meters, omega = 2*pi*nu."""
+    return math.sqrt(HBAR / (p.atom_mass_m * (2.0 * math.pi * p.radial_frequency_nu)))
 
 
 def q_from_n(p: PhysicalParams) -> float:

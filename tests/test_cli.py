@@ -235,6 +235,13 @@ def test_snapshot_times_sharing_a_file_name_rejected(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_snapshot_time_beyond_t_final_rejected(tmp_path, capsys):
+    argv = TINY_EVOLVE + ["--snapshot-times", "0.02,0.0500001", "--out", str(tmp_path / "e.csv")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: snapshot times must lie within [0, t_final]\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_off_lattice_t_final_rejected(tmp_path, capsys):
     # 0.50021 lies between steps 1000 and 1001 of dt = 5e-4
     argv = ["evolve", "--geometry", "line", "--n-s", "256", "--q", "5", "--initial",
@@ -377,15 +384,15 @@ def test_analytic_profile_bad_grid_fails(flags, capsys):
 
 # One run per subcommand and per analytic table, and its manifest without the
 # numpy, lapack and out lines, as written before the flags were declared in one
-# table, less the keys of the flags removed since (units lambda_z, figures
-# geometry/r_max/n_r, evolve r_max/n_r, and step_size, energy_tol and
-# collapse_guard everywhere).  A change to how flags, defaults and
-# config files resolve must not move any of these values.
+# table, less the keys of the flags removed since (units lambda_z and
+# frequency_convention, figures geometry/r_max/n_r, evolve r_max/n_r and
+# sponge_strength, and step_size, energy_tol and collapse_guard everywhere).
+# A change to how flags, defaults and config files resolve must not move any
+# of these values.
 GOLDEN_MANIFESTS = {
     "units": (["units", "--n", "1000,2000", "--q", "5"], """\
 a = -1.45e-09
 command = units
-frequency_convention = angular
 mass_u = 7.0160030000000004
 n = 1000,2000
 nu = 150
@@ -467,7 +474,6 @@ residual_tol = 1.0000000000000001e-05
 rho_max = 6
 s_extent = None
 snapshot_times = 0.02
-sponge_strength = 0
 sponge_width = 0
 t_final = 0.050000000000000003"""),
     "collapse": (["collapse", "--lambda-z", "0.5", "--n-rho", "16", "--n-s", "48",
@@ -758,8 +764,11 @@ def test_quiet_holds_on_every_call(tmp_path, caplog):
     ["ground", "--q", "5", "--step-size", "0.5"],
     ["ground", "--q", "5", "--energy-tol", "1e-10"],
     ["ground", "--q", "5", "--collapse-guard", "5"],
+    ["evolve", "--t-final", "0.05", "--sponge-strength", "5"],
+    ["units", "--n", "1000", "--frequency-convention", "linear"],
 ], ids=["figures-geometry", "figures-r-max", "evolve-n-r", "units-lambda-z",
-        "ground-step-size", "ground-energy-tol", "ground-collapse-guard"])
+        "ground-step-size", "ground-energy-tol", "ground-collapse-guard",
+        "evolve-sponge-strength", "units-frequency-convention"])
 def test_removed_flags_are_rejected(tmp_path, argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + ["--out", str(tmp_path / "o")])

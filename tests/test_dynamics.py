@@ -7,9 +7,9 @@ from scipy.linalg import solve_banded
 from gpesoliton import analytic
 from gpesoliton.collapse import find_threshold
 from gpesoliton import grid as grid_module
-from gpesoliton.dynamics import (EhrenfestReport, PropagationConfig, _Propagator,
-                                 _fit_oscillation, _sponge_mask, _taylor_terms, boost, displace,
-                                 ehrenfest_check, propagate, time_error)
+from gpesoliton.dynamics import (SPONGE_STRENGTH, EhrenfestReport, PropagationConfig,
+                                 _Propagator, _fit_oscillation, _sponge_mask, _taylor_terms,
+                                 boost, displace, ehrenfest_check, propagate, time_error)
 from gpesoliton.energy import TrapSpec, quartic_coefficient, trap_potential
 from gpesoliton.errors import BlowupError, DomainError
 from gpesoliton.grid import Wavefunction, cylindrical_grid, line_grid, spherical_grid
@@ -103,8 +103,8 @@ def reference_strang(u0, trap, Q, cfg, n_steps):
     grid, dt = u0.grid, cfg.dt
     c, v3 = quartic_coefficient(grid.kind, Q), 0.5 * trap_potential(grid, trap)
     damp = 1.0
-    if cfg.sponge_strength > 0:
-        damp = np.exp(-0.5 * dt * cfg.sponge_strength * _sponge_mask(grid, cfg.sponge_width))
+    if cfg.sponge_width > 0:
+        damp = np.exp(-0.5 * dt * SPONGE_STRENGTH * _sponge_mask(grid, cfg.sponge_width))
     kin_s = banded_cayley(grid, "s", dt)
     cylindrical = grid.rho is not None
     kin_rho = banded_cayley(grid, "rho", 0.5 * dt) if cylindrical else None
@@ -128,13 +128,12 @@ def small_soliton(cylindrical):
 
 
 class TestMergedSplitStep:
-    @pytest.mark.parametrize("sponge", [0.0, 5.0], ids=["free", "sponge"])
+    @pytest.mark.parametrize("sponge", [0.0, 4.0], ids=["free", "sponge"])
     @pytest.mark.parametrize("cylindrical", [False, True], ids=["line", "cylindrical"])
     def test_matches_unmerged_strang(self, cylindrical, sponge):
         u0 = small_soliton(cylindrical)
         trap = TrapSpec(0.3)
-        cfg = PropagationConfig(t_final=0.2, dt=1e-3, observe_every=50,
-                                sponge_strength=sponge, sponge_width=4.0)
+        cfg = PropagationConfig(t_final=0.2, dt=1e-3, observe_every=50, sponge_width=sponge)
         _, fin = propagate(u0, trap, 5.0, None, cfg)
         ref = reference_strang(u0, trap, 5.0, cfg, 200)
         if sponge:
@@ -166,8 +165,7 @@ class TestKick:
 
     CASES = {
         "line": (False, TrapSpec(0.3), 5.0, None, {}),
-        "cylindrical-sponge": (True, TrapSpec(0.3), 5.0, None,
-                               {"sponge_strength": 5.0, "sponge_width": 4.0}),
+        "cylindrical-sponge": (True, TrapSpec(0.3), 5.0, None, {"sponge_width": 4.0}),
         "cylindrical-external": (True, TrapSpec(0.0), 5.0, strong_well(), {}),
         # phases h*cubic*|v|^2 up to 0.08, near the top of the polynomial's range
         "line-near-bound": (False, TrapSpec(0.3), 200.0, None, {"dt": 0.05}),
@@ -185,9 +183,8 @@ class TestKick:
         v = np.array(u0.values, dtype=complex)
         dt, c = cfg.dt, quartic_coefficient(u0.grid.kind, Q)
         damp = np.ones(u0.grid.shape)
-        if cfg.sponge_strength > 0:
-            damp = damp * np.exp(-dt * cfg.sponge_strength * _sponge_mask(u0.grid,
-                                                                          cfg.sponge_width))
+        if cfg.sponge_width > 0:
+            damp = damp * np.exp(-dt * SPONGE_STRENGTH * _sponge_mask(u0.grid, cfg.sponge_width))
         h, cubic, damping = ((dt, 0.5 * c * (1.0 + damp), damp) if full
                              else (0.5 * dt, c, np.sqrt(damp)))
         potential = 0.5 * trap_potential(u0.grid, trap)
@@ -220,7 +217,7 @@ def test_scipy_fallback_propagates_like_the_bundled_lapack(monkeypatch, cylindri
     for bundled in (True, False):
         if not bundled:
             monkeypatch.setattr(grid_module, "_bundled_lapack", lambda: None)
-        runs.append(propagate(u0, TrapSpec(0.3), 5.0, None, cfg, [25]))
+        runs.append(propagate(u0, TrapSpec(0.3), 5.0, None, cfg, [0.025]))
     (rec_a, snap_a, fin_a), (rec_b, snap_b, fin_b) = runs
     for a, b in ((snap_a, snap_b), (fin_a, fin_b)):
         assert np.max(np.abs(a.values - b.values)) <= 1e-13 * np.max(np.abs(a.values))
@@ -234,41 +231,48 @@ class TestSnapshots:
     @pytest.mark.parametrize("k", [8, 13], ids=["on-cadence", "off-cadence"])
     def test_snapshot_is_the_state_of_the_run_stopped_there(self, k):
         u0 = small_soliton(True)
-        _, snap, _ = propagate(u0, TrapSpec(0.3), 5.0, None, self.CFG, [k])
+        _, snap, _ = propagate(u0, TrapSpec(0.3), 5.0, None, self.CFG, [k * 1e-3])
         _, stopped = propagate(u0, TrapSpec(0.3), 5.0, None,
                                PropagationConfig(t_final=k * 1e-3, dt=1e-3, observe_every=4))
         assert np.array_equal(snap.values, stopped.values)
 
     def test_on_cadence_snapshots_change_no_record(self):
+        # steps 4, 12 and 20 are records at observe_every = 4; 13 and 13.25 fall
+        # between two of them, where the merged step sequence must stay uncut
         u0 = small_soliton(True)
-        plain, fin = propagate(u0, TrapSpec(0.3), 5.0, None, self.CFG)
-        records, *_, fin_snap = propagate(u0, TrapSpec(0.3), 5.0, None, self.CFG, [4, 12, 20])
-        assert [r.csv_row() for r in records] == [r.csv_row() for r in plain]
-        assert np.array_equal(fin_snap.values, fin.values)
+        for every in (1, 4):
+            cfg = PropagationConfig(t_final=22 * 1e-3, dt=1e-3, observe_every=every)
+            plain, fin = propagate(u0, TrapSpec(0.3), 5.0, None, cfg)
+            for steps in ([4, 12, 20], [13], [13.25], [0.5, 13, 13.25, 20]):
+                records, *_, fin_snap = propagate(u0, TrapSpec(0.3), 5.0, None, cfg,
+                                                  [s * 1e-3 for s in steps])
+                assert np.array_equal([r.csv_row() for r in records],
+                                      [r.csv_row() for r in plain], equal_nan=True)
+                assert np.array_equal(fin_snap.values, fin.values)
 
     @pytest.mark.parametrize("cylindrical", [False, True], ids=["line", "cylindrical"])
     def test_fractional_snapshot_is_the_stopped_run_one_partial_step_on(self, cylindrical):
         u0 = small_soliton(cylindrical)
         trap = TrapSpec(0.3)
         plain, fin = propagate(u0, trap, 5.0, None, self.CFG)
-        # steps 0, 12 and 20 are on the record cadence, so the run is not split
-        records, *snaps, fin_snap = propagate(u0, trap, 5.0, None, self.CFG,
-                                              [12.25, 0.5, 12.25, 20.75])
+        times = [s * 1e-3 for s in (12.25, 0.5, 13.5, 12.25, 20.75)]
+        records, *snaps, fin_snap = propagate(u0, trap, 5.0, None, self.CFG, times)
         assert np.array_equal([r.csv_row() for r in records], [r.csv_row() for r in plain],
                               equal_nan=True)
         assert np.array_equal(fin_snap.values, fin.values)
-        for s, snap in zip([0.5, 12.25, 12.25, 20.75], snaps):
-            k = math.floor(s)
+        for t, snap in zip(sorted(times), snaps):
+            k = math.floor(t / 1e-3)
             _, stopped = propagate(u0, trap, 5.0, None,
                                    PropagationConfig(t_final=k * 1e-3, dt=1e-3,
                                                      observe_every=4))
-            h = (s - k) * 1e-3
+            h = (t / 1e-3 - k) * 1e-3  # the remainder as `propagate` forms it
             _, partial = propagate(stopped, trap, 5.0, None, PropagationConfig(t_final=h, dt=h))
             assert np.array_equal(snap.values, partial.values)
 
     def test_one_state_per_step_in_order(self):
         u0 = small_soliton(False)
-        records, *snaps, fin = propagate(u0, TrapSpec(0.0), 5.0, None, self.CFG, [22, 5, 0, 5])
+        records, *snaps, fin = propagate(u0, TrapSpec(0.0), 5.0, None, self.CFG,
+                                         [0.022, 0.005, 0.0, 0.005])
         assert len(snaps) == 4
         assert np.array_equal(snaps[0].values, u0.values)
         assert np.array_equal(snaps[1].values, snaps[2].values)
@@ -277,8 +281,20 @@ class TestSnapshots:
         assert [round(r.tau / 1e-3) for r in records] == [0, 4, 8, 12, 16, 20, 22]
 
     def test_step_outside_the_run_rejected(self):
-        with pytest.raises(DomainError, match="snapshot steps"):
-            propagate(small_soliton(False), TrapSpec(0.0), 5.0, None, self.CFG, [23])
+        with pytest.raises(DomainError, match=r"snapshot times must lie within \[0, t_final\]"):
+            propagate(small_soliton(False), TrapSpec(0.0), 5.0, None, self.CFG, [0.023])
+
+    def test_no_step_is_taken_twice(self, monkeypatch):
+        # 22 steps, plus one partial step for the snapshot at 13.25, on one propagator
+        built, kinetic = [], []
+        init, step = _Propagator.__init__, _Propagator._kinetic
+        monkeypatch.setattr(_Propagator, "__init__",
+                            lambda self, *a: built.append(1) or init(self, *a))
+        monkeypatch.setattr(_Propagator, "_kinetic",
+                            lambda self, v: kinetic.append(1) or step(self, v))
+        propagate(small_soliton(True), TrapSpec(0.3), 5.0, None, self.CFG,
+                  [0.004, 0.013, 0.01325, 0.01325, 0.022])
+        assert (len(built), len(kinetic)) == (1, 23)
 
 
 class TestGalileanTransport:
@@ -499,7 +515,8 @@ class TestEhrenfest:
         assert res.converged
         u0 = displace(res.wavefunction.normalized(), 2.0)
         period = 2 * math.pi / lz
-        cfg = PropagationConfig(t_final=2 * period, dt=1e-3, observe_every=50)
+        # two periods, on the dt lattice
+        cfg = PropagationConfig(t_final=round(2 * period, 3), dt=1e-3, observe_every=50)
         records, _ = propagate(u0, trap, 5.0, None, cfg)
         rep = ehrenfest_check(records, trap)
         assert rep.fitted_frequency == pytest.approx(lz, rel=0.01)
@@ -598,10 +615,14 @@ class TestGuards:
             propagate(doubled, TrapSpec(0.0), 5.0, None,
                       PropagationConfig(t_final=0.1))
 
+    def test_off_lattice_t_final_rejected(self):
+        with pytest.raises(DomainError, match="t_final 0.0149 is off the dt = 0.01 lattice; "
+                                              "the nearest lattice times are 0.01 and 0.02"):
+            PropagationConfig(t_final=0.0149, dt=0.01)
+
     def test_sponge_absorbs_without_error(self):
         u0 = boost(line_soliton(half=20.0, n=512), 1.0).normalized()
-        cfg = PropagationConfig(t_final=20.0, dt=1e-3, observe_every=200,
-                                sponge_strength=5.0, sponge_width=4.0)
+        cfg = PropagationConfig(t_final=20.0, dt=1e-3, observe_every=200, sponge_width=4.0)
         records, _ = propagate(u0, TrapSpec(0.0), 5.0, None, cfg)
         assert records[-1].norm < 0.9  # most of the pulse got eaten
 

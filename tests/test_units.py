@@ -9,15 +9,14 @@ from gpesoliton.errors import DomainError, UnsupportedRegimeError
 LI7_MASS = units.LI7_MASS_U * units.ATOMIC_MASS
 
 
-def li7(N=900.0, frequency_convention=units.ANGULAR):
+def li7(N=900.0):
     """7Li in a 150 Hz radial trap."""
-    return units.PhysicalParams(units.LI7_SCATTERING_LENGTH, LI7_MASS, 150.0, N,
-                                frequency_convention)
+    return units.PhysicalParams(units.LI7_SCATTERING_LENGTH, LI7_MASS, 150.0, N)
 
 
 class TestOscillatorLength:
     def test_lithium_cigar_trap(self):
-        # 150 Hz radial trap under the angular convention
+        # 150 Hz radial trap, omega = 2 pi nu
         a0 = units.oscillator_length(li7())
         assert 2.8e-6 <= a0 <= 3.3e-6
 
@@ -38,12 +37,6 @@ class TestOscillatorLength:
         nu = 1.0 / (2 * math.pi)
         p = units.PhysicalParams(-1e-9, units.HBAR, nu, 1.0)
         assert units.oscillator_length(p) == pytest.approx(1.0, rel=1e-12)
-
-    def test_linear_convention(self):
-        pa = li7()
-        pl = li7(frequency_convention=units.LINEAR)
-        assert units.oscillator_length(pl) == pytest.approx(
-            units.oscillator_length(pa) * math.sqrt(2 * math.pi), rel=1e-12)
 
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
