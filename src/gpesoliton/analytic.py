@@ -98,26 +98,10 @@ def gaussian_ground_state(lambda_z: float, rho, s):
     return lambda_z ** 0.25 * math.pi ** -0.75 * np.exp(-0.5 * rho ** 2 - 0.5 * lambda_z * s ** 2)
 
 
-def gaussian_chemical_potential(lambda_z: float) -> float:
-    """Exact eigenvalue 1 + lambda_z/2 of the noninteracting ground state."""
-    if lambda_z < 0:
-        raise DomainError(f"lambda_z must be non-negative, got {lambda_z}")
-    return 1.0 + 0.5 * lambda_z
-
-
 def composite_profile(Q: float, rho, s):
     """Factorized 3-D profile (sqrt(Q)/(4*pi)) sech(Q s/(8*pi)) exp(-rho^2/2); unit 3-D norm."""
     rho = np.asarray(rho, dtype=float)
     return soliton_profile(Q, s) * np.exp(-0.5 * rho ** 2)
-
-
-def composite_chemical_potential(Q: float) -> float:
-    """Approximate 3-D eigenvalue 1 - Q^2/(128*pi^2) of the composite profile.
-
-    The transverse oscillator contributes +1; the axial soliton is a bound
-    state and lowers the eigenvalue by its binding rate.
-    """
-    return 1.0 - soliton_phase_rate(Q)
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +130,6 @@ def variational_energy(Q: float, lambda_z: float, w_rho: float, w_s: float) -> f
     )
 
 
-def _branch(p, lambda_z):
-    """w_s and d ln(w_s p) / d ln p at the stationary point with 1 - w_rho^4 = p."""
-    root = math.sqrt(p * p + 4.0 * lambda_z ** 2 * (1.0 - p))
-    w_s = math.sqrt(2.0 * math.sqrt(1.0 - p) / (p + root))
-    slope = (1.0 - p / (4.0 * (1.0 - p))
-             - p * (root + p - 2.0 * lambda_z ** 2) / (2.0 * root * (p + root)))
-    return w_s, slope
-
-
 def _fold(lambda_z) -> float:
     """p at the fold; the fold quartic's one root on (0, 1/3], polished by Newton steps."""
     quartic = np.poly1d([-15.0, 32.0 - 64.0 * lambda_z ** 2, -18.0, 0.0, 1.0])
@@ -169,27 +144,6 @@ def variational_critical_q(lambda_z: float) -> float:
     if lambda_z < 0:
         raise DomainError(f"lambda_z must be non-negative, got {lambda_z}")
     p = _fold(lambda_z)
-    return _branch(p, lambda_z)[0] * p / _GAUSS_QUARTIC
-
-
-def variational_minimum(Q: float, lambda_z: float) -> tuple[float, float] | None:
-    """Local minimizer (w_rho, w_s) of the trial energy, or None above the critical Q.
-
-    On the minima's side, p < p_fold, ln(w_s p) rises and is concave in ln p, so Newton
-    steps in ln p to w_s p = g = Q/(4 sqrt(2) pi^{3/2}) climb from max(g^2, g sqrt(lambda_z)).
-    """
-    if Q < 0 or lambda_z < 0:
-        raise DomainError("Q and lambda_z must be non-negative")
-    if Q == 0:
-        return None if lambda_z == 0 else (1.0, lambda_z ** -0.5)
-    if Q > variational_critical_q(lambda_z):
-        return None
-    g, p_fold = _GAUSS_QUARTIC * Q, _fold(lambda_z)
-    p = max(g * g, g * math.sqrt(lambda_z))
-    while p < p_fold:
-        w_s, slope = _branch(p, lambda_z)
-        p_next = min(p * math.exp(math.log(g / (w_s * p)) / slope), p_fold)
-        if p_next <= p:
-            break
-        p = p_next
-    return (1.0 - p) ** 0.25, _branch(p, lambda_z)[0]
+    # the branch's w_s at the fold (module docstring)
+    root = math.sqrt(p * p + 4.0 * lambda_z ** 2 * (1.0 - p))
+    return math.sqrt(2.0 * math.sqrt(1.0 - p) / (p + root)) * p / _GAUSS_QUARTIC

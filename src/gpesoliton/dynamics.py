@@ -59,7 +59,7 @@ import numpy as np
 from .energy import TrapSpec, hamiltonian, quartic_coefficient, trap_potential, trap_terms
 from .errors import BlowupError, DomainError, StepSizeError
 from .grid import Geometry, Grid, TridiagonalFactor, Wavefunction
-from .observables import ObservableRecord, moments
+from .observables import moments
 from .potentials import ExternalPotential
 
 NORM_DRIFT_LIMIT = 1e-6
@@ -98,7 +98,7 @@ class PropagationConfig:
 def _sponge_mask(grid: Grid, width: float):
     if width <= 0:
         return None
-    s = grid.s
+    s = grid.s_coords()
     lo, hi = s[0] - 0.5 * grid.ds, s[-1] + 0.5 * grid.ds
     left = np.clip((lo + width - s) / width, 0.0, 1.0)
     right = np.clip((s - (hi - width)) / width, 0.0, 1.0)
@@ -121,8 +121,6 @@ def _taylor_terms(x_max):
 class _Propagator:
     def __init__(self, grid: Grid, trap: TrapSpec, Q: float,
                  external: ExternalPotential | None, cfg: PropagationConfig):
-        if grid.kind not in (Geometry.LINE, Geometry.CYLINDRICAL):
-            raise DomainError("propagation supports line and cylindrical grids")
         self.grid = grid
         self.trap = trap
         self.Q = Q
@@ -330,13 +328,12 @@ def boost(u: Wavefunction, v: float) -> Wavefunction:
     Raises DomainError unless |v| ds < pi/2: beyond it the recorded <P_s>
     aliases (its phase increment spans 2 ds) and the lattice group velocity
     sin(v ds)/ds falls as v rises."""
-    if u.grid.kind not in (Geometry.LINE, Geometry.CYLINDRICAL):
-        raise DomainError("boost applies to line and cylindrical grids")
+    s = u.grid.s_coords()
     v_max = 0.5 * math.pi / u.grid.ds
     if not abs(v) < v_max:
         raise DomainError(f"boost |v| = {abs(v):g} must stay below pi/(2 ds) = {v_max:g} "
                           f"on this grid (ds = {u.grid.ds:g}); use a finer s grid")
-    phase = np.exp(1j * v * u.grid.s_coords())
+    phase = np.exp(1j * v * s)
     return Wavefunction(u.grid, np.asarray(u.values, dtype=complex) * phase)
 
 
@@ -367,18 +364,16 @@ def displace(u: Wavefunction, ds: float, max_norm_loss: float = 1e-8) -> Wavefun
     original state; the interpolation error of the resampling is not mass
     leaving the grid and does not count.
     """
-    grid = u.grid
-    if grid.kind not in (Geometry.LINE, Geometry.CYLINDRICAL):
-        raise DomainError("displace applies to line and cylindrical grids")
+    grid, s = u.grid, u.grid.s_coords()
     if ds == 0.0:
         return u.copy()
     values = np.asarray(u.values, dtype=complex)
-    target = grid.s - ds
-    inside = (target >= grid.s[0]) & (target <= grid.s[-1])
+    target = s - ds
+    inside = (target >= s[0]) & (target <= s[-1])
     shifted = np.zeros_like(values)
-    shifted[..., inside] = _natural_spline(grid.s, values, target[inside])
+    shifted[..., inside] = _natural_spline(s, values, target[inside])
     norm_before = u.norm()
-    exit_strip = (grid.s + ds > grid.s[-1]) | (grid.s + ds < grid.s[0])
+    exit_strip = (s + ds > s[-1]) | (s + ds < s[0])
     kept = np.where(exit_strip, 0.0, values)
     loss = 1.0 - grid.norm(kept) / norm_before
     norm_after = grid.norm(shifted)

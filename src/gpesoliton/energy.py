@@ -13,7 +13,7 @@ contributes 1/2 and the change to unit normalization another 1/(2*pi).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -130,10 +130,7 @@ def descent_shift(grid: Grid, trap: TrapSpec, Q: float, lambda0: float,
     and projected out of every direction, turns negative; the descent still
     converges there (tested).
     """
-    if grid.kind is Geometry.SPHERICAL_RADIAL:
-        e0 = 3.0
-    else:
-        e0 = trap.lambda_z + (2.0 if grid.kind is Geometry.CYLINDRICAL else 0.0)
+    e0 = trap.lambda_z + (0.0 if grid.kind is Geometry.LINE else 2.0)  # the sphere's lambda_z is 1
     shift = 1.0 - e0
     floor = 0.0
     if grid.kind is Geometry.CYLINDRICAL:
@@ -273,8 +270,6 @@ def relax(initial: Wavefunction, trap: TrapSpec, Q: float,
 
     Raises BlowupError as soon as the energy is not finite.
     """
-    if Q < 0:
-        raise DomainError(f"Q must be non-negative, got {Q}")
     grid = initial.grid
     if not abs(initial.norm() - 1.0) <= 1e-8:
         raise DomainError("initial state must have norm 1; call .normalized() first")

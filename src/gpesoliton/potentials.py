@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParseError, UnboundParameterError, UnknownIdentifierError
-from .grid import Geometry, Grid
+from .grid import Grid
 
 FUNCTIONS = ("abs", "cos", "exp", "sech", "sin", "tanh")
 COORDINATES = ("s", "rho")
@@ -192,8 +192,6 @@ def _eval(root, env, params):
 
 def _sample(expr: PotentialExpr, grid: Grid, params, step=0.0):
     """Samples of expr, or with step > 0 of d(expr)/ds by a complex step of that size."""
-    if grid.kind not in (Geometry.LINE, Geometry.CYLINDRICAL):
-        raise DomainError("external potentials apply to line or cylindrical grids")
     env = {"s": grid.s_coords() + 1j * step if step else grid.s_coords()}
     if grid.rho is not None:
         env["rho"] = grid.rho_coords()

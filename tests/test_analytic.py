@@ -86,9 +86,6 @@ class TestGaussianGroundState:
         assert float(val) == pytest.approx(
             PI ** -0.75 * math.exp(-0.5 * (1.3 ** 2 + 0.7 ** 2)), rel=1e-12)
 
-    def test_chemical_potential(self):
-        assert analytic.gaussian_chemical_potential(0.4) == pytest.approx(1.2)
-
     def test_rejects_bad_lambda(self):
         with pytest.raises(DomainError):
             analytic.gaussian_ground_state(0.0, 1.0, 1.0)
@@ -119,9 +116,7 @@ class TestCompositeProfile:
         g = cylindrical_grid(6.0, -30.0, 30.0, 96, 384)
         u = Wavefunction(g, analytic.composite_profile(Q, g.rho_coords(), g.s_coords()))
         mu_grid = hamiltonian(u, TrapSpec(0.0), Q).chemical_potential
-        assert mu_grid == pytest.approx(analytic.composite_chemical_potential(Q), abs=2e-3)
-        assert analytic.composite_chemical_potential(Q) == pytest.approx(
-            1 - 25 / (128 * PI ** 2), rel=1e-12)
+        assert mu_grid == pytest.approx(1 - analytic.soliton_phase_rate(Q), abs=2e-3)
 
 
 class TestVariationalSurface:
@@ -152,11 +147,6 @@ class TestVariationalSurface:
                                  - 0.5 * Q * u ** 4))
         assert analytic.variational_energy(Q, lz, wr, ws) == pytest.approx(
             quad, rel=1e-6)
-
-    def test_minimum_disappears_above_critical(self):
-        qc = analytic.variational_critical_q(0.0)
-        assert analytic.variational_minimum(qc - 0.5, 0.0) is not None
-        assert analytic.variational_minimum(qc + 0.5, 0.0) is None
 
 
 def _critical_q_scalar_oracle(lambda_z):
@@ -212,36 +202,6 @@ class TestVariationalCriticalQ:
             pref * 3 ** -0.25 * math.sqrt(2 / 3), rel=1e-10)
         assert analytic.variational_critical_q(1.0) == pytest.approx(
             pref * 0.8 * 5 ** -0.25, rel=1e-10)
-
-    def test_minimum_is_a_stable_stationary_point_at_lambda_5(self):
-        Q, lz = 10.7, 5.0
-        wr, ws = analytic.variational_minimum(Q, lz)
-
-        def grad(a, b, h=1e-6):
-            def e(x, y):
-                return analytic.variational_energy(Q, lz, x, y)
-            return np.array([(e(a + h, b) - e(a - h, b)) / (2 * h),
-                             (e(a, b + h) - e(a, b - h)) / (2 * h)])
-
-        assert np.max(np.abs(grad(wr, ws))) < 1e-6
-        h = 1e-4
-        hess = np.column_stack([(grad(wr + h, ws) - grad(wr - h, ws)) / (2 * h),
-                                (grad(wr, ws + h) - grad(wr, ws - h)) / (2 * h)])
-        assert np.all(np.linalg.eigvalsh(0.5 * (hess + hess.T)) > 0)
-
-    @pytest.mark.parametrize("lz", [0.0, 1e-3, 1.0, 1e3])
-    def test_minimum_is_stationary_along_the_whole_branch(self, lz):
-        # from a feeble interaction, where w_rho -> 1, up to the fold itself;
-        # each derivative of variational_energy is compared with its largest term
-        qc = analytic.variational_critical_q(lz)
-        for Q in (1e-8 * qc, 0.5 * qc, qc):
-            wr, ws = analytic.variational_minimum(Q, lz)
-            g = Q / (4 * math.sqrt(2) * PI ** 1.5)
-            d_rho = (-2 / wr ** 3, 2 * wr, 2 * g / (wr ** 3 * ws))
-            d_s = (-1 / ws ** 3, lz ** 2 * ws, g / (wr ** 2 * ws ** 2))
-            for terms in (d_rho, d_s):
-                assert abs(sum(terms)) <= 1e-13 * max(map(abs, terms))
-        assert analytic.variational_minimum(qc * (1 + 1e-9), lz) is None
 
     @pytest.mark.parametrize("lz", [0.0, 1.0, 1e3, 1e4, 1e6])
     def test_fold_root_matches_a_50_digit_reference(self, lz):

@@ -643,6 +643,24 @@ class TestGuards:
         with pytest.raises(DomainError):
             propagate(u, TrapSpec(1.0), 0.0, None, PropagationConfig(t_final=0.1))
 
+    @pytest.mark.parametrize("call", [
+        lambda u: time_error(u, TrapSpec(1.0), 0.0, None, PropagationConfig(t_final=0.1)),
+        lambda u: propagate(u, TrapSpec(1.0), 0.0, None,
+                            PropagationConfig(t_final=0.1, sponge_width=1.0)),
+        lambda u: boost(u, 0.5),
+        lambda u: displace(u, 0.5),
+        lambda u: displace(u, 0.0),
+        lambda u: ExternalPotential(parse("s^2"), {}).sample(u.grid),
+        lambda u: ExternalPotential(parse("s^2"), {}).sample_gradient_s(u.grid),
+    ], ids=["time_error", "sponge", "boost", "displace", "displace_by_0", "sample",
+            "sample_gradient_s"])
+    def test_spherical_rejected_by_every_s_consumer(self, call):
+        # a spherical grid has no s axis; Grid.s_coords says so for each consumer
+        g = spherical_grid(6.0, 64)
+        u = Wavefunction(g, np.exp(-0.5 * g.r ** 2)).normalized()
+        with pytest.raises(DomainError):
+            call(u)
+
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("grid", [line_grid(-27.35, 27.35, 64),
                                       cylindrical_grid(6.0, -27.35, 27.35, 16, 64)],
