@@ -331,7 +331,6 @@ def cmd_evolve(args):
         u0 = default_initial(grid, TrapSpec(0.0), Q)
     else:
         raise DomainError(f"unknown initial state {args.initial!r}")
-    u0 = Wavefunction(grid, np.asarray(u0.values, dtype=complex))
     if args.displace:
         u0 = displace(u0, args.displace)
     if args.boost:

@@ -261,7 +261,7 @@ def relax(initial: Wavefunction, trap: TrapSpec, Q: float,
     """Relax an initial state to the constrained minimizer (or detect collapse).
 
     Real seeds relax in real arithmetic, complex ones in complex; both run the
-    same loop.  The trap potential is evaluated once per call.  Each iteration
+    same loop, and the result holds the field relaxed.  The trap potential is evaluated once per call.  Each iteration
     applies the Laplacian once (in the gradient) and P^{-1} once, forms the
     density once, for the quartic energy and the amplitude ceiling, and takes
     the line search's seven sums as dot products of plain fields with fields
@@ -356,7 +356,7 @@ def relax(initial: Wavefunction, trap: TrapSpec, Q: float,
         v = v - tau * d
         v /= math.sqrt(inner(v, v))
 
-    final = Wavefunction(grid, np.asarray(v, dtype=complex))
+    final = Wavefunction(grid, v)
     breakdown = hamiltonian(final, trap, Q)
     log.debug("relax: Q=%g lambda_z=%g iters=%d converged=%s collapsed=%s residual=%.3e",
               Q, trap.lambda_z, iterations, converged, collapsed, residual)
