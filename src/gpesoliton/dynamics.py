@@ -52,6 +52,7 @@ scipy.optimize would take longer than a short trapped run.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +90,9 @@ class PropagationConfig:
             raise DomainError(f"t_final {self.t_final:g} is off the dt = {self.dt:g} lattice; "
                               f"the nearest lattice times are {math.floor(k) * self.dt:.12g} "
                               f"and {math.ceil(k) * self.dt:.12g}")
-        if self.observe_every < 1:
-            raise DomainError(f"observe_every must be >= 1, got {self.observe_every}")
+        if not (isinstance(self.observe_every, numbers.Integral) and self.observe_every >= 1):
+            raise DomainError(f"observe_every must be an integer >= 1, "
+                              f"got {self.observe_every!r}")
         if self.sponge_width < 0:
             raise DomainError(f"sponge_width must be non-negative, got {self.sponge_width}")
 

@@ -661,6 +661,11 @@ class TestGuards:
         with pytest.raises(DomainError):
             call(u)
 
+    @pytest.mark.parametrize("every", [2.5, 2.0, 0])
+    def test_observe_every_must_be_an_integer_of_at_least_1(self, every):
+        with pytest.raises(DomainError, match="observe_every must be an integer >= 1"):
+            PropagationConfig(t_final=0.05, observe_every=every)
+
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("grid", [line_grid(-27.35, 27.35, 64),
                                       cylindrical_grid(6.0, -27.35, 27.35, 16, 64)],
