@@ -261,12 +261,12 @@ def relax(initial: Wavefunction, trap: TrapSpec, Q: float,
     """Relax an initial state to the constrained minimizer (or detect collapse).
 
     Real seeds relax in real arithmetic, complex ones in complex; both run the
-    same loop, and the result holds the field relaxed.  The trap potential is evaluated once per call.  Each iteration
-    applies the Laplacian once (in the gradient) and P^{-1} once, forms the
-    density once, for the quartic energy and the amplitude ceiling, and takes
-    the line search's seven sums as dot products of plain fields with fields
-    weighted once.  No step raises the energy along its ray, so none is
-    rejected or retried.
+    same loop, and the result holds the field relaxed.  The trap potential is
+    evaluated once per call.  Each iteration applies the Laplacian once (in the
+    gradient) and P^{-1} once, forms the density once, for the quartic energy
+    and the amplitude ceiling, and takes the line search's seven sums as dot
+    products of plain fields with fields weighted once.  No step raises the
+    energy along its ray, so none is rejected or retried.
 
     Raises BlowupError as soon as the energy is not finite.
     """
