@@ -38,7 +38,7 @@ from .energy import TrapSpec
 from .errors import DomainError, GpeError
 from .grid import (Geometry, Grid, Wavefunction, cylindrical_grid,
                    default_half_extent_s, line_grid, spherical_grid)
-from .groundstate import DescentConfig, default_initial, relax
+from .groundstate import DescentConfig, analytic_state, default_initial, relax
 from .observables import ObservableRecord, moments
 from .potentials import FUNCTIONS, ExternalPotential, parse as parse_potential
 
@@ -400,20 +400,14 @@ def cmd_figures(args):
         trap = TrapSpec(lz)
         res = relax(default_initial(grid, trap, Q), trap, Q, _from_args(DescentConfig, args))
         u = np.abs(res.wavefunction.values)
-        rho0 = grid.rho[0]
+        overlay = analytic_state(grid, trap, Q)  # the relaxation's seed, unnormalized
         j0 = int(np.argmin(np.abs(grid.s)))
-        if lz > 0:
-            overlay_s = analytic.gaussian_ground_state(lz, rho0, grid.s)
-            overlay_rho = analytic.gaussian_ground_state(lz, grid.rho, grid.s[j0])
-        else:
-            overlay_s = np.abs(analytic.composite_profile(Q, rho0, grid.s))
-            overlay_rho = np.abs(analytic.composite_profile(Q, grid.rho, grid.s[j0]))
         tag = f"{args.which}_lz{lz:g}"
         write_csv(outdir / f"{tag}_s_section.csv", ("s", "abs_u", "abs_overlay"),
-                  list(zip(grid.s, u[0, :], overlay_s)),
-                  note=UNITS_NOTE + f"; section at rho = {rho0:.6g} (first node)")
+                  list(zip(grid.s, u[0, :], overlay[0, :])),
+                  note=UNITS_NOTE + f"; section at rho = {grid.rho[0]:.6g} (first node)")
         write_csv(outdir / f"{tag}_rho_section.csv", ("rho", "abs_u", "abs_overlay"),
-                  list(zip(grid.rho, u[:, j0], overlay_rho)),
+                  list(zip(grid.rho, u[:, j0], overlay[:, j0])),
                   note=UNITS_NOTE + f"; section at s = {grid.s[j0]:.6g} (node nearest 0)")
         summary.append(ground_summary_row(Q, lz, res))
     write_csv(outdir / f"{args.which}_summary.csv", GROUND_SUMMARY_COLS, summary)

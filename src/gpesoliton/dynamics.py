@@ -93,8 +93,9 @@ class PropagationConfig:
         if not (isinstance(self.observe_every, numbers.Integral) and self.observe_every >= 1):
             raise DomainError(f"observe_every must be an integer >= 1, "
                               f"got {self.observe_every!r}")
-        if self.sponge_width < 0:
-            raise DomainError(f"sponge_width must be non-negative, got {self.sponge_width}")
+        if not 0 <= self.sponge_width < math.inf:
+            raise DomainError(f"sponge_width must be non-negative and finite, "
+                              f"got {self.sponge_width}")
 
 
 def _sponge_mask(grid: Grid, width: float):
@@ -273,8 +274,7 @@ def propagate(u0: Wavefunction, trap: TrapSpec, Q: float,
     Raises StepSizeError when the norm drifts beyond 1e-6 (never expected with this
     unitary scheme unless inputs are broken) and BlowupError on non-finite values.
     """
-    if abs(u0.norm() - 1.0) > 1e-8:
-        raise DomainError("initial state must have norm 1; call .normalized() first")
+    u0.require_unit_norm()
     n_steps = _step(cfg.t_final, cfg.dt)
     steps = sorted(_step(t, cfg.dt) for t in snapshot_times)
     if not all(0 <= s <= n_steps for s in steps):
@@ -314,6 +314,7 @@ def time_error(u0: Wavefunction, trap: TrapSpec, Q: float,
     2*dt by 3x the two steps' error (Richardson), extrapolated linearly to t_final.
     Its propagator shares the grid's radial eigenbasis (`Grid.radial_modes`) with
     the one `propagate` builds on the same grid."""
+    u0.require_unit_norm()
     prop = _Propagator(u0.grid, trap, Q, external, cfg)
     v = np.array(u0.values, dtype=complex, order="C")
     fine = v.copy()

@@ -7,10 +7,13 @@ or (n_r,), the shape of the weights); the stencil and the quadrature reshape
 them into rows, so the three geometries share one code path, and an absent
 axis has no couplings.
 
-Nodes are cell-centered: radial nodes sit at half-integer offsets
-(rho_i = (i + 1/2) * d_rho) so none touches the coordinate axis.  Quadrature
-weights are the exact integrals of the geometric measure over each cell, which
-makes integrate(1) match the analytic domain volume to round-off.  The
+Every axis is n equal cells over its extent (`_cells`), and the constructors
+raise DomainError for an extent that is reversed, NaN or infinite, and for an
+n that is not an integer of at least MIN_RESOLUTION.  Nodes are cell-centered:
+radial nodes sit at half-integer offsets (rho_i = (i + 1/2) * d_rho) so none
+touches the coordinate axis.  Quadrature weights are the exact integrals of
+the geometric measure over each cell, which makes integrate(1) match the
+analytic domain volume to round-off.  The
 Laplacian is the matching finite-volume stencil: symmetric negative
 semidefinite under the weight inner product, with homogeneous Dirichlet
 (zero ghost) beyond the outer edges and the axis handled by the vanishing
@@ -30,6 +33,7 @@ import ctypes
 import enum
 import functools
 import math
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -362,34 +366,27 @@ class TridiagonalFactor:
         return self._lu.solve(b, b.size // self.size)
 
 
-def _check_resolution(n, name):
-    if n < MIN_RESOLUTION:
-        raise DomainError(f"{name} must be at least {MIN_RESOLUTION}, got {n}")
+def _cells(lo, hi, n, axis, n_name):
+    """(nodes, spacing) of n equal cells over [lo, hi], the nodes at their centres;
+    DomainError unless lo < hi are finite and n is an integer >= MIN_RESOLUTION."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise DomainError(f"the {axis} axis needs finite ends lo < hi, got [{lo}, {hi}]")
+    if not (isinstance(n, numbers.Integral) and n >= MIN_RESOLUTION):
+        raise DomainError(f"{n_name} must be an integer >= {MIN_RESOLUTION}, got {n!r}")
+    d = (hi - lo) / n
+    return lo + (np.arange(n) + 0.5) * d, d
 
 
 def line_grid(s_min: float, s_max: float, n_s: int) -> Grid:
-    if s_max <= s_min:
-        raise DomainError(f"need s_max > s_min, got [{s_min}, {s_max}]")
-    _check_resolution(n_s, "n_s")
-    ds = (s_max - s_min) / n_s
-    s = s_min + (np.arange(n_s) + 0.5) * ds
-    weights = np.full(n_s, ds)
-    return Grid(Geometry.LINE, s=s, ds=ds, weights=weights,
+    s, ds = _cells(s_min, s_max, n_s, "s", "n_s")
+    return Grid(Geometry.LINE, s=s, ds=ds, weights=np.full(n_s, ds),
                 extents={"s_min": s_min, "s_max": s_max, "n_s": n_s})
 
 
 def cylindrical_grid(rho_max: float, s_min: float, s_max: float,
                      n_rho: int, n_s: int) -> Grid:
-    if rho_max <= 0:
-        raise DomainError(f"rho_max must be positive, got {rho_max}")
-    if s_max <= s_min:
-        raise DomainError(f"need s_max > s_min, got [{s_min}, {s_max}]")
-    _check_resolution(n_rho, "n_rho")
-    _check_resolution(n_s, "n_s")
-    drho = rho_max / n_rho
-    ds = (s_max - s_min) / n_s
-    rho = (np.arange(n_rho) + 0.5) * drho
-    s = s_min + (np.arange(n_s) + 0.5) * ds
+    rho, drho = _cells(0.0, rho_max, n_rho, "rho", "n_rho")
+    s, ds = _cells(s_min, s_max, n_s, "s", "n_s")
     # midpoint value x cell size is the exact cell integral of 2*pi*rho drho ds
     weights = (2.0 * math.pi * rho * drho * ds)[:, None] * np.ones(n_s)[None, :]
     return Grid(Geometry.CYLINDRICAL, rho=rho, drho=drho, s=s, ds=ds, weights=weights,
@@ -398,12 +395,8 @@ def cylindrical_grid(rho_max: float, s_min: float, s_max: float,
 
 
 def spherical_grid(r_max: float, n_r: int) -> Grid:
-    if r_max <= 0:
-        raise DomainError(f"r_max must be positive, got {r_max}")
-    _check_resolution(n_r, "n_r")
-    dr = r_max / n_r
+    r, dr = _cells(0.0, r_max, n_r, "r", "n_r")
     i = np.arange(n_r, dtype=float)
-    r = (i + 0.5) * dr
     # exact shell volumes (4*pi/3)((i+1)^3 - i^3) dr^3
     weights = (4.0 * math.pi / 3.0) * ((i + 1.0) ** 3 - i ** 3) * dr ** 3
     return Grid(Geometry.SPHERICAL_RADIAL, r=r, dr=dr, weights=weights,
@@ -434,6 +427,11 @@ class Wavefunction:
 
     def norm(self) -> float:
         return self.grid.norm(self.values)
+
+    def require_unit_norm(self):
+        """DomainError unless the norm lies within 1e-8 of 1; a NaN norm does not."""
+        if not abs(self.norm() - 1.0) <= 1e-8:
+            raise DomainError("initial state must have norm 1; call .normalized() first")
 
     def normalized(self) -> "Wavefunction":
         n = self.norm()

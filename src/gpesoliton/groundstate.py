@@ -33,7 +33,7 @@ import numpy as np
 
 from . import analytic
 from .energy import (EnergyBreakdown, TrapSpec, gradient, hamiltonian, quartic_coefficient,
-                     trap_potential)
+                     trap_potential, trap_terms)
 from .errors import BlowupError, DomainError
 from .grid import Geometry, Grid, TridiagonalFactor, Wavefunction
 
@@ -68,45 +68,40 @@ class GroundStateResult:
     residual: float
 
 
+def analytic_state(grid: Grid, trap: TrapSpec, Q: float, radial=None, s=None):
+    """The analytic state, unnormalized: the trap Gaussian on a confined s axis,
+    the sech x Gaussian soliton on a free one, each x sqrt(pi) on line grids
+    (unit line norm), and the isotropic Gaussian on spherical grids.  A field on
+    the grid's nodes, or its values at `radial` and `s` (an axis the grid lacks
+    is ignored)."""
+    if radial is None and s is None:
+        radial = None if grid.radial is None else grid.radial[:, None]
+        return analytic_state(grid, trap, Q, radial, grid.s).reshape(grid.shape)
+    if grid.s is None:
+        return analytic.gaussian_ground_state(1.0, radial, 0.0)
+    if trap.lambda_z > 0 and grid.radial is None:
+        return (trap.lambda_z / math.pi) ** 0.25 * np.exp(-0.5 * trap.lambda_z * s ** 2)
+    if trap.lambda_z > 0:
+        return analytic.gaussian_ground_state(trap.lambda_z, radial, s)
+    if Q <= 0:
+        raise DomainError("need Q > 0 for a localized state on a trap-free axis")
+    if grid.radial is None:
+        return math.sqrt(math.pi) * analytic.soliton_profile(Q, s)
+    return analytic.composite_profile(Q, radial, s)
+
+
 def reference_peak(grid: Grid, trap: TrapSpec, Q: float) -> float:
-    """Peak amplitude of the analytic profile(s) seeding this configuration."""
-    peaks = []
-    if Q > 0 and grid.kind is not Geometry.SPHERICAL_RADIAL:
-        # line states carry unit norm, sqrt(pi) times the paper-normalized profile
-        line_norm = math.sqrt(math.pi) if grid.kind is Geometry.LINE else 1.0
-        peaks.append(line_norm * analytic.soliton_amplitude(Q))
-    if grid.kind is Geometry.SPHERICAL_RADIAL:
-        peaks.append(math.pi ** -0.75)
-    elif trap.lambda_z > 0:
-        if grid.kind is Geometry.LINE:
-            peaks.append((trap.lambda_z / math.pi) ** 0.25)
-        else:
-            peaks.append(trap.lambda_z ** 0.25 * math.pi ** -0.75)
-    if not peaks:
-        raise DomainError("no analytic reference profile for this configuration")
-    return max(peaks)
+    """Peak amplitude of the analytic state, or of the soliton where a trapped s
+    axis holds a taller one: their values at the origin."""
+    peak = float(analytic_state(grid, trap, Q, 0.0, 0.0))
+    if Q > 0 and grid.s is not None:
+        peak = max(peak, float(analytic_state(grid, TrapSpec(0.0), Q, 0.0, 0.0)))
+    return peak
 
 
 def default_initial(grid: Grid, trap: TrapSpec, Q: float) -> Wavefunction:
-    """Analytic seed: trap Gaussian when the axis is confined, soliton profile otherwise."""
-    if grid.kind is Geometry.SPHERICAL_RADIAL:
-        values = math.pi ** -0.75 * np.exp(-0.5 * grid.r ** 2)
-    elif trap.lambda_z > 0:
-        if grid.kind is Geometry.LINE:
-            values = (trap.lambda_z / math.pi) ** 0.25 * np.exp(
-                -0.5 * trap.lambda_z * grid.s ** 2)
-        else:
-            values = analytic.gaussian_ground_state(trap.lambda_z, grid.rho_coords(),
-                                                    grid.s_coords())
-    else:
-        if Q <= 0:
-            raise DomainError("need Q > 0 for a localized seed on a trap-free axis")
-        if grid.kind is Geometry.LINE:
-            # line states carry unit norm; the paper-normalized profile carries 1/pi
-            values = math.sqrt(math.pi) * analytic.soliton_profile(Q, grid.s)
-        else:
-            values = analytic.composite_profile(Q, grid.rho_coords(), grid.s_coords())
-    return Wavefunction(grid, values).normalized()
+    """The analytic state (`analytic_state`), normalized on the grid."""
+    return Wavefunction(grid, analytic_state(grid, trap, Q)).normalized()
 
 
 def descent_shift(grid: Grid, trap: TrapSpec, Q: float, lambda0: float,
@@ -134,7 +129,7 @@ def descent_shift(grid: Grid, trap: TrapSpec, Q: float, lambda0: float,
     shift = 1.0 - e0
     floor = 0.0
     if grid.kind is Geometry.CYLINDRICAL:
-        floor = float(grid.radial_modes(grid.rho ** 2)[0][0])
+        floor = float(grid.radial_modes(trap_terms(grid, trap)[0])[0][0])
     if Q > 0 and energy0 < floor:
         shift = min(shift, -lambda0)
     return shift
@@ -153,11 +148,12 @@ class SobolevPreconditioner:
 
     def __init__(self, grid: Grid, trap: TrapSpec, shift: float):
         self.to_modes = self.from_modes = None
+        radial, axial = trap_terms(grid, trap)
         if grid.kind is Geometry.CYLINDRICAL:
-            theta, self.to_modes, self.from_modes = grid.radial_modes(grid.rho ** 2)
-            potential = theta[:, None] + (trap.lambda_z * grid.s) ** 2
+            theta, self.to_modes, self.from_modes = grid.radial_modes(radial)
+            potential = theta[:, None] + axial
         else:
-            potential = trap_potential(grid, trap)
+            potential = axial if radial is None else radial
         # the one axis left: s after the rho modes, or the only one
         lo, di, up = grid.laplacian_diagonals("r" if grid.s is None else "s")
         self.factor = TridiagonalFactor(-lo, shift + potential - di, -up)
@@ -271,8 +267,7 @@ def relax(initial: Wavefunction, trap: TrapSpec, Q: float,
     Raises BlowupError as soon as the energy is not finite.
     """
     grid = initial.grid
-    if not abs(initial.norm() - 1.0) <= 1e-8:
-        raise DomainError("initial state must have norm 1; call .normalized() first")
+    initial.require_unit_norm()
 
     # real descent when the seed is real: the flow preserves reality
     v = initial.values

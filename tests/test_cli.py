@@ -355,6 +355,34 @@ def test_lambda_scan_runs_on_the_manifest_grid(tmp_path, monkeypatch):
     assert (manifest["rho_max"], manifest["n_rho"], manifest["n_s"]) == ("5", "16", "48")
 
 
+@pytest.mark.parametrize("which, Q, lzs", [("fig1", 5.0, (0.4, 0.2, 0.0)),
+                                            ("fig2", 10.0, (0.0,))])
+def test_figure_overlays_are_the_analytic_profiles(tmp_path, which, Q, lzs):
+    # each overlay is the analytic profile at its section's nodes, bit for bit: the
+    # trap Gaussian on a trapped axis, the sech x Gaussian soliton on a free one
+    from gpesoliton import analytic
+
+    argv = ["figures", which, "--n-rho", "16", "--n-s", "48", "--quiet", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+
+    def columns(name):
+        lines = (tmp_path / name).read_text().splitlines()[2:]
+        return np.array([[float(x) for x in line.split(",")] for line in lines]).T
+
+    for lz in lzs:
+        s, _, overlay_s = columns(f"{which}_lz{lz:g}_s_section.csv")
+        rho, _, overlay_rho = columns(f"{which}_lz{lz:g}_rho_section.csv")
+        s0 = s[np.argmin(np.abs(s))]  # the node nearest 0, where the rho section lies
+        if lz > 0:
+            def profile(r, z):
+                return analytic.gaussian_ground_state(lz, r, z)
+        else:
+            def profile(r, z):
+                return analytic.composite_profile(Q, r, z)
+        assert np.array_equal(overlay_s, profile(rho[0], s))
+        assert np.array_equal(overlay_rho, profile(rho, s0))
+
+
 def test_analytic_profile_takes_a_numeric_q(tmp_path):
     from gpesoliton import analytic
 

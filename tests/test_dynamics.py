@@ -615,6 +615,15 @@ class TestGuards:
             propagate(doubled, TrapSpec(0.0), 5.0, None,
                       PropagationConfig(t_final=0.1))
 
+    @pytest.mark.parametrize("scale", [math.nan, 3.0])
+    @pytest.mark.parametrize("run", [propagate, time_error], ids=["propagate", "time_error"])
+    def test_unit_norm_required_by_every_entry(self, run, scale):
+        # a NaN norm is no norm of 1 either: it must not reach the first record
+        u = line_soliton()
+        with pytest.raises(DomainError, match="norm 1"):
+            run(Wavefunction(u.grid, scale * u.values), TrapSpec(0.0), 5.0, None,
+                PropagationConfig(t_final=0.1))
+
     def test_off_lattice_t_final_rejected(self):
         with pytest.raises(DomainError, match="t_final 0.0149 is off the dt = 0.01 lattice; "
                                               "the nearest lattice times are 0.01 and 0.02"):
@@ -632,7 +641,8 @@ class TestGuards:
         lambda x: PropagationConfig(t_final=1.0, dt=x),
         lambda x: find_threshold(spherical_grid(6.0, 48), 1.0, (10.0, 25.0), x),
         lambda x: TrapSpec(x),
-    ], ids=["t_final", "dt", "tol", "lambda_z"])
+        lambda x: PropagationConfig(t_final=0.05, sponge_width=x),
+    ], ids=["t_final", "dt", "tol", "lambda_z", "sponge_width"])
     def test_non_finite_parameter_rejected(self, make, bad):
         with pytest.raises(DomainError, match="finite"):
             make(bad)

@@ -28,10 +28,21 @@ class TestConstruction:
             spherical_grid(1.0, 15)
 
     def test_bad_extents(self):
-        with pytest.raises(DomainError):
-            line_grid(1.0, -1.0, 64)
-        with pytest.raises(DomainError):
-            cylindrical_grid(-2.0, -1.0, 1.0, 32, 32)
+        # every argument of every constructor, one at a time: a reversed extent,
+        # a non-finite one, too few cells and a non-integral count
+        good = {line_grid: (-1.0, 1.0, 32), cylindrical_grid: (2.0, -1.0, 1.0, 32, 32),
+                spherical_grid: (2.0, 32)}
+        reversed_ = {line_grid: {0: 2.0, 1: -2.0}, cylindrical_grid: {0: -2.0, 1: 2.0, 2: -2.0},
+                     spherical_grid: {0: -2.0}}
+        counts = {line_grid: (2,), cylindrical_grid: (3, 4), spherical_grid: (1,)}
+        for make, args in good.items():
+            make(*args)
+            bad = list(reversed_[make].items())
+            bad += [(i, x) for i in reversed_[make] for x in (math.nan, math.inf, -math.inf)]
+            bad += [(i, n) for i in counts[make] for n in (15, 32.5)]
+            for i, x in bad:
+                with pytest.raises(DomainError):
+                    make(*args[:i], x, *args[i + 1:])
 
     def test_default_extent_rule(self):
         # trap-free axis follows the soliton width; trapped axis the Gaussian width
