@@ -615,10 +615,12 @@ class TestGuards:
             propagate(doubled, TrapSpec(0.0), 5.0, None,
                       PropagationConfig(t_final=0.1))
 
-    @pytest.mark.parametrize("scale", [math.nan, 3.0])
-    @pytest.mark.parametrize("run", [propagate, time_error], ids=["propagate", "time_error"])
+    @pytest.mark.parametrize("run, scale", [(propagate, math.nan), (time_error, math.nan),
+                                            (time_error, 3.0)],
+                             ids=["propagate-nan", "time_error-nan", "time_error-3"])
     def test_unit_norm_required_by_every_entry(self, run, scale):
-        # a NaN norm is no norm of 1 either: it must not reach the first record
+        # a NaN norm is no norm of 1 either: it must not reach the first record;
+        # test_requires_unit_norm covers propagate on a finite norm
         u = line_soliton()
         with pytest.raises(DomainError, match="norm 1"):
             run(Wavefunction(u.grid, scale * u.values), TrapSpec(0.0), 5.0, None,
