@@ -13,11 +13,10 @@ n that is not an integer of at least MIN_RESOLUTION.  Nodes are cell-centered:
 radial nodes sit at half-integer offsets (rho_i = (i + 1/2) * d_rho) so none
 touches the coordinate axis.  Quadrature weights are the exact integrals of
 the geometric measure over each cell, which makes integrate(1) match the
-analytic domain volume to round-off.  The
-Laplacian is the matching finite-volume stencil: symmetric negative
-semidefinite under the weight inner product, with homogeneous Dirichlet
-(zero ghost) beyond the outer edges and the axis handled by the vanishing
-inner face area.
+analytic domain volume to round-off.  The Laplacian is the matching
+finite-volume stencil: symmetric negative semidefinite under the weight inner
+product, with homogeneous Dirichlet (zero ghost) beyond the outer edges and
+the axis handled by the vanishing inner face area.
 
 Tridiagonal LU (LAPACK gttrf/gttrs) is called through ctypes in the OpenBLAS
 that the numpy wheel bundles and has already loaded, so importing this module
