@@ -21,27 +21,20 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import require
 
 # prefactor of the attractive term in the two-width Gaussian trial energy
 _GAUSS_QUARTIC = 1.0 / (4.0 * math.sqrt(2.0) * math.pi ** 1.5)
 
 
-def _require_positive_q(Q):
-    if Q <= 0:
-        raise DomainError(f"Q must be positive, got {Q}")
-
-
 def soliton_amplitude(Q: float) -> float:
     """Peak amplitude sqrt(Q)/(4*pi) of the line soliton."""
-    _require_positive_q(Q)
-    return math.sqrt(Q) / (4.0 * math.pi)
+    return math.sqrt(require("Q", Q, gt=0)) / (4.0 * math.pi)
 
 
 def soliton_inverse_width(Q: float) -> float:
     """Inverse width b = Q/(8*pi) appearing in sech(b*s)."""
-    _require_positive_q(Q)
-    return Q / (8.0 * math.pi)
+    return require("Q", Q, gt=0) / (8.0 * math.pi)
 
 
 def soliton_phase_rate(Q: float) -> float:
@@ -67,14 +60,12 @@ def soliton_profile(Q: float, s):
 
 def soliton_width(Q: float) -> float:
     """Axial rms width 4*pi^2/(Q*sqrt(3)) of the line soliton."""
-    _require_positive_q(Q)
-    return 4.0 * math.pi ** 2 / (Q * math.sqrt(3.0))
+    return 4.0 * math.pi ** 2 / (require("Q", Q, gt=0) * math.sqrt(3.0))
 
 
 def soliton_second_moment(Q: float) -> float:
     """Axial second moment <s^2> = 16*pi^4/(3*Q^2)."""
-    _require_positive_q(Q)
-    return 16.0 * math.pi ** 4 / (3.0 * Q ** 2)
+    return 16.0 * math.pi ** 4 / (3.0 * require("Q", Q, gt=0) ** 2)
 
 
 def dominance_ratio(Q: float, rho, s):
@@ -91,8 +82,7 @@ def gaussian_ground_state(lambda_z: float, rho, s):
     The axial factor uses the trap anisotropy, which makes the state both the
     harmonic ground state for that anisotropy and unit-normalized.
     """
-    if lambda_z <= 0:
-        raise DomainError(f"lambda_z must be positive, got {lambda_z}")
+    require("lambda_z", lambda_z, gt=0)
     rho = np.asarray(rho, dtype=float)
     s = np.asarray(s, dtype=float)
     return lambda_z ** 0.25 * math.pi ** -0.75 * np.exp(-0.5 * rho ** 2 - 0.5 * lambda_z * s ** 2)
@@ -115,12 +105,10 @@ def variational_energy(Q: float, lambda_z: float, w_rho: float, w_s: float) -> f
     noninteracting isotropic minimizer w_rho = w_s = 1 is 3, twice the
     Schroedinger energy 3/2).
     """
-    if w_rho <= 0 or w_s <= 0:
-        raise DomainError(f"widths must be positive, got ({w_rho}, {w_s})")
-    if Q < 0:
-        raise DomainError(f"Q must be non-negative, got {Q}")
-    if lambda_z < 0:
-        raise DomainError(f"lambda_z must be non-negative, got {lambda_z}")
+    require("w_rho", w_rho, gt=0)
+    require("w_s", w_s, gt=0)
+    require("Q", Q, ge=0)
+    require("lambda_z", lambda_z, ge=0)
     return (
         1.0 / w_rho ** 2
         + 0.5 / w_s ** 2
@@ -141,8 +129,7 @@ def _fold(lambda_z) -> float:
 
 def variational_critical_q(lambda_z: float) -> float:
     """Largest Q for which the Gaussian trial energy keeps a finite-width local minimum."""
-    if lambda_z < 0:
-        raise DomainError(f"lambda_z must be non-negative, got {lambda_z}")
+    require("lambda_z", lambda_z, ge=0)
     p = _fold(lambda_z)
     # the branch's w_s at the fold (module docstring)
     root = math.sqrt(p * p + 4.0 * lambda_z ** 2 * (1.0 - p))

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import functools
 import logging
-import math
 import sys
 from collections import namedtuple
 from dataclasses import fields
@@ -35,7 +34,7 @@ from . import grid as grid_module
 from .collapse import find_threshold, optimality_scan
 from .dynamics import PropagationConfig, boost, displace, ehrenfest_check, propagate, time_error
 from .energy import TrapSpec
-from .errors import DomainError, GpeError
+from .errors import DomainError, GpeError, require
 from .grid import (Geometry, Grid, Wavefunction, cylindrical_grid,
                    default_half_extent_s, line_grid, spherical_grid)
 from .groundstate import DescentConfig, analytic_state, default_initial, relax
@@ -101,8 +100,15 @@ def write_manifest(out_path, args: argparse.Namespace, **measured):
 
 # --- config file ------------------------------------------------------------
 
-_FILE_TYPES = {bool: lambda v: v.lower() in ("1", "true", "yes"),
-               list: lambda v: [tok.strip() for tok in v.split(",")]}
+def _file_bool(text) -> bool:
+    """1/0, true/false or yes/no, in any case; ValueError for anything else."""
+    words = ("0", "false", "no", "1", "true", "yes")
+    if text.lower() not in words:
+        raise ValueError(f"expected 1/0, true/false or yes/no, got {text!r}")
+    return words.index(text.lower()) >= 3
+
+
+_FILE_TYPES = {bool: _file_bool, list: lambda v: [tok.strip() for tok in v.split(",")]}
 
 
 def _dest(flag) -> str:
@@ -230,9 +236,7 @@ def _float_list(args, flag):
         values = [float(tok) for tok in str(spec or "").split(",") if tok.strip()]
     except ValueError as exc:
         raise DomainError(f"{flag} expects a comma list of numbers, got {spec!r}") from exc
-    if not all(map(math.isfinite, values)):
-        raise DomainError(f"{flag} expects finite numbers, got {spec!r}")
-    return values
+    return [require(flag, v) for v in values]
 
 
 def _single_q(args) -> float:
@@ -259,11 +263,8 @@ def cmd_analytic(args):
             args.n_s = 512
         Q = _single_q(args)
         half = default_half_extent_s(Q, 0.0) if args.s_extent is None else args.s_extent
-        if not (math.isfinite(half) and half > 0):
-            raise DomainError(f"--s-extent must be positive and finite, got {half}")
-        if args.n_s < grid_module.MIN_RESOLUTION:
-            raise DomainError(f"--n-s must be at least {grid_module.MIN_RESOLUTION}, "
-                              f"got {args.n_s}")
+        require("--s-extent", half, gt=0)
+        require("--n-s", args.n_s, ge=grid_module.MIN_RESOLUTION, integer=True)
         s = np.linspace(-half, half, args.n_s)
         phi = analytic.soliton_profile(Q, s)
         rows = [(Q, sv, pv) for sv, pv in zip(s, phi)]
@@ -551,8 +552,8 @@ def main(argv=None) -> int:
             value = getattr(args, _dest(row.flag))
             if value is _REQUIRED:
                 raise DomainError(f"{args.command} requires {row.flag}")
-            if row.type is float and value is not None and not math.isfinite(value):
-                raise DomainError(f"{row.flag} must be finite, got {value}")
+            if row.type is float and value is not None:
+                require(row.flag, value)
         if _LAMBDA_Z in rows and args.lambda_z is None:  # the default follows the geometry
             args.lambda_z = 1.0 if args.geometry == "spherical" else 0.0
         # basicConfig acts on the first call in a process only; the level is set on every call

@@ -12,10 +12,11 @@ of the mean-field model.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 from .energy import TrapSpec
-from .errors import DomainError
+from .errors import DomainError, require
 from .grid import Grid
 from .groundstate import DescentConfig, default_initial, relax
 
@@ -68,13 +69,14 @@ def find_threshold(grid: Grid, lambda_z: float, bracket: tuple[float, float], to
     Every probe, the q_min and q_max ends included, must end converged or
     collapsed; one that reaches max_iters with neither verdict raises
     DomainError naming its Q, lambda_z and max_iters.  A q_min that collapses or
-    a q_max that converges raises DomainError for an invalid bracket.
+    a q_max that converges raises DomainError for an invalid bracket, and a tol
+    below 2 ulp(q_max), a width the bisection cannot reach, raises it too.
     """
-    q_min, q_max = bracket
-    if not 0 < q_min < q_max:
+    q_min, q_max = require("q_min", bracket[0], gt=0), require("q_max", bracket[1])
+    if not q_min < q_max:
         raise DomainError(f"need 0 < q_min < q_max, got {bracket}")
-    if not 0 < tol < float("inf"):
-        raise DomainError(f"tol must be positive and finite, got {tol}")
+    # the midpoint of two adjacent floats is one of them, so no probe would narrow them
+    require("tol", tol, ge=2.0 * math.ulp(q_max))
     trap = TrapSpec(lambda_z=lambda_z)
 
     result = ThresholdResult(q_lo=q_min, q_hi=q_max)

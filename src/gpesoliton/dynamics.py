@@ -52,13 +52,12 @@ scipy.optimize would take longer than a short trapped run.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .energy import TrapSpec, hamiltonian, quartic_coefficient, trap_potential, trap_terms
-from .errors import BlowupError, DomainError, StepSizeError
+from .errors import BlowupError, DomainError, StepSizeError, require
 from .grid import Geometry, Grid, TridiagonalFactor, Wavefunction
 from .observables import moments
 from .potentials import ExternalPotential
@@ -81,26 +80,18 @@ class PropagationConfig:
     sponge_width: float = 0.0  # absolute width of each absorbing edge layer; 0 for none
 
     def __post_init__(self):
-        if not 0 < self.dt < math.inf:
-            raise DomainError(f"dt must be positive and finite, got {self.dt}")
-        if not 0 <= self.t_final < math.inf:
-            raise DomainError(f"t_final must be non-negative and finite, got {self.t_final}")
+        require("dt", self.dt, gt=0)
+        require("t_final", self.t_final, ge=0)
         k = _step(self.t_final, self.dt)
         if not isinstance(k, int):
             raise DomainError(f"t_final {self.t_final:g} is off the dt = {self.dt:g} lattice; "
                               f"the nearest lattice times are {math.floor(k) * self.dt:.12g} "
                               f"and {math.ceil(k) * self.dt:.12g}")
-        if not (isinstance(self.observe_every, numbers.Integral) and self.observe_every >= 1):
-            raise DomainError(f"observe_every must be an integer >= 1, "
-                              f"got {self.observe_every!r}")
-        if not 0 <= self.sponge_width < math.inf:
-            raise DomainError(f"sponge_width must be non-negative and finite, "
-                              f"got {self.sponge_width}")
+        require("observe_every", self.observe_every, ge=1, integer=True)
+        require("sponge_width", self.sponge_width, ge=0)
 
 
 def _sponge_mask(grid: Grid, width: float):
-    if width <= 0:
-        return None
     s = grid.s_coords()
     lo, hi = s[0] - 0.5 * grid.ds, s[-1] + 0.5 * grid.ds
     left = np.clip((lo + width - s) / width, 0.0, 1.0)
@@ -276,7 +267,7 @@ def propagate(u0: Wavefunction, trap: TrapSpec, Q: float,
     """
     u0.require_unit_norm()
     n_steps = _step(cfg.t_final, cfg.dt)
-    steps = sorted(_step(t, cfg.dt) for t in snapshot_times)
+    steps = sorted(_step(require("snapshot time", t), cfg.dt) for t in snapshot_times)
     if not all(0 <= s <= n_steps for s in steps):
         raise DomainError("snapshot times must lie within [0, t_final]")
     prop = _Propagator(u0.grid, trap, Q, external, cfg)
@@ -368,6 +359,7 @@ def displace(u: Wavefunction, ds: float, max_norm_loss: float = 1e-8) -> Wavefun
     leaving the grid and does not count.
     """
     grid, s = u.grid, u.grid.s_coords()
+    require("ds", ds)
     if ds == 0.0:
         return u.copy()
     values = np.asarray(u.values, dtype=complex)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridMismatchError
+from .errors import GridMismatchError, require
 from .grid import Geometry, Grid, Wavefunction
 
 
@@ -28,8 +28,7 @@ class TrapSpec:
     lambda_z: float = 0.0
 
     def __post_init__(self):
-        if not 0 <= self.lambda_z < math.inf:
-            raise DomainError(f"lambda_z must be non-negative and finite, got {self.lambda_z}")
+        require("lambda_z", self.lambda_z, ge=0)
 
 
 @dataclass(frozen=True)
@@ -46,8 +45,7 @@ class EnergyBreakdown:
 
 def quartic_coefficient(kind: Geometry, Q: float) -> float:
     """Coefficient c in the interaction term -c * int |u|^4 (doubled convention)."""
-    if Q < 0:
-        raise DomainError(f"Q must be non-negative, got {Q}")
+    require("Q", Q, ge=0)
     if kind is Geometry.LINE:
         return Q / (4.0 * math.pi)
     return 0.5 * Q

@@ -1,4 +1,10 @@
-"""Exception hierarchy shared by all gpesoliton modules."""
+"""Exception hierarchy shared by all gpesoliton modules, and `require`, the one
+guard of scalar inputs: a finite number in range, or an integer for a count.
+NaN and +-inf are never in range; they raise DomainError like any other value
+out of range, with the parameter, the value and the bound named."""
+
+import math
+import numbers
 
 
 class GpeError(Exception):
@@ -55,3 +61,15 @@ class UnboundParameterError(GpeError):
     def __init__(self, missing):
         self.missing = tuple(sorted(missing))
         super().__init__("unbound parameters: " + ", ".join(self.missing))
+
+
+def require(name, value, *, gt=None, ge=None, integer=False):
+    """`value` if it is a finite number (an integer when `integer`) > gt or >= ge,
+    whichever bound is given; DomainError naming all three otherwise."""
+    if (isinstance(value, numbers.Integral) if integer else
+            isinstance(value, numbers.Real) and math.isfinite(value)):
+        if (gt is None or value > gt) and (ge is None or value >= ge):
+            return value
+    bound = f" > {gt}" if gt is not None else "" if ge is None else f" >= {ge}"
+    raise DomainError(f"{name} must be {'an integer' if integer else 'a finite number'}"
+                      f"{bound}, got {value}")

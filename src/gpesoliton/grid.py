@@ -32,13 +32,12 @@ import ctypes
 import enum
 import functools
 import math
-import numbers
 from pathlib import Path
 
 import numpy as np
 
 from .analytic import soliton_width
-from .errors import DomainError, GridMismatchError
+from .errors import DomainError, GridMismatchError, require
 
 MIN_RESOLUTION = 16
 
@@ -69,7 +68,7 @@ class Grid:
         self.r = r
         self.dr = dr
         self.weights = weights
-        self.extents = extents  # dict used for repr/manifests
+        self.extents = extents  # the constructor's arguments, for repr
         self._radial_modes = {}  # radial_modes() results by potential, once computed
         self.radial = rho if r is None else r
         self._row_shape = (1 if self.radial is None else self.radial.size,
@@ -370,8 +369,7 @@ def _cells(lo, hi, n, axis, n_name):
     DomainError unless lo < hi are finite and n is an integer >= MIN_RESOLUTION."""
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"the {axis} axis needs finite ends lo < hi, got [{lo}, {hi}]")
-    if not (isinstance(n, numbers.Integral) and n >= MIN_RESOLUTION):
-        raise DomainError(f"{n_name} must be an integer >= {MIN_RESOLUTION}, got {n!r}")
+    require(n_name, n, ge=MIN_RESOLUTION, integer=True)
     d = (hi - lo) / n
     return lo + (np.arange(n) + 0.5) * d, d
 
@@ -410,10 +408,9 @@ def default_half_extent_s(Q: float, lambda_z: float) -> float:
     which is visible in peak-normalized profile comparisons).  With an axial
     trap the noninteracting width sets the scale.
     """
+    require("lambda_z", lambda_z, ge=0)
     if lambda_z > 0:
         return max(6.0, 6.0 / math.sqrt(2.0 * lambda_z))
-    if Q <= 0:
-        raise DomainError("need Q > 0 to size a trap-free axial box")
     return max(6.0, 6.0 * soliton_width(Q))
 
 

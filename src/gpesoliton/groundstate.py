@@ -34,7 +34,7 @@ import numpy as np
 from . import analytic
 from .energy import (EnergyBreakdown, TrapSpec, gradient, hamiltonian, quartic_coefficient,
                      trap_potential, trap_terms)
-from .errors import BlowupError, DomainError
+from .errors import BlowupError, require
 from .grid import Geometry, Grid, TridiagonalFactor, Wavefunction
 
 log = logging.getLogger(__name__)
@@ -51,11 +51,8 @@ class DescentConfig:
     residual_tol: float = 1e-5   # L2 eigenresidual target
 
     def __post_init__(self):
-        if not 0 < self.residual_tol < math.inf:
-            raise DomainError(f"residual_tol must be positive and finite, "
-                              f"got {self.residual_tol}")
-        if not 1 <= self.max_iters < math.inf:
-            raise DomainError(f"max_iters must be a finite number >= 1, got {self.max_iters}")
+        require("residual_tol", self.residual_tol, gt=0)
+        require("max_iters", self.max_iters, ge=1, integer=True)
 
 
 @dataclass
@@ -70,7 +67,7 @@ class GroundStateResult:
 
 def analytic_state(grid: Grid, trap: TrapSpec, Q: float, radial=None, s=None):
     """The analytic state, unnormalized: the trap Gaussian on a confined s axis,
-    the sech x Gaussian soliton on a free one, each x sqrt(pi) on line grids
+    the sech x Gaussian soliton (Q > 0) on a free one, each x sqrt(pi) on line grids
     (unit line norm), and the isotropic Gaussian on spherical grids.  A field on
     the grid's nodes, or its values at `radial` and `s` (an axis the grid lacks
     is ignored)."""
@@ -83,8 +80,6 @@ def analytic_state(grid: Grid, trap: TrapSpec, Q: float, radial=None, s=None):
         return (trap.lambda_z / math.pi) ** 0.25 * np.exp(-0.5 * trap.lambda_z * s ** 2)
     if trap.lambda_z > 0:
         return analytic.gaussian_ground_state(trap.lambda_z, radial, s)
-    if Q <= 0:
-        raise DomainError("need Q > 0 for a localized state on a trap-free axis")
     if grid.radial is None:
         return math.sqrt(math.pi) * analytic.soliton_profile(Q, s)
     return analytic.composite_profile(Q, radial, s)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, UnsupportedRegimeError
+from .errors import UnsupportedRegimeError, require
 
 # CODATA 2018
 HBAR = 1.054571817e-34           # J s
@@ -31,16 +31,10 @@ class PhysicalParams:
     particle_number_N: float
 
     def __post_init__(self):
-        if self.atom_mass_m <= 0:
-            raise DomainError(f"atom mass must be positive, got {self.atom_mass_m}")
-        if self.radial_frequency_nu <= 0:
-            raise DomainError(
-                f"radial frequency must be positive, got {self.radial_frequency_nu}"
-            )
-        if self.particle_number_N < 0:
-            raise DomainError(
-                f"particle number must be non-negative, got {self.particle_number_N}"
-            )
+        require("scattering_length_a", self.scattering_length_a)
+        require("atom_mass_m", self.atom_mass_m, gt=0)
+        require("radial_frequency_nu", self.radial_frequency_nu, gt=0)
+        require("particle_number_N", self.particle_number_N, ge=0)
 
 
 def oscillator_length(p: PhysicalParams) -> float:
@@ -65,7 +59,5 @@ def n_from_q(Q: float, p: PhysicalParams) -> float:
             "scattering length must be negative (attractive condensates only), "
             f"got {p.scattering_length_a}"
         )
-    if Q < 0:
-        raise DomainError(f"Q must be non-negative, got {Q}")
-    return Q * oscillator_length(p) / (8.0 * math.pi * abs(p.scattering_length_a))
+    return require("Q", Q, ge=0) * oscillator_length(p) / (8.0 * math.pi * abs(p.scattering_length_a))
 

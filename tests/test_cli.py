@@ -671,6 +671,24 @@ def test_config_bad_value_fails(tmp_path, capsys):
                                        "with base 10: 'abc'\n")
 
 
+@pytest.mark.parametrize("text,quiet", [("1", True), ("TRUE", True), ("Yes", True),
+                                        ("0", False), ("false", False), ("NO", False),
+                                        ("ture", None), ("on", None), ("", None)])
+def test_config_bool_takes_only_its_words(tmp_path, capsys, text, quiet):
+    # a typo such as "ture" once read as False
+    (tmp_path / "b.cfg").write_text(f"quiet = {text}\n")
+    rows = cli._SUBCOMMANDS["ground"][3]
+    if quiet is not None:
+        assert cli.load_config(tmp_path / "b.cfg", (cli._QUIET, *rows)) == {"quiet": quiet}
+        return
+    argv = ["ground", "--q", "5", "--config", str(tmp_path / "b.cfg"),
+            "--out", str(tmp_path / "g.csv")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == ("error: config key quiet: expected 1/0, true/false "
+                                       f"or yes/no, got {text!r}\n")
+    assert not (tmp_path / "g.csv").exists()
+
+
 @pytest.mark.parametrize("argv,message", [
     (["ground", "--q", "5"], "ground requires --out"),
     (["ground", "--out", "{tmp}/g.csv"], "ground requires --q"),

@@ -46,6 +46,19 @@ class TestFindThreshold:
         assert (res.q_lo, res.q_hi) == (14.3505859375, 14.35791015625)
         assert "".join("C" if t.converged else "X" for t in res.trials) == "CXXCXXCXCXXCX"
 
+    def test_tol_below_the_reachable_width_rejected(self):
+        # the midpoint of two adjacent floats is one of them: at tol 1e-300 the
+        # bisection probed Q = 14.060420989990234 twice, with opposite verdicts,
+        # and returned a bracket of zero width.  It reaches two ulps of q_max,
+        # probing each Q once
+        least = 2 * math.ulp(25.0)
+        for tol in (1e-300, 0.5 * least):
+            with pytest.raises(DomainError, match=rf"tol must be .* >= {least}, got {tol}$"):
+                find_threshold(spherical_grid(6.0, 48), 1.0, (10.0, 25.0), tol)
+        res = find_threshold(spherical_grid(6.0, 48), 1.0, (10.0, 25.0), least)
+        qs = [t.Q for t in res.trials]
+        assert len(set(qs)) == len(qs) and res.q_lo < res.q_hi
+
     def test_spherical_anisotropic_trap_rejected(self):
         # a spherical grid models the isotropic trap only; the trap check fires
         # at the first probe

@@ -10,12 +10,14 @@ from gpesoliton import grid as grid_module
 from gpesoliton.dynamics import (SPONGE_STRENGTH, EhrenfestReport, PropagationConfig,
                                  _Propagator, _fit_oscillation, _sponge_mask, _taylor_terms,
                                  boost, displace, ehrenfest_check, propagate, time_error)
-from gpesoliton.energy import TrapSpec, quartic_coefficient, trap_potential
+from gpesoliton.energy import TrapSpec, hamiltonian, quartic_coefficient, trap_potential
 from gpesoliton.errors import BlowupError, DomainError
-from gpesoliton.grid import Wavefunction, cylindrical_grid, line_grid, spherical_grid
+from gpesoliton.grid import (Geometry, Wavefunction, cylindrical_grid, default_half_extent_s,
+                             line_grid, spherical_grid)
 from gpesoliton.groundstate import DescentConfig, default_initial, relax
 from gpesoliton.observables import moments
 from gpesoliton.potentials import ExternalPotential, parse
+from gpesoliton.units import PhysicalParams, n_from_q, q_from_n
 
 
 def line_soliton(Q=5.0, half=30.0, n=512):
@@ -597,6 +599,34 @@ class TestEhrenfest:
         assert amp == pytest.approx(math.hypot(1.7, 0.4), rel=1e-9)
 
 
+def _li7(N=1.0):
+    return PhysicalParams(-1e-9, 1e-26, 100.0, N)
+
+
+# a call per guarded scalar input; NaN and +-inf are never in range
+GUARDED_CALLS = {
+    "soliton_width": lambda x: analytic.soliton_width(x),
+    "gaussian_ground_state": lambda x: analytic.gaussian_ground_state(x, 0.0, 0.0),
+    "variational_energy": lambda x: analytic.variational_energy(x, 0.0, 1.0, 1.0),
+    "variational_critical_q": lambda x: analytic.variational_critical_q(x),
+    "quartic_coefficient": lambda x: quartic_coefficient(Geometry.LINE, x),
+    "hamiltonian": lambda x: hamiltonian(line_soliton(n=64), TrapSpec(0.0), x).total,
+    "default_initial": lambda x: default_initial(line_grid(-30.0, 30.0, 64), TrapSpec(0.0), x),
+    "default_half_extent_s": lambda x: default_half_extent_s(5.0, x),
+    "time_error": lambda x: time_error(line_soliton(n=64), TrapSpec(0.0), x, None,
+                                       PropagationConfig(t_final=0.05)),
+    "q_from_n": lambda x: q_from_n(PhysicalParams(x, x, x, x)),
+    "q_from_n-N": lambda x: q_from_n(_li7(N=x)),
+    "n_from_q": lambda x: n_from_q(x, _li7()),
+    "max_iters": lambda x: DescentConfig(max_iters=x),
+    "snapshot_times": lambda x: propagate(line_soliton(n=64), TrapSpec(0.0), 5.0, None,
+                                          PropagationConfig(t_final=0.05), [x]),
+    "displace": lambda x: displace(line_soliton(n=64), x),
+    "find_threshold-q_max": lambda x: find_threshold(spherical_grid(6.0, 48), 1.0,
+                                                     (10.0, x), 0.5),
+}
+
+
 class TestGuards:
     def test_nan_input_raises_blowup(self):
         u = line_soliton()
@@ -648,6 +678,14 @@ class TestGuards:
     def test_non_finite_parameter_rejected(self, make, bad):
         with pytest.raises(DomainError, match="finite"):
             make(bad)
+
+    @pytest.mark.parametrize("name,bad", [(name, bad) for name in GUARDED_CALLS
+                                          for bad in (math.nan, math.inf, -math.inf)]
+                             + [("max_iters", 2.5)])  # a count takes integers only
+    def test_every_scalar_input_is_guarded(self, name, bad):
+        # the message names the parameter and the value
+        with pytest.raises(DomainError, match=rf"must be .*, got {bad}$"):
+            GUARDED_CALLS[name](bad)
 
     def test_spherical_rejected(self):
         g = spherical_grid(6.0, 64)
