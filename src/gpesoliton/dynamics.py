@@ -360,6 +360,7 @@ def displace(u: Wavefunction, ds: float, max_norm_loss: float = 1e-8) -> Wavefun
     """
     grid, s = u.grid, u.grid.s_coords()
     require("ds", ds)
+    require("max_norm_loss", max_norm_loss, ge=0)
     if ds == 0.0:
         return u.copy()
     values = np.asarray(u.values, dtype=complex)
