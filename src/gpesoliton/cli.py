@@ -102,10 +102,12 @@ def write_manifest(out_path, args: argparse.Namespace, **measured):
 
 def _file_bool(text) -> bool:
     """1/0, true/false or yes/no, in any case; ValueError for anything else."""
-    words = ("0", "false", "no", "1", "true", "yes")
-    if text.lower() not in words:
-        raise ValueError(f"expected 1/0, true/false or yes/no, got {text!r}")
-    return words.index(text.lower()) >= 3
+    word = text.lower()
+    if word in ("1", "true", "yes"):
+        return True
+    if word in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected 1/0, true/false or yes/no, got {text!r}")
 
 
 _FILE_TYPES = {bool: _file_bool, list: lambda v: [tok.strip() for tok in v.split(",")]}
