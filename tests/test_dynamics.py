@@ -685,7 +685,7 @@ class TestGuards:
                                           for bad in (math.nan, math.inf, -math.inf)]
                              + [("max_iters", 2.5)])  # a count takes integers only
     def test_every_scalar_input_is_guarded(self, name, bad):
-        # the message names the parameter and the value
+        # the message ends with the value it rejects
         with pytest.raises(DomainError, match=rf"must be .*, got {bad}$"):
             GUARDED_CALLS[name](bad)
 
