@@ -8,13 +8,10 @@ eigenvalue).  Every run writes a `<out>.manifest` echoing the fully resolved
 configuration, so reruns are reproducible bit for bit, with the numpy version
 and the LAPACK that served the run (and, for evolve, the estimated time_error).
 
-Each flag is one row of `_SUBCOMMANDS`.  A `--config` file's keys are exactly
-the subcommand's flag names (`--config` aside); a value is taken from the
-table's default, overridden by the config file, overridden by the flag.
-
-The parser is built on the first `main` call in a process and reused by every
-later one.  A `--config` call parses a second time with a parser of its own,
-whose defaults the file sets, so that no file value reaches another call.
+Each flag is one row of `_SUBCOMMANDS`, the one holder of its default; a
+`--config` file's keys are the subcommand's flag names.  One parser, shared by
+every call, returns only the flags given, and `main` merges default, file and
+flag in one pass, the later winning.
 """
 
 from __future__ import annotations
@@ -87,7 +84,7 @@ def write_csv(path, columns, rows, note=UNITS_NOTE):
 def write_manifest(out_path, args: argparse.Namespace, **measured):
     """`key = value` lines of the resolved `args` and `measured`, numpy's version and the LAPACK."""
     resolved = {k: f"{v:.17g}" if isinstance(v, float) else str(v)
-                for k, v in {**vars(args), **measured}.items() if k not in ("func", "config")}
+                for k, v in {**vars(args), **measured}.items() if k != "func"}
     resolved.update(numpy=np.__version__,
                     lapack="scipy" if grid_module._bundled_lapack() is None else "numpy-openblas")
     path = Path(str(out_path) + ".manifest")
@@ -170,9 +167,9 @@ def parse_params(pairs) -> dict:
     for pair in pairs or ():
         if "=" not in pair:
             raise DomainError(f"--param expects name=value, got {pair!r}")
-        name, _, val = pair.partition("=")
+        name, _, val = map(str.strip, pair.partition("="))
         try:
-            out[name.strip()] = float(val)
+            out[name] = require(f"--param {name}", float(val))
         except ValueError as exc:
             raise DomainError(f"--param {name}: {exc}") from exc
     return out
@@ -478,12 +475,11 @@ _SUBCOMMANDS = {
              "grids): numbers, parameters, + - * /, ^ for a power, parentheses and the "
              "functions " + " ".join(FUNCTIONS)),
         _Row("--param", list, None, "name=value binding for the potential (repeatable)"),
-        _Row("--dt", float, PropagationConfig.dt, "time step (default %(default)g; time "
-             "error <= 1e-3 of the lattice error: see manifest time_error)"),
+        _Row("--dt", float, PropagationConfig.dt, f"time step (default {PropagationConfig.dt:g}; "
+             "time error <= 1e-3 of the lattice error: see manifest time_error)"),
         _Row("--t-final", float, _REQUIRED, "final time, a whole number of --dt steps"),
-        _Row("--observe-every", int, PropagationConfig.observe_every,
-             "steps per record (default %(default)d: tau = 0.01 per record at the default "
-             "--dt)"),
+        _Row("--observe-every", int, PropagationConfig.observe_every, "steps per record (default "
+             f"{PropagationConfig.observe_every}: tau = 0.01 per record at the default --dt)"),
         _Row("--sponge-width", float, PropagationConfig.sponge_width,
              "width of the absorbing layer at each axial edge (default 0: none)"),
         _Row("--snapshot-times", str, None,
@@ -511,9 +507,9 @@ _SUBCOMMANDS = {
 def build_parser():
     """The parser and its subparsers by name, built from _SUBCOMMANDS.
 
-    Built once per process and shared by every `main` call: the parser is a
-    pure function of `_SUBCOMMANDS`, and parsing does not change it.
-    `build_parser.__wrapped__()` builds a parser of its own.
+    Built once per process and shared by every `main` call.  It has no
+    defaults of its own (`func` aside): a parse returns only the flags given,
+    so parsing leaves it unchanged and no value reaches another call.
     """
     parser = argparse.ArgumentParser(
         prog="gpesoliton", allow_abbrev=False,
@@ -522,34 +518,27 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (fn, summary, positional, rows) in _SUBCOMMANDS.items():
         # no prefixes: a removed flag such as --n-r must not pass for --n-rho
-        p = sub.add_parser(name, help=summary, allow_abbrev=False)
-        p.add_argument("--config", default=None,
-                       help="flat key = value file; flags override it")
+        p = sub.add_parser(name, help=summary, allow_abbrev=False,
+                           argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", help="flat key = value file; flags override it")
         if positional:
             p.add_argument(positional[0], choices=positional[1])
         for row in (_QUIET, *rows):
             kw = ({"action": "store_true"} if row.type is bool else
                   {"action": "append"} if row.type is list else {"type": row.type})
-            p.add_argument(row.flag, default=row.default, help=row.help, **kw)
+            p.add_argument(row.flag, help=row.help, **kw)
         p.set_defaults(func=fn)
     return parser, sub.choices
 
 
 def main(argv=None) -> int:
     parser, _ = build_parser()
-    args = parser.parse_args(argv)
+    given = vars(parser.parse_args(argv))
     try:
-        rows = (_QUIET, *_SUBCOMMANDS[args.command][3])
-        if args.config:
-            values = load_config(args.config, rows)
-            for row in rows:
-                # a repeatable flag appends to its default: the flag's list replaces the file's
-                if row.type is list and getattr(args, _dest(row.flag)) is not None:
-                    values.pop(_dest(row.flag), None)
-            # a parser of this call's own: the file's defaults must not reach the shared one
-            parser, subparsers = build_parser.__wrapped__()
-            subparsers[args.command].set_defaults(**values)
-            args = parser.parse_args(argv)
+        rows = (_QUIET, *_SUBCOMMANDS[given["command"]][3])
+        config = given.pop("config", None)
+        args = argparse.Namespace(**{_dest(row.flag): row.default for row in rows}
+                                  | (load_config(config, rows) if config else {}) | given)
         for row in rows:
             value = getattr(args, _dest(row.flag))
             if value is _REQUIRED:

@@ -64,6 +64,7 @@ from .potentials import ExternalPotential
 
 NORM_DRIFT_LIMIT = 1e-6
 SPONGE_STRENGTH = 5.0  # damping rate at the outer edge of a sponge layer
+MAX_NORM_LOSS = 1e-8  # the share of the norm that `displace` may carry off the grid
 
 
 def _step(t, dt):
@@ -324,7 +325,7 @@ def boost(u: Wavefunction, v: float) -> Wavefunction:
     sin(v ds)/ds falls as v rises."""
     s = u.grid.s_coords()
     v_max = 0.5 * math.pi / u.grid.ds
-    if not abs(v) < v_max:
+    if not abs(require("v", v)) < v_max:
         raise DomainError(f"boost |v| = {abs(v):g} must stay below pi/(2 ds) = {v_max:g} "
                           f"on this grid (ds = {u.grid.ds:g}); use a finer s grid")
     phase = np.exp(1j * v * s)
@@ -347,20 +348,19 @@ def _natural_spline(s, values, target):
             + h ** 2 / 6.0 * ((a ** 3 - a) * m[..., j] + (b ** 3 - b) * m[..., j + 1]))
 
 
-def displace(u: Wavefunction, ds: float, max_norm_loss: float = 1e-8) -> Wavefunction:
+def displace(u: Wavefunction, ds: float) -> Wavefunction:
     """Resample at s - ds by a natural cubic spline and renormalize.
 
     The spline is scipy's `CubicSpline(bc_type="natural")` to round-off, less
     the import of scipy.interpolate, which alone outlasts a short run.  The
     shift carries the nodes of the exit strip (s + ds beyond the first or last
     node) off the grid.  Raises DomainError when that strip holds more than
-    max_norm_loss of the norm, measured as 1 - |u outside the strip|/|u| on the
+    MAX_NORM_LOSS of the norm, measured as 1 - |u outside the strip|/|u| on the
     original state; the interpolation error of the resampling is not mass
     leaving the grid and does not count.
     """
     grid, s = u.grid, u.grid.s_coords()
     require("ds", ds)
-    require("max_norm_loss", max_norm_loss, ge=0)
     if ds == 0.0:
         return u.copy()
     values = np.asarray(u.values, dtype=complex)
@@ -373,10 +373,10 @@ def displace(u: Wavefunction, ds: float, max_norm_loss: float = 1e-8) -> Wavefun
     kept = np.where(exit_strip, 0.0, values)
     loss = 1.0 - grid.norm(kept) / norm_before
     norm_after = grid.norm(shifted)
-    if norm_after == 0.0 or loss > max_norm_loss:
+    if norm_after == 0.0 or loss > MAX_NORM_LOSS:
         raise DomainError(
             f"displacement by {ds:g} carries {loss:.3e} of the norm off-grid "
-            f"through the exit strip (limit {max_norm_loss:g})")
+            f"through the exit strip (limit {MAX_NORM_LOSS:g})")
     return Wavefunction(grid, shifted * (norm_before / norm_after))
 
 

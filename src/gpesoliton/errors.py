@@ -64,9 +64,9 @@ class UnboundParameterError(GpeError):
 
 
 def require(name, value, *, gt=None, ge=None, integer=False):
-    """`value` if it is a finite number (an integer when `integer`) > gt or >= ge,
-    whichever bound is given; DomainError naming all three otherwise."""
-    if (isinstance(value, numbers.Integral) if integer else
+    """`value` if it is a finite number (an integer, not a bool, when `integer`)
+    > gt or >= ge, whichever bound is given; DomainError naming all three otherwise."""
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool) if integer else
             isinstance(value, numbers.Real) and math.isfinite(value)):
         if (gt is None or value > gt) and (ge is None or value >= ge):
             return value

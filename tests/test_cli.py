@@ -711,6 +711,11 @@ _EVOLVE = ["evolve", "--geometry", "line", "--n-s", "64", "--initial", "composit
     (_EVOLVE + ["--t-final", "inf"], "--t-final"),
     (_EVOLVE + ["--t-final", "0.05", "--dt", "nan"], "--dt"),
     (_EVOLVE + ["--t-final", "0.05", "--snapshot-times", "nan"], "--snapshot-times"),
+    # a=inf would leave no well at all: the value is named, not a node of the grid
+    (_EVOLVE + ["--t-final", "0.05", "--potential", "exp(-a*s^2)", "--param", "a=inf"],
+     "error: --param a must be a finite number, got inf\n"),
+    (_EVOLVE + ["--t-final", "0.05", "--potential", "exp(-a*s^2)", "--param", "a=nan"],
+     "error: --param a must be a finite number, got nan\n"),
     (["analytic", "variational", "--lambda-z", "nan"], "--lambda-z"),
     (["analytic", "width", "--q", "nan"], "--q"),
     (["units", "--n", "nan"], "--n"),
@@ -722,8 +727,9 @@ _EVOLVE = ["evolve", "--geometry", "line", "--n-s", "64", "--initial", "composit
     (["ground", "--geometry", "line", "--n-s", "64", "--q", "5", "--lambda-z", "nan"],
      "--lambda-z"),
 ], ids=["collapse-tol", "evolve-t-final-nan", "evolve-t-final-inf", "evolve-dt",
-        "evolve-snapshot-times", "analytic-lambda-z", "analytic-q", "units-n", "ground-q",
-        "ground-s-extent", "ground-r-max", "ground-lambda-z"])
+        "evolve-snapshot-times", "evolve-param-inf", "evolve-param-nan", "analytic-lambda-z",
+        "analytic-q", "units-n", "ground-q", "ground-s-extent", "ground-r-max",
+        "ground-lambda-z"])
 def test_non_finite_value_fails_naming_the_flag(tmp_path, capsys, argv, flag):
     assert cli.main(argv + ["--out", str(tmp_path / "o.csv")]) == 1
     err = capsys.readouterr().err
@@ -787,6 +793,15 @@ def test_subcommand_help_formats(command, capsys):
         cli.main([command, "--help"])
     assert exc.value.code == 0
     assert "--config" in capsys.readouterr().out
+
+
+def test_evolve_help_states_the_defaults(capsys):
+    # the help text holds the dataclass defaults, not a template of the parser's
+    with pytest.raises(SystemExit):
+        cli.main(["evolve", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "time step (default 0.01;" in text
+    assert "steps per record (default 1:" in text
 
 
 def test_quiet_holds_on_every_call(tmp_path, caplog):
