@@ -321,6 +321,9 @@ def cmd_evolve(args):
     Q, lambda_z = args.q, args.lambda_z
     grid = build_run_grid(args, Q, lambda_z)
     trap = TrapSpec(lambda_z)
+    # before the initial state, so that a bad potential costs no relaxation
+    ext = (ExternalPotential(parse_potential(args.potential), parse_params(args.param))
+           if args.potential else None)
     if args.initial == "ground":
         res = relax(default_initial(grid, trap, Q), trap, Q, _from_args(DescentConfig, args))
         if not res.converged:
@@ -336,8 +339,6 @@ def cmd_evolve(args):
     if args.boost:
         u0 = boost(u0, args.boost)
     u0 = u0.normalized()
-    ext = (ExternalPotential(parse_potential(args.potential), parse_params(args.param))
-           if args.potential else None)
     err = time_error(u0, trap, Q, ext, cfg)
     records, *snapshots, _ = propagate(u0, trap, Q, ext, cfg, snap_times)
     out = Path(args.out)

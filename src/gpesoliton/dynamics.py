@@ -1,27 +1,28 @@
-"""Real-time propagation by Strang splitting with Crank-Nicolson kinetic steps.
+"""Real-time propagation by Strang splitting: linear steps of the trap operator
+-lap/2 + V/2, the one `relax` preconditions with, between half-step kicks.
 
-The kinetic steps are Cayley (Crank-Nicolson) factors of Hermitian 1-D
-operators, so the discrete norm is conserved to round-off.  A Cayley factor is
-applied as (1 + zK)^{-1}(1 - zK) = 2(1 + zK)^{-1} - 1, one tridiagonal solve
-and no explicit multiply.
+The linear step holds the whole trap.  Along s it is the Cayley (Crank-Nicolson)
+factor of K_s = (-lap_s + lambda_z^2 s^2)/2, one tridiagonal system for every
+line and radial mode, LU-factored once per dt and applied as
+(1 + zK)^{-1}(1 - zK) = 2(1 + zK)^{-1} - 1: one solve for all lines per step.
+On cylindrical grids K_rho = (-lap_rho + rho^2)/2 is diagonal in the grid's one
+radial eigenbasis (`Grid.radial_modes`, shared with `relax`), so its step is
+exact and commutes with the s step: the two rho half-steps of the splitting
+(half rho, full s, half rho) are one diagonal factor.  Both factors are
+unitary, so the discrete norm is conserved to round-off, and a discrete trap
+eigenstate (Q = 0) only turns its phase.
 
-Half-steps of the pointwise potential+cubic phase sit around each kinetic
+A kick multiplies by the nonlinear phase exp(i*phi), phi = h*c|v|^2, and, where
+there is one, by exp(-i*h*V_ext) * damping for an external potential and the
+sponge, one factor built once per dt.  Half-phase kicks sit around each linear
 step.  Between records the trailing half-phase of one step and the leading
 half-phase of the next are merged into one full phase, which is exact (with a
 sponge, the cubic term sees the mean of the undamped and the damped density).
-The kinetic factor along s is LU-factored once and solved for all lines per
-step.  On cylindrical grids the two rho half-steps of the splitting (half rho,
-full s, half rho) commute with the s step, so they are taken together as one
-diagonal factor in the radial eigenbasis of K_rho.
-
-A phase kick multiplies by exp(-i*h*V) * damping, built once per dt (one factor
-per axis, the trap and the sponge being separable, or one field with an
-external potential), and by the nonlinear phase exp(i*phi), phi = h*c|v|^2.
 phi is small (~8e-4 for a Q = 5 soliton at the default dt), so its cos and sin
 are Taylor polynomials (three terms each there), evaluated on contiguous real
 buffers to below half an ulp; past |phi| ~ 0.1 the kick falls back to np.cos
-and np.sin.  Kicks and kinetic steps work in place on the state and two
-scratch fields held by the propagator, so a step allocates no grid-sized array.
+and np.sin.  Kicks and linear steps work in place on the state and two scratch
+fields held by the propagator, so a step allocates no grid-sized array.
 
 `PropagationConfig` owns the time lattice: t_final must be a whole number of
 steps, and a time within 1e-9 dt of step k is step k.  `propagate` returns
@@ -29,16 +30,16 @@ steps, and a time within 1e-9 dt of step k is step k.  `propagate` returns
 keep one cadence (tau = 0, every `observe_every` steps, the final step), and
 only a record cuts the merged step sequence.  A snapshot at step k is the state
 of the run stopped there: at a record a copy of it, elsewhere a copy tapped
-after step k's kinetic step and given its own trailing half-phase.  So it adds
+after step k's linear step and given its own trailing half-phase.  So it adds
 no record and leaves the run's bits as they are.  A snapshot between steps k
 and k + 1 is that copy taken one Strang step of the remainder further, by the
 same propagator refactored for that step once the run is done.
 
 The default step dt = 1e-2, recorded every step (tau = 0.01), keeps the time
-error at most 1e-3 of the lattice error: a boosted soliton's centroid moves off
-its dt -> 0 path by 3e-4 to 5e-4 of the lattice deficit 2 (v ds)^2/6 v tau on a
-96 x 384 cylinder (v = 0.4 to 0.6).  `time_error` estimates each run's own
-error by step doubling.
+error at most 1e-3 of the lattice error: up to tau = 1 a boosted soliton's
+centroid moves off its dt/8 path by 3.0e-4 (v = 0.4) to 4.6e-4 (v = 0.6) of
+the lattice deficit 2 (v ds)^2/6 v tau on a 96 x 384 cylinder.  `time_error`
+estimates each run's own error by step doubling.
 
 Optional sponge layers of width `sponge_width` damp outgoing radiation near the
 axial edges at the rate SPONGE_STRENGTH; they intentionally absorb norm, so runs
@@ -56,9 +57,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import TrapSpec, hamiltonian, quartic_coefficient, trap_potential, trap_terms
+from .energy import TrapSpec, hamiltonian, quartic_coefficient, trap_terms
 from .errors import BlowupError, DomainError, StepSizeError, require
-from .grid import Geometry, Grid, TridiagonalFactor, Wavefunction
+from .grid import Grid, TridiagonalFactor, Wavefunction
 from .observables import moments
 from .potentials import ExternalPotential
 
@@ -116,6 +117,7 @@ def _taylor_terms(x_max):
 class _Propagator:
     def __init__(self, grid: Grid, trap: TrapSpec, Q: float,
                  external: ExternalPotential | None, cfg: PropagationConfig):
+        grid.s_coords()  # DomainError on a grid with no s axis to propagate along
         self.grid = grid
         self.trap = trap
         self.Q = Q
@@ -131,10 +133,11 @@ class _Propagator:
         self.sponge = None
         if cfg.sponge_width > 0:
             self.sponge = SPONGE_STRENGTH * _sponge_mask(grid, cfg.sponge_width)
-        if grid.kind is Geometry.CYLINDRICAL:
-            # eigenvalues of -lap_rho and the maps into and out of its eigenbasis
-            self.eig, self.to_modes, self.from_modes = grid.radial_modes()
-        # two fields of scratch for the kick and the kinetic step, and the kick's
+        self.axial = trap_terms(grid, trap)[1]
+        self.to_modes = None
+        if grid.rho is not None:
+            self.theta, self.to_modes, self.from_modes = grid.radial_modes
+        # two fields of scratch for the kick and the linear step, and the kick's
         # four real fields as the contiguous halves of their float views
         self._a = np.empty(grid.shape, complex)
         self._b = np.empty(grid.shape, complex)
@@ -143,40 +146,30 @@ class _Propagator:
         self.set_dt(cfg.dt)
 
     def set_dt(self, dt):
-        """Factor the kinetic steps and build the phases for steps of dt."""
-        # bands of 1 + i*dt/2*K_s for K_s = -lap_s/2, the Cayley factor's denominator
+        """Factor the linear steps and build the kicks for steps of dt."""
+        # bands of 1 + i*dt/2*K_s, K_s = (-lap_s + lambda_z^2 s^2)/2: the Cayley denominator
         lo, di, up = self.grid.laplacian_diagonals("s")
-        z = 0.5j * dt
-        self.kin_s = TridiagonalFactor(-0.5 * z * lo, 1.0 - 0.5 * z * di, -0.5 * z * up)
-        if self.grid.kind is Geometry.CYLINDRICAL:
-            # two Cayley half-steps of K_rho = -lap_rho/2
-            self.rho_factor = (((1.0 - 0.125j * dt * self.eig)
-                                / (1.0 + 0.125j * dt * self.eig)) ** 2)[:, None]
-        # the phase exp(-i*h*(V - cubic*|v|^2)) * damping as (h*cubic, factors of
-        # exp(-i*h*V) * damping): a half-step, and a merged pair of half-steps
-        # whose second half sees the density damped by the first
+        z = 0.25j * dt
+        self.kin_s = TridiagonalFactor(-z * lo, 1.0 + z * (self.axial - di), -z * up)
+        if self.to_modes is not None:
+            # exp(-i*dt*K_rho) for K_rho = (-lap_rho + rho^2)/2, exact in its eigenbasis
+            self.rho_factor = np.exp(-0.5j * dt * self.theta)[:, None]
+        # kicks as (h*cubic, exp(-i*h*V_ext) * damping or None): a half-step, and a
+        # merged pair of half-steps whose second half sees the density damped by the first
         damp = 1.0 if self.sponge is None else np.exp(-dt * self.sponge)
         self.half_phase = (0.5 * dt * self.c3, self._potential_phase(0.5 * dt, np.sqrt(damp)))
         self.full_phase = (dt * 0.5 * self.c3 * (1.0 + damp), self._potential_phase(dt, damp))
 
     def _potential_phase(self, h, damping):
-        """exp(-i*h*V) * damping for V = trap/2 (+ external), as factors that
-        broadcast against the field: one per axis, or one field with an
-        external potential.  Factors that are exactly 1 are left out."""
-        radial, axial = trap_terms(self.grid, self.trap)
+        """exp(-i*h*V_ext) * damping, a factor that broadcasts against the field,
+        or None where it is exactly 1 (no external potential and no sponge)."""
         if self.ext_samples is not None:
-            v3 = 0.5 * trap_potential(self.grid, self.trap) + self.ext_samples
-            factors = (np.exp(-1j * h * v3) * damping,)
-        elif radial is None:
-            factors = (np.exp(-0.5j * h * axial) * damping,)
-        else:
-            factors = (np.exp(-0.5j * h * radial)[:, None],
-                       np.exp(-0.5j * h * axial) * damping)
-        return tuple(f for f in factors if np.any(f != 1.0))
+            damping = np.exp(-1j * h * self.ext_samples) * damping
+        return damping if np.any(damping != 1.0) else None
 
     def _kick(self, v, phase):
-        """Multiply v in place by exp(i*phi) * exp(-i*h*V) * damping, phi = h*cubic*|v|^2."""
-        scale, factors = phase
+        """Multiply v in place by exp(i*phi) * exp(-i*h*V_ext) * damping, phi = h*cubic*|v|^2."""
+        scale, potential = phase
         phi, phi2 = self._a_halves
         np.abs(v, out=phi)
         np.square(phi, out=phi)
@@ -199,14 +192,14 @@ class _Propagator:
         factor = self._a  # phi and phi2 are spent
         factor.real = cos
         factor.imag = sin
-        for f in factors:
-            factor *= f
+        if potential is not None:
+            factor *= potential
         v *= factor
 
     def _kinetic(self, v):
-        """One kinetic step, in place; returns v."""
+        """One linear step of -lap/2 + V/2, in place; returns v."""
         b = self._b
-        if self.grid.kind is Geometry.LINE:
+        if self.to_modes is None:
             np.copyto(b, v)
             x = self.kin_s.solve(b, overwrite=True)
             x *= 2.0
@@ -225,7 +218,7 @@ class _Propagator:
         """Take n_steps steps from v, a C-contiguous complex field, in place.
 
         Returns the state after j steps for each j of the ascending `taps`
-        (0 < j < n_steps): a copy tapped after step j's kinetic step and given
+        (0 < j < n_steps): a copy tapped after step j's linear step and given
         its own trailing half-phase, so v's merged sequence is not cut."""
         tapped = []
         for j in range(1, n_steps + 1):
@@ -304,8 +297,9 @@ def time_error(u0: Wavefunction, trap: TrapSpec, Q: float,
 
     For second-order Strang splitting two steps of dt from u0 differ from one of
     2*dt by 3x the two steps' error (Richardson), extrapolated linearly to t_final.
-    Its propagator shares the grid's radial eigenbasis (`Grid.radial_modes`) with
-    the one `propagate` builds on the same grid."""
+    Its propagator steps in the grid's one radial eigenbasis (`Grid.radial_modes`),
+    the basis of the propagator `propagate` builds and of `relax`'s preconditioner
+    on the same grid, so the estimate adds no eigendecomposition."""
     u0.require_unit_norm()
     prop = _Propagator(u0.grid, trap, Q, external, cfg)
     v = np.array(u0.values, dtype=complex, order="C")

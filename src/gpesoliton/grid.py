@@ -69,7 +69,6 @@ class Grid:
         self.dr = dr
         self.weights = weights
         self.extents = extents  # the constructor's arguments, for repr
-        self._radial_modes = {}  # radial_modes() results by potential, once computed
         self.radial = rho if r is None else r
         self._row_shape = (1 if self.radial is None else self.radial.size,
                       1 if s is None else s.size)
@@ -209,24 +208,20 @@ class Grid:
         upper[-1] = 0.0
         return lower, diag, upper
 
-    def radial_modes(self, potential=None):
-        """Eigenpairs of -lap_rho + potential on a cylindrical grid.
+    @functools.cached_property
+    def radial_modes(self):
+        """Eigenpairs of the transverse trap operator -lap_rho + rho^2 on a cylindrical grid.
 
-        Returns (eigenvalues, to_modes, from_modes): to_modes @ field holds the
-        mode amplitudes of a (rho, s) field and from_modes @ amplitudes maps
-        them back.  The factor is made symmetric by sqrt(rho), the square root
-        of the radial weight, so both maps are real and exact inverses.
-        Each result is computed once per grid and potential and shared, its
-        arrays read-only: the propagator reuses the free modes (no potential)
-        and every relaxation the harmonic ones (rho^2).
+        (eigenvalues, to_modes, from_modes): to_modes @ field holds the mode
+        amplitudes of a (rho, s) field and from_modes @ amplitudes maps them
+        back.  The factor is made symmetric by sqrt(rho), the square root of
+        the radial weight, so both maps are real and exact inverses.  Computed
+        once per grid, its arrays read-only: every relaxation's preconditioner
+        and every propagator's radial step work in this one basis.
         """
-        potential = 0.0 if potential is None else potential
-        key = np.asarray(potential, dtype=float).tobytes()
-        if key in self._radial_modes:
-            return self._radial_modes[key]
         lo, di, up = self.laplacian_diagonals("rho")
         off = -np.sqrt(up[:-1] * lo[1:])
-        eigenvalues, vecs = np.linalg.eigh(np.diag(potential - di) + np.diag(off, 1)
+        eigenvalues, vecs = np.linalg.eigh(np.diag(self.rho ** 2 - di) + np.diag(off, 1)
                                            + np.diag(off, -1))
         # one Newton-Schulz step: the ~1e-15 departure from orthogonality would
         # otherwise enter every round trip through the modes with the same sign
@@ -235,7 +230,6 @@ class Grid:
         modes = (eigenvalues, vecs.T * sqrt_w, vecs / sqrt_w[:, None])
         for a in modes:
             a.setflags(write=False)
-        self._radial_modes[key] = modes
         return modes
 
 

@@ -124,7 +124,7 @@ def descent_shift(grid: Grid, trap: TrapSpec, Q: float, lambda0: float,
     shift = 1.0 - e0
     floor = 0.0
     if grid.kind is Geometry.CYLINDRICAL:
-        floor = float(grid.radial_modes(trap_terms(grid, trap)[0])[0][0])
+        floor = float(grid.radial_modes[0][0])
     if Q > 0 and energy0 < floor:
         shift = min(shift, -lambda0)
     return shift
@@ -135,17 +135,18 @@ class SobolevPreconditioner:
 
     Line and spherical grids need one tridiagonal solve.  On cylindrical grids
     the rho factor -lap_rho + rho^2 is diagonalized (`Grid.radial_modes`, once
-    per grid), which leaves one s-line system per rho mode.  P is factored
-    once; each solve is one gttrs call over all lines.  `relax` takes the
-    shift from `descent_shift`; the operator -lap + V - 2 mu of the stationary
-    branch at fixed mu is the shift -2 mu.
+    per grid, the basis of the propagator's radial step too), which leaves one
+    s-line system per rho mode.  P is factored once; each solve is one gttrs
+    call over all lines.  `relax` takes the shift from `descent_shift`; the
+    operator -lap + V - 2 mu of the stationary branch at fixed mu is the shift
+    -2 mu.
     """
 
     def __init__(self, grid: Grid, trap: TrapSpec, shift: float):
         self.to_modes = self.from_modes = None
         radial, axial = trap_terms(grid, trap)
         if grid.kind is Geometry.CYLINDRICAL:
-            theta, self.to_modes, self.from_modes = grid.radial_modes(radial)
+            theta, self.to_modes, self.from_modes = grid.radial_modes
             potential = theta[:, None] + axial
         else:
             potential = axial if radial is None else radial

@@ -261,7 +261,7 @@ from gpesoliton import grid
 if {force_fallback}:
     grid._bundled_lapack = lambda: None
 grid.TridiagonalFactor(-1.0, np.full(16, 4.0), -1.0).solve(np.ones(16))
-grid.cylindrical_grid(3.0, -4.0, 4.0, 16, 20).radial_modes()
+grid.cylindrical_grid(3.0, -4.0, 4.0, 16, 20).radial_modes
 print("scipy" if grid._bundled_lapack() is None else "numpy-openblas",
       *sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
@@ -327,6 +327,26 @@ def test_short_trapped_run_reports_ehrenfest(tmp_path, caplog):
     checks = [r.getMessage() for r in caplog.records if "ehrenfest" in r.getMessage()]
     assert len(checks) == 1
     assert checks[0].startswith("ehrenfest: ") and "frequency" not in checks[0]
+
+
+def test_bad_potential_fails_before_the_relaxation(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "relax", lambda *a, **k: calls.append(a))
+    argv = ["evolve", "--geometry", "line", "--n-s", "64", "--initial", "ground",
+            "--t-final", "0.05", "--potential", "1 + * 2", "--out", str(tmp_path / "e.csv")]
+    assert cli.main(argv) == 1
+    assert calls == []
+
+
+def test_one_eigendecomposition_per_grid(tmp_path, monkeypatch):
+    # the relaxation's preconditioner and the propagator share one radial eigenbasis
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    argv = ["evolve", "--geometry", "cylindrical", "--n-rho", "16", "--n-s", "64",
+            "--lambda-z", "0.5", "--initial", "ground", "--t-final", "0.05", "--quiet",
+            "--out", str(tmp_path / "e.csv")]
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
 
 
 def test_lambda_scan_runs_on_the_manifest_grid(tmp_path, monkeypatch):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from gpesoliton import analytic
 from gpesoliton.collapse import find_threshold
@@ -10,7 +10,7 @@ from gpesoliton import grid as grid_module
 from gpesoliton.dynamics import (SPONGE_STRENGTH, EhrenfestReport, PropagationConfig,
                                  _Propagator, _fit_oscillation, _sponge_mask, _taylor_terms,
                                  boost, displace, ehrenfest_check, propagate, time_error)
-from gpesoliton.energy import TrapSpec, hamiltonian, quartic_coefficient, trap_potential
+from gpesoliton.energy import TrapSpec, hamiltonian, quartic_coefficient
 from gpesoliton.errors import BlowupError, DomainError
 from gpesoliton.grid import (Geometry, Wavefunction, cylindrical_grid, default_half_extent_s,
                              line_grid, spherical_grid)
@@ -43,6 +43,18 @@ class TestStationaryStates:
         _, fin = propagate(u0, TrapSpec(1.0), 0.0, None, cfg)
         drift = np.max(np.abs(np.abs(fin.values) - np.abs(u0.values)))
         assert drift < 1e-8
+
+    @pytest.mark.parametrize("lambda_z", [0.5, 1.0])
+    def test_trap_eigenstate_still_at_the_default_step(self, lambda_z):
+        # the trap sits in the kinetic step, whose factors keep an eigenstate of
+        # -lap + V to a phase; a trap in the kick made it breathe by ~3e-6
+        g, trap = cylindrical_grid(5.0, -8.0, 8.0, 24, 64), TrapSpec(lambda_z)
+        res = relax(default_initial(g, trap, 0.0), trap, 0.0, DescentConfig(residual_tol=1e-12))
+        assert res.converged
+        u0 = res.wavefunction.normalized()
+        _, fin = propagate(u0, trap, 0.0, None, PropagationConfig(t_final=1.0))
+        drift = np.max(np.abs(np.abs(fin.values) - np.abs(u0.values)))
+        assert drift <= 1e-12 * np.max(np.abs(u0.values))
 
     def test_phase_advances_at_chemical_potential(self, relaxed_iso):
         u0 = relaxed_iso.wavefunction.normalized()
@@ -83,10 +95,11 @@ class TestStationaryStates:
         assert drift < 1e-6 * peak
 
 
-def banded_cayley(grid, direction, dt):
-    """exp(-i*dt*K) ~ (1 + i*dt*K/2)^{-1} (1 - i*dt*K/2) for K = -lap/2 along the
-    last axis: an explicit (1 - zK) multiply and a solve_banded solve."""
-    lo, di, up = (-0.5 * d for d in grid.laplacian_diagonals(direction))
+def banded_cayley(grid, dt, potential):
+    """exp(-i*dt*K) ~ (1 + i*dt*K/2)^{-1} (1 - i*dt*K/2) for K = (-lap_s + potential)/2
+    along s: an explicit (1 - zK) multiply and a solve_banded solve."""
+    lo, di, up = grid.laplacian_diagonals("s")
+    lo, di, up = -0.5 * lo, 0.5 * (potential - di), -0.5 * up
     z = 0.5j * dt
     ab = np.zeros((3, di.size), dtype=complex)
     ab[0, 1:], ab[1], ab[2, :-1] = z * up[:-1], 1.0 + z * di, z * lo[1:]
@@ -99,25 +112,35 @@ def banded_cayley(grid, direction, dt):
     return apply
 
 
+def harmonic_rho_step(grid, dt):
+    """exp(-i*dt*K_rho) for K_rho = (-lap_rho + rho^2)/2, through the eigenpairs of
+    its sqrt(rho)-symmetrized tridiagonal matrix from eigh_tridiagonal.  QR makes
+    the eigenvectors orthonormal: their ~1e-15 departure from it would otherwise
+    add up over hundreds of steps."""
+    lo, di, up = grid.laplacian_diagonals("rho")
+    theta, vecs = eigh_tridiagonal(grid.rho ** 2 - di, -np.sqrt(up[:-1] * lo[1:]))
+    vecs = np.linalg.qr(vecs)[0]
+    root = np.sqrt(grid.rho)[:, None]
+    step = (vecs * np.exp(-0.5j * dt * theta)) @ vecs.T
+    return lambda x: step @ (root * x) / root
+
+
 def reference_strang(u0, trap, Q, cfg, n_steps):
-    """Unmerged Strang steps: half-phase, Cayley factors (half rho, s, half rho
-    on cylindrical grids), half-phase."""
+    """Unmerged Strang steps: half-phase, kinetic steps of -lap/2 + trap/2 (half rho,
+    s, half rho on cylindrical grids), half-phase."""
     grid, dt = u0.grid, cfg.dt
-    c, v3 = quartic_coefficient(grid.kind, Q), 0.5 * trap_potential(grid, trap)
+    c = quartic_coefficient(grid.kind, Q)
     damp = 1.0
     if cfg.sponge_width > 0:
         damp = np.exp(-0.5 * dt * SPONGE_STRENGTH * _sponge_mask(grid, cfg.sponge_width))
-    kin_s = banded_cayley(grid, "s", dt)
+    kin_s = banded_cayley(grid, dt, (trap.lambda_z * grid.s) ** 2)
     cylindrical = grid.rho is not None
-    kin_rho = banded_cayley(grid, "rho", 0.5 * dt) if cylindrical else None
+    kin_rho = harmonic_rho_step(grid, 0.5 * dt) if cylindrical else None
     v = np.asarray(u0.values, dtype=complex)
     for _ in range(n_steps):
-        v = v * np.exp(-0.5j * dt * (v3 - c * np.abs(v) ** 2)) * damp
-        if cylindrical:
-            v = kin_rho(kin_s(kin_rho(v.T).T).T).T
-        else:
-            v = kin_s(v)
-        v = v * np.exp(-0.5j * dt * (v3 - c * np.abs(v) ** 2)) * damp
+        v = v * np.exp(0.5j * dt * c * np.abs(v) ** 2) * damp
+        v = kin_rho(kin_s(kin_rho(v))) if cylindrical else kin_s(v)
+        v = v * np.exp(0.5j * dt * c * np.abs(v) ** 2) * damp
     return v
 
 
@@ -163,7 +186,7 @@ def strong_well():
 
 
 class TestKick:
-    """One phase kick against v * exp(1j*theta) * damping, theta = h*(cubic*|v|^2 - V)."""
+    """One phase kick against v * exp(1j*theta) * damping, theta = h*(cubic*|v|^2 - V_ext)."""
 
     CASES = {
         "line": (False, TrapSpec(0.3), 5.0, None, {}),
@@ -189,9 +212,8 @@ class TestKick:
             damp = damp * np.exp(-dt * SPONGE_STRENGTH * _sponge_mask(u0.grid, cfg.sponge_width))
         h, cubic, damping = ((dt, 0.5 * c * (1.0 + damp), damp) if full
                              else (0.5 * dt, c, np.sqrt(damp)))
-        potential = 0.5 * trap_potential(u0.grid, trap)
-        if external is not None:
-            potential = potential + external.sample(u0.grid)
+        # the trap is in the kinetic step: the kick's potential is the external one
+        potential = 0.0 if external is None else external.sample(u0.grid)
         density = np.abs(v) ** 2
         ref = v * np.exp(1j * h * (cubic * density - potential)) * damping
         phi_max = float(np.max(h * cubic * density))
