@@ -321,9 +321,13 @@ def cmd_evolve(args):
     Q, lambda_z = args.q, args.lambda_z
     grid = build_run_grid(args, Q, lambda_z)
     trap = TrapSpec(lambda_z)
-    # before the initial state, so that a bad potential costs no relaxation
-    ext = (ExternalPotential(parse_potential(args.potential), parse_params(args.param))
-           if args.potential else None)
+    # sampled before the initial state, so that a bad potential costs no relaxation;
+    # both propagators reuse the samples
+    ext = None
+    if args.potential:
+        ext = ExternalPotential(parse_potential(args.potential), parse_params(args.param))
+        ext.sample(grid)
+        ext.sample_gradient_s(grid)
     if args.initial == "ground":
         res = relax(default_initial(grid, trap, Q), trap, Q, _from_args(DescentConfig, args))
         if not res.converged:

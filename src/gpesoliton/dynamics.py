@@ -12,28 +12,23 @@ exact and commutes with the s step: the two rho half-steps of the splitting
 unitary, so the discrete norm is conserved to round-off, and a discrete trap
 eigenstate (Q = 0) only turns its phase.
 
-A kick multiplies by the nonlinear phase exp(i*phi), phi = h*c|v|^2, and, where
-there is one, by exp(-i*h*V_ext) * damping for an external potential and the
-sponge, one factor built once per dt.  Half-phase kicks sit around each linear
-step.  Between records the trailing half-phase of one step and the leading
-half-phase of the next are merged into one full phase, which is exact (with a
-sponge, the cubic term sees the mean of the undamped and the damped density).
-phi is small (~8e-4 for a Q = 5 soliton at the default dt), so its cos and sin
-are Taylor polynomials (three terms each there), evaluated on contiguous real
-buffers to below half an ulp; past |phi| ~ 0.1 the kick falls back to np.cos
-and np.sin.  Kicks and linear steps work in place on the state and two scratch
-fields held by the propagator, so a step allocates no grid-sized array.
+A step is a half-step kick, the linear step and a half-step kick.  A kick
+multiplies by the nonlinear phase exp(i*phi), phi = dt/2*c|v|^2, and, where
+there is one, by exp(-i*dt/2*V_ext) * damping for an external potential and the
+sponge, one factor built once per dt.  phi is small (~4e-4 for a Q = 5 soliton
+at the default dt), so its cos and sin are Taylor polynomials (three terms each
+there), evaluated on contiguous real buffers to below half an ulp; past
+|phi| ~ 0.1 the kick falls back to np.cos and np.sin.  Kicks and linear steps
+work in place on the state and two scratch fields held by the propagator, so a
+step allocates no grid-sized array.
 
 `PropagationConfig` owns the time lattice: t_final must be a whole number of
 steps, and a time within 1e-9 dt of step k is step k.  `propagate` returns
 (records, a state per snapshot time, final state) from one propagator.  Records
-keep one cadence (tau = 0, every `observe_every` steps, the final step), and
-only a record cuts the merged step sequence.  A snapshot at step k is the state
-of the run stopped there: at a record a copy of it, elsewhere a copy tapped
-after step k's linear step and given its own trailing half-phase.  So it adds
-no record and leaves the run's bits as they are.  A snapshot between steps k
-and k + 1 is that copy taken one Strang step of the remainder further, by the
-same propagator refactored for that step once the run is done.
+keep one cadence (tau = 0, every `observe_every` steps, the final step).  A
+snapshot at step k is a copy of the state after step k; one between steps k and
+k + 1 is that copy taken one step of the remainder further, by the same
+propagator refactored for that step once the run is done.
 
 The default step dt = 1e-2, recorded every step (tau = 0.01), keeps the time
 error at most 1e-3 of the lattice error: up to tau = 1 a boosted soliton's
@@ -154,22 +149,16 @@ class _Propagator:
         if self.to_modes is not None:
             # exp(-i*dt*K_rho) for K_rho = (-lap_rho + rho^2)/2, exact in its eigenbasis
             self.rho_factor = np.exp(-0.5j * dt * self.theta)[:, None]
-        # kicks as (h*cubic, exp(-i*h*V_ext) * damping or None): a half-step, and a
-        # merged pair of half-steps whose second half sees the density damped by the first
-        damp = 1.0 if self.sponge is None else np.exp(-dt * self.sponge)
-        self.half_phase = (0.5 * dt * self.c3, self._potential_phase(0.5 * dt, np.sqrt(damp)))
-        self.full_phase = (dt * 0.5 * self.c3 * (1.0 + damp), self._potential_phase(dt, damp))
-
-    def _potential_phase(self, h, damping):
-        """exp(-i*h*V_ext) * damping, a factor that broadcasts against the field,
-        or None where it is exactly 1 (no external potential and no sponge)."""
+        # the half-step kick as (h*cubic, exp(-i*h*V_ext) * damping), h = dt/2, with a
+        # factor that broadcasts against the field, or None where it is exactly 1
+        damping = 1.0 if self.sponge is None else np.sqrt(np.exp(-dt * self.sponge))
         if self.ext_samples is not None:
-            damping = np.exp(-1j * h * self.ext_samples) * damping
-        return damping if np.any(damping != 1.0) else None
+            damping = np.exp(-0.5j * dt * self.ext_samples) * damping
+        self.half_phase = (0.5 * dt * self.c3, damping if np.any(damping != 1.0) else None)
 
-    def _kick(self, v, phase):
+    def _kick(self, v):
         """Multiply v in place by exp(i*phi) * exp(-i*h*V_ext) * damping, phi = h*cubic*|v|^2."""
-        scale, potential = phase
+        scale, potential = self.half_phase
         phi, phi2 = self._a_halves
         np.abs(v, out=phi)
         np.square(phi, out=phi)
@@ -214,21 +203,11 @@ class _Propagator:
         np.matmul(self.from_modes, x.view(np.float64), out=v.view(np.float64))
         return v
 
-    def advance(self, v, n_steps, taps=()):
-        """Take n_steps steps from v, a C-contiguous complex field, in place.
-
-        Returns the state after j steps for each j of the ascending `taps`
-        (0 < j < n_steps): a copy tapped after step j's linear step and given
-        its own trailing half-phase, so v's merged sequence is not cut."""
-        tapped = []
-        for j in range(1, n_steps + 1):
-            self._kick(v, self.full_phase if j > 1 else self.half_phase)
-            self._kinetic(v)
-            if j in taps:
-                tapped.append(v.copy())
-                self._kick(tapped[-1], self.half_phase)
-        self._kick(v, self.half_phase)
-        return tapped
+    def step(self, v):
+        """One Strang step of v, a C-contiguous complex field, in place."""
+        self._kick(v)
+        self._kinetic(v)
+        self._kick(v)
 
     def observe(self, v, tau):
         u = Wavefunction(self.grid, v)
@@ -251,10 +230,9 @@ def propagate(u0: Wavefunction, trap: TrapSpec, Q: float,
     ascending order of time, duplicates kept.  Records are taken at tau = k * dt
     for k = 0, every `observe_every` steps and the final step (off that cadence
     when the step count is not a multiple of it).  A time within 1e-9 dt of step
-    k is that step: its snapshot is the state of the run stopped there, tapped
-    without cutting the run, and adds no record.  A time t between steps k and
-    k + 1 is the state at step k taken one Strang step of (t / dt - k) * dt
-    further, on a copy.
+    k is that step: its snapshot is a copy of the state after step k.  A time t
+    between steps k and k + 1 is that copy taken one step of (t / dt - k) * dt
+    further.  Snapshots add no record.
 
     Raises StepSizeError when the norm drifts beyond 1e-6 (never expected with this
     unitary scheme unless inputs are broken) and BlowupError on non-finite values.
@@ -267,26 +245,26 @@ def propagate(u0: Wavefunction, trap: TrapSpec, Q: float,
     prop = _Propagator(u0.grid, trap, Q, external, cfg)
     v = np.array(u0.values, dtype=complex, order="C")
     records = [prop.observe(v, 0.0)]
-    floors = sorted({math.floor(s) for s in steps})
+    floors = {math.floor(s) for s in steps}
     states = {0: v.copy()} if 0 in floors else {}
-    k = 0
-    for stop in sorted({*range(cfg.observe_every, n_steps, cfg.observe_every), n_steps} - {0}):
-        taps = [j for j in floors if k < j < stop]
-        states.update(zip(taps, prop.advance(v, stop - k, [j - k for j in taps])))
-        k, tau = stop, stop * cfg.dt
+    for k in range(1, n_steps + 1):
+        prop.step(v)
+        if k in floors:
+            states[k] = v.copy()
+        if k % cfg.observe_every and k < n_steps:
+            continue
+        tau = k * cfg.dt
         if not np.all(np.isfinite(v)):
             raise BlowupError(f"non-finite state at tau = {tau:g}")
         rec = prop.observe(v, tau)
         if prop.sponge is None and abs(rec.norm - 1.0) > NORM_DRIFT_LIMIT:
             raise StepSizeError(f"norm drifted to {rec.norm:.9f} at tau = {tau:g}; reduce dt")
         records.append(rec)
-        if k in floors:
-            states[k] = v.copy()
     for s in steps:
         if s % 1 and s not in states:  # the run is done, so `prop` is free to refactor
             states[s] = states[math.floor(s)].copy()
             prop.set_dt(s % 1 * cfg.dt)
-            prop.advance(states[s], 1)
+            prop.step(states[s])
     return (records, *(Wavefunction(u0.grid, states[s]) for s in steps),
             Wavefunction(u0.grid, v))
 
@@ -304,9 +282,10 @@ def time_error(u0: Wavefunction, trap: TrapSpec, Q: float,
     prop = _Propagator(u0.grid, trap, Q, external, cfg)
     v = np.array(u0.values, dtype=complex, order="C")
     fine = v.copy()
-    prop.advance(fine, 2)
+    prop.step(fine)
+    prop.step(fine)
     prop.set_dt(2.0 * cfg.dt)
-    prop.advance(v, 1)
+    prop.step(v)
     fine -= v
     return u0.grid.norm(fine) / 3.0 * cfg.t_final / (2.0 * cfg.dt)
 

@@ -39,7 +39,6 @@ from .grid import Geometry, Grid, TridiagonalFactor, Wavefunction
 
 log = logging.getLogger(__name__)
 
-_ENERGY_TOL = 1e-10     # relative energy change per iteration at convergence
 _COLLAPSE_GUARD = 5.0   # amplitude ceiling over the analytic peak
 
 
@@ -288,7 +287,6 @@ def relax(initial: Wavefunction, trap: TrapSpec, Q: float,
 
     tau = 1.0
     d = wr_prev = ry_prev = None
-    energy_prev = math.inf
     converged = collapsed = False
     residual = math.inf
     iterations = 0
@@ -308,8 +306,7 @@ def relax(initial: Wavefunction, trap: TrapSpec, Q: float,
         wr = w * r
         rr = float(np.vdot(wr, r).real)
         residual = 0.5 * math.sqrt(rr)
-        if abs(energy - energy_prev) < _ENERGY_TOL * max(abs(energy), 1.0) \
-                and residual < cfg.residual_tol:
+        if residual < cfg.residual_tol:
             converged = True
             break
         if math.sqrt(density.max()) > ceiling:
@@ -329,7 +326,7 @@ def relax(initial: Wavefunction, trap: TrapSpec, Q: float,
         if not dr > 0:
             d, dr = (y, ry) if ry > 0 else (r.copy(), rr)
         d -= inner(v, d) * v
-        wr_prev, ry_prev, energy_prev = wr, ry, energy
+        wr_prev, ry_prev = wr, ry
 
         # the energy along the ray: (a0 - 2 a1 tau + a2 tau^2)/n^2 - c N4(tau)/n^4
         # with N4 = int |u - tau d|^4, from the weighted sums of C against 1, A,

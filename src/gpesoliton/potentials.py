@@ -212,7 +212,8 @@ def _sample(expr: PotentialExpr, grid: Grid, params, step=0.0):
 
 @dataclass(frozen=True)
 class ExternalPotential:
-    """A parsed expression with every parameter bound, ready to sample on grids."""
+    """A parsed expression with every parameter bound, ready to sample on grids;
+    each field is evaluated once per grid, into read-only samples."""
 
     expr: PotentialExpr
     params: dict
@@ -221,10 +222,17 @@ class ExternalPotential:
         missing = self.expr.parameters() - set(self.params)
         if missing:
             raise UnboundParameterError(missing)
+        object.__setattr__(self, "_samples", {})  # (grid, step) -> samples
+
+    def _sampled(self, grid: Grid, step):
+        if (grid, step) not in self._samples:
+            self._samples[grid, step] = _sample(self.expr, grid, self.params, step)
+            self._samples[grid, step].setflags(write=False)
+        return self._samples[grid, step]
 
     def sample(self, grid: Grid):
         """Vectorized samples at every node; rejects non-finite values with coordinates."""
-        return _sample(self.expr, grid, self.params)
+        return self._sampled(grid, 0.0)
 
     def sample_gradient_s(self, grid: Grid):
-        return _sample(self.expr, grid, self.params, _COMPLEX_STEP)
+        return self._sampled(grid, _COMPLEX_STEP)

@@ -12,6 +12,7 @@ import pytest
 
 from gpesoliton import cli
 from gpesoliton import grid as grid_module
+from gpesoliton import potentials
 from gpesoliton.grid import Geometry, Wavefunction, cylindrical_grid, line_grid, spherical_grid
 
 
@@ -336,6 +337,27 @@ def test_bad_potential_fails_before_the_relaxation(tmp_path, monkeypatch):
             "--t-final", "0.05", "--potential", "1 + * 2", "--out", str(tmp_path / "e.csv")]
     assert cli.main(argv) == 1
     assert calls == []
+
+
+def test_non_finite_potential_fails_before_the_relaxation(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "relax", lambda *a, **k: calls.append(a))
+    argv = ["evolve", "--q", "5", "--lambda-z", "0.2", "--initial", "ground", "--t-final",
+            "0.05", "--potential", "exp(1000*s)", "--out", str(tmp_path / "e.csv")]
+    assert cli.main(argv) == 1
+    assert "potential 'exp(1000*s)' is non-finite at node" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_evolve_evaluates_the_potential_once_per_field(tmp_path, monkeypatch):
+    # V and dV/ds, for the time-error estimate and the run alike
+    calls, evaluate = [], potentials._eval
+    monkeypatch.setattr(potentials, "_eval", lambda *a: calls.append(a) or evaluate(*a))
+    argv = ["evolve", "--geometry", "line", "--n-s", "64", "--initial", "ground",
+            "--t-final", "0.05", "--potential", "a*s^2", "--param", "a=0.01",
+            "--out", str(tmp_path / "e.csv")]
+    assert cli.main(argv) == 0
+    assert len(calls) == 2
 
 
 def test_one_eigendecomposition_per_grid(tmp_path, monkeypatch):

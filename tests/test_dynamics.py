@@ -126,8 +126,8 @@ def harmonic_rho_step(grid, dt):
 
 
 def reference_strang(u0, trap, Q, cfg, n_steps):
-    """Unmerged Strang steps: half-phase, kinetic steps of -lap/2 + trap/2 (half rho,
-    s, half rho on cylindrical grids), half-phase."""
+    """Strang steps: half-phase, kinetic steps of -lap/2 + trap/2 (half rho, s, half
+    rho on cylindrical grids), half-phase."""
     grid, dt = u0.grid, cfg.dt
     c = quartic_coefficient(grid.kind, Q)
     damp = 1.0
@@ -152,10 +152,10 @@ def small_soliton(cylindrical):
     return boost(default_initial(g, TrapSpec(0.0), 5.0), 1.5).normalized()
 
 
-class TestMergedSplitStep:
+class TestStrangStep:
     @pytest.mark.parametrize("sponge", [0.0, 4.0], ids=["free", "sponge"])
     @pytest.mark.parametrize("cylindrical", [False, True], ids=["line", "cylindrical"])
-    def test_matches_unmerged_strang(self, cylindrical, sponge):
+    def test_matches_reference_strang(self, cylindrical, sponge):
         u0 = small_soliton(cylindrical)
         trap = TrapSpec(0.3)
         cfg = PropagationConfig(t_final=0.2, dt=1e-3, observe_every=50, sponge_width=sponge)
@@ -168,8 +168,15 @@ class TestMergedSplitStep:
     def test_records_on_cadence_and_at_the_end(self):
         u0 = small_soliton(False)
         cfg = PropagationConfig(t_final=21 * 5e-4, dt=5e-4, observe_every=4)
-        records, _ = propagate(u0, TrapSpec(0.0), 5.0, None, cfg)
+        records, fin = propagate(u0, TrapSpec(0.0), 5.0, None, cfg)
         assert [r.tau for r in records] == [k * 5e-4 for k in (0, 4, 8, 12, 16, 20, 21)]
+        # a record's bits do not depend on the cadence: the every-step run holds them
+        every, fin_every = propagate(u0, TrapSpec(0.0), 5.0, None,
+                                     PropagationConfig(t_final=21 * 5e-4, dt=5e-4))
+        assert np.array_equal([r.csv_row() for r in records],
+                              [every[k].csv_row() for k in (0, 4, 8, 12, 16, 20, 21)],
+                              equal_nan=True)
+        assert np.array_equal(fin.values, fin_every.values)
 
     def test_modal_kinetic_step_conserves_norm(self):
         u0 = small_soliton(True)
@@ -186,7 +193,8 @@ def strong_well():
 
 
 class TestKick:
-    """One phase kick against v * exp(1j*theta) * damping, theta = h*(cubic*|v|^2 - V_ext)."""
+    """One half-step kick against v * exp(1j*theta) * damping, theta = h*(c*|v|^2 - V_ext),
+    h = dt/2."""
 
     CASES = {
         "line": (False, TrapSpec(0.3), 5.0, None, {}),
@@ -198,34 +206,31 @@ class TestKick:
         "line-large-dt": (False, TrapSpec(0.3), 200.0, None, {"dt": 0.5}),
     }
 
-    @pytest.mark.parametrize("full", [False, True], ids=["half", "full"])
-    @pytest.mark.parametrize("case", list(CASES))
-    def test_matches_exp(self, case, full):
+    @pytest.mark.parametrize("case", list(CASES), ids=[f"{case}-half" for case in CASES])
+    def test_matches_exp(self, case):
         cylindrical, trap, Q, external, extra = self.CASES[case]
         u0 = small_soliton(cylindrical)
         cfg = PropagationConfig(t_final=1.0, **extra)
         prop = _Propagator(u0.grid, trap, Q, external, cfg)
         v = np.array(u0.values, dtype=complex)
-        dt, c = cfg.dt, quartic_coefficient(u0.grid.kind, Q)
-        damp = np.ones(u0.grid.shape)
+        h, c = 0.5 * cfg.dt, quartic_coefficient(u0.grid.kind, Q)
+        damping = np.ones(u0.grid.shape)
         if cfg.sponge_width > 0:
-            damp = damp * np.exp(-dt * SPONGE_STRENGTH * _sponge_mask(u0.grid, cfg.sponge_width))
-        h, cubic, damping = ((dt, 0.5 * c * (1.0 + damp), damp) if full
-                             else (0.5 * dt, c, np.sqrt(damp)))
+            damping = np.exp(-h * SPONGE_STRENGTH * _sponge_mask(u0.grid, cfg.sponge_width))
         # the trap is in the kinetic step: the kick's potential is the external one
         potential = 0.0 if external is None else external.sample(u0.grid)
         density = np.abs(v) ** 2
-        ref = v * np.exp(1j * h * (cubic * density - potential)) * damping
-        phi_max = float(np.max(h * cubic * density))
+        ref = v * np.exp(1j * h * (c * density - potential)) * damping
+        phi_max = float(np.max(h * c * density))
         # the polynomial serves every case but the last, which falls back to cos/sin
         assert (_taylor_terms(phi_max) is None) == (case == "line-large-dt")
-        prop._kick(v, prop.full_phase if full else prop.half_phase)
+        prop._kick(v)
         assert np.max(np.abs(v - ref)) <= 2e-15 * np.max(np.abs(ref))
 
     def test_taylor_range(self):
         assert _taylor_terms(0.0) == 2
         assert _taylor_terms(2e-4) == 3
-        assert _taylor_terms(4e-4) == 3  # a Q = 5 soliton's full kick at the default dt
+        assert _taylor_terms(4e-4) == 3  # a Q = 5 soliton's kick at the default dt
         assert _taylor_terms(0.1) == 5
         assert _taylor_terms(0.11) is None
         assert _taylor_terms(math.nan) is None
@@ -262,7 +267,7 @@ class TestSnapshots:
 
     def test_on_cadence_snapshots_change_no_record(self):
         # steps 4, 12 and 20 are records at observe_every = 4; 13 and 13.25 fall
-        # between two of them, where the merged step sequence must stay uncut
+        # between two of them
         u0 = small_soliton(True)
         for every in (1, 4):
             cfg = PropagationConfig(t_final=22 * 1e-3, dt=1e-3, observe_every=every)
