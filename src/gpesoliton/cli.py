@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__, analytic, units
 from . import grid as grid_module
 from .collapse import find_threshold, optimality_scan
-from .dynamics import PropagationConfig, boost, displace, ehrenfest_check, propagate, time_error
+from .dynamics import PropagationConfig, boost, displace, ehrenfest_check, propagate
 from .energy import TrapSpec
 from .errors import DomainError, GpeError, require
 from .grid import (Geometry, Grid, Wavefunction, cylindrical_grid,
@@ -322,7 +322,7 @@ def cmd_evolve(args):
     grid = build_run_grid(args, Q, lambda_z)
     trap = TrapSpec(lambda_z)
     # sampled before the initial state, so that a bad potential costs no relaxation;
-    # both propagators reuse the samples
+    # the one propagator reuses the samples
     ext = None
     if args.potential:
         ext = ExternalPotential(parse_potential(args.potential), parse_params(args.param))
@@ -343,8 +343,7 @@ def cmd_evolve(args):
     if args.boost:
         u0 = boost(u0, args.boost)
     u0 = u0.normalized()
-    err = time_error(u0, trap, Q, ext, cfg)
-    records, *snapshots, _ = propagate(u0, trap, Q, ext, cfg, snap_times)
+    records, snapshots, _, err = propagate(u0, trap, Q, ext, cfg, snap_times)
     out = Path(args.out)
     for t, u in zip(snap_times, snapshots):
         write_state_csv(out.parent / f"{out.stem}.{_snapshot_name(t)}.csv", u)

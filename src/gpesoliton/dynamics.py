@@ -24,17 +24,16 @@ step allocates no grid-sized array.
 
 `PropagationConfig` owns the time lattice: t_final must be a whole number of
 steps, and a time within 1e-9 dt of step k is step k.  `propagate` returns
-(records, a state per snapshot time, final state) from one propagator.  Records
-keep one cadence (tau = 0, every `observe_every` steps, the final step).  A
-snapshot at step k is a copy of the state after step k; one between steps k and
-k + 1 is that copy taken one step of the remainder further, by the same
-propagator refactored for that step once the run is done.
+(records, snapshot states, final state, time error) from one propagator.
+Records keep one cadence (tau = 0, every `observe_every` steps, the final
+step).  A snapshot between steps k and k + 1 is the state after step k taken
+one step of the remainder further, inside the run.
 
 The default step dt = 1e-2, recorded every step (tau = 0.01), keeps the time
 error at most 1e-3 of the lattice error: up to tau = 1 a boosted soliton's
 centroid moves off its dt/8 path by 3.0e-4 (v = 0.4) to 4.6e-4 (v = 0.6) of
-the lattice deficit 2 (v ds)^2/6 v tau on a 96 x 384 cylinder.  `time_error`
-estimates each run's own error by step doubling.
+the lattice deficit 2 (v ds)^2/6 v tau on a 96 x 384 cylinder.  Each run
+estimates its own time error by step doubling.
 
 Optional sponge layers of width `sponge_width` damp outgoing radiation near the
 axial edges at the rate SPONGE_STRENGTH; they intentionally absorb norm, so runs
@@ -63,9 +62,10 @@ SPONGE_STRENGTH = 5.0  # damping rate at the outer edge of a sponge layer
 MAX_NORM_LOSS = 1e-8  # the share of the norm that `displace` may carry off the grid
 
 
-def _step(t, dt):
-    """t / dt, as the int k when t is k * dt to within 1e-9 dt."""
-    k = round(t / dt)
+def _step(name, t, dt):
+    """t / dt, as the int k when t is k * dt to within 1e-9 dt; DomainError naming
+    `name` and dt when t / dt is not a finite number."""
+    k = round(require(f"{name} / dt", t / dt))
     return k if abs(t - k * dt) <= 1e-9 * dt else t / dt
 
 
@@ -79,7 +79,7 @@ class PropagationConfig:
     def __post_init__(self):
         require("dt", self.dt, gt=0)
         require("t_final", self.t_final, ge=0)
-        k = _step(self.t_final, self.dt)
+        k = _step("t_final", self.t_final, self.dt)
         if not isinstance(k, int):
             raise DomainError(f"t_final {self.t_final:g} is off the dt = {self.dt:g} lattice; "
                               f"the nearest lattice times are {math.floor(k) * self.dt:.12g} "
@@ -138,23 +138,27 @@ class _Propagator:
         self._b = np.empty(grid.shape, complex)
         self._a_halves = self._a.view(np.float64).reshape(2, *grid.shape)
         self._b_halves = self._b.view(np.float64).reshape(2, *grid.shape)
-        self.set_dt(cfg.dt)
+        self._by_dt = {}
+        self._use(cfg.dt)
 
-    def set_dt(self, dt):
-        """Factor the linear steps and build the kicks for steps of dt."""
-        # bands of 1 + i*dt/2*K_s, K_s = (-lap_s + lambda_z^2 s^2)/2: the Cayley denominator
-        lo, di, up = self.grid.laplacian_diagonals("s")
-        z = 0.25j * dt
-        self.kin_s = TridiagonalFactor(-z * lo, 1.0 + z * (self.axial - di), -z * up)
-        if self.to_modes is not None:
+    def _use(self, dt):
+        """Make the factors and kick of steps of dt current; each dt's are built once."""
+        if dt not in self._by_dt:
+            # bands of 1 + i*dt/2*K_s, K_s = (-lap_s + lambda_z^2 s^2)/2: the Cayley denominator
+            lo, di, up = self.grid.laplacian_diagonals("s")
+            z = 0.25j * dt
+            kin_s = TridiagonalFactor(-z * lo, 1.0 + z * (self.axial - di), -z * up)
             # exp(-i*dt*K_rho) for K_rho = (-lap_rho + rho^2)/2, exact in its eigenbasis
-            self.rho_factor = np.exp(-0.5j * dt * self.theta)[:, None]
-        # the half-step kick as (h*cubic, exp(-i*h*V_ext) * damping), h = dt/2, with a
-        # factor that broadcasts against the field, or None where it is exactly 1
-        damping = 1.0 if self.sponge is None else np.sqrt(np.exp(-dt * self.sponge))
-        if self.ext_samples is not None:
-            damping = np.exp(-0.5j * dt * self.ext_samples) * damping
-        self.half_phase = (0.5 * dt * self.c3, damping if np.any(damping != 1.0) else None)
+            rho_factor = (None if self.to_modes is None
+                          else np.exp(-0.5j * dt * self.theta)[:, None])
+            # the half-step kick as (h*cubic, exp(-i*h*V_ext) * damping), h = dt/2, with a
+            # factor that broadcasts against the field, or None where it is exactly 1
+            damping = 1.0 if self.sponge is None else np.sqrt(np.exp(-dt * self.sponge))
+            if self.ext_samples is not None:
+                damping = np.exp(-0.5j * dt * self.ext_samples) * damping
+            half_phase = (0.5 * dt * self.c3, damping if np.any(damping != 1.0) else None)
+            self._by_dt[dt] = kin_s, rho_factor, half_phase
+        self.kin_s, self.rho_factor, self.half_phase = self._by_dt[dt]
 
     def _kick(self, v):
         """Multiply v in place by exp(i*phi) * exp(-i*h*V_ext) * damping, phi = h*cubic*|v|^2."""
@@ -203,8 +207,9 @@ class _Propagator:
         np.matmul(self.from_modes, x.view(np.float64), out=v.view(np.float64))
         return v
 
-    def step(self, v):
-        """One Strang step of v, a C-contiguous complex field, in place."""
+    def step(self, v, dt):
+        """One Strang step of dt of v, a C-contiguous complex field, in place."""
+        self._use(dt)
         self._kick(v)
         self._kinetic(v)
         self._kick(v)
@@ -224,9 +229,9 @@ class _Propagator:
 
 def propagate(u0: Wavefunction, trap: TrapSpec, Q: float,
               external: ExternalPotential | None, cfg: PropagationConfig, snapshot_times=()):
-    """Propagate a unit-norm state; returns (records, *snapshots, final wavefunction).
+    """Propagate a unit-norm state; returns (records, snapshots, final state, time error).
 
-    One snapshot state per entry of `snapshot_times` (in [0, t_final]), in
+    `snapshots` lists a state per entry of `snapshot_times` (in [0, t_final]), in
     ascending order of time, duplicates kept.  Records are taken at tau = k * dt
     for k = 0, every `observe_every` steps and the final step (off that cadence
     when the step count is not a multiple of it).  A time within 1e-9 dt of step
@@ -234,23 +239,38 @@ def propagate(u0: Wavefunction, trap: TrapSpec, Q: float,
     between steps k and k + 1 is that copy taken one step of (t / dt - k) * dt
     further.  Snapshots add no record.
 
+    The time error estimates the final state's error by step doubling, on the
+    run's propagator before the run: for second-order Strang splitting two steps
+    of dt from u0 differ from one of 2*dt by 3x the two steps' error
+    (Richardson), extrapolated linearly to t_final.
+
     Raises StepSizeError when the norm drifts beyond 1e-6 (never expected with this
     unitary scheme unless inputs are broken) and BlowupError on non-finite values.
     """
     u0.require_unit_norm()
-    n_steps = _step(cfg.t_final, cfg.dt)
-    steps = sorted(_step(require("snapshot time", t), cfg.dt) for t in snapshot_times)
+    n_steps = _step("t_final", cfg.t_final, cfg.dt)
+    steps = sorted(_step("snapshot time", require("snapshot time", t), cfg.dt)
+                   for t in snapshot_times)
     if not all(0 <= s <= n_steps for s in steps):
         raise DomainError("snapshot times must lie within [0, t_final]")
     prop = _Propagator(u0.grid, trap, Q, external, cfg)
     v = np.array(u0.values, dtype=complex, order="C")
-    records = [prop.observe(v, 0.0)]
-    floors = {math.floor(s) for s in steps}
-    states = {0: v.copy()} if 0 in floors else {}
-    for k in range(1, n_steps + 1):
-        prop.step(v)
-        if k in floors:
-            states[k] = v.copy()
+    fine, coarse = v.copy(), v.copy()
+    prop.step(fine, cfg.dt)
+    prop.step(fine, cfg.dt)
+    prop.step(coarse, 2.0 * cfg.dt)
+    fine -= coarse
+    error = u0.grid.norm(fine) / 3.0 * cfg.t_final / (2.0 * cfg.dt)
+    del fine, coarse  # freed before the loop: live grid-sized arrays slow its allocations
+    records, taken, pending = [], {}, sorted(set(steps), reverse=True)
+    for k in range(n_steps + 1):
+        if k:
+            prop.step(v, cfg.dt)
+        while pending and pending[-1] < k + 1:
+            s = pending.pop()
+            taken[s] = state = v.copy()
+            if s % 1:
+                prop.step(state, s % 1 * cfg.dt)
         if k % cfg.observe_every and k < n_steps:
             continue
         tau = k * cfg.dt
@@ -260,34 +280,8 @@ def propagate(u0: Wavefunction, trap: TrapSpec, Q: float,
         if prop.sponge is None and abs(rec.norm - 1.0) > NORM_DRIFT_LIMIT:
             raise StepSizeError(f"norm drifted to {rec.norm:.9f} at tau = {tau:g}; reduce dt")
         records.append(rec)
-    for s in steps:
-        if s % 1 and s not in states:  # the run is done, so `prop` is free to refactor
-            states[s] = states[math.floor(s)].copy()
-            prop.set_dt(s % 1 * cfg.dt)
-            prop.step(states[s])
-    return (records, *(Wavefunction(u0.grid, states[s]) for s in steps),
-            Wavefunction(u0.grid, v))
-
-
-def time_error(u0: Wavefunction, trap: TrapSpec, Q: float,
-               external: ExternalPotential | None, cfg: PropagationConfig) -> float:
-    """Step-doubling estimate of the error in the state `propagate` reaches at t_final.
-
-    For second-order Strang splitting two steps of dt from u0 differ from one of
-    2*dt by 3x the two steps' error (Richardson), extrapolated linearly to t_final.
-    Its propagator steps in the grid's one radial eigenbasis (`Grid.radial_modes`),
-    the basis of the propagator `propagate` builds and of `relax`'s preconditioner
-    on the same grid, so the estimate adds no eigendecomposition."""
-    u0.require_unit_norm()
-    prop = _Propagator(u0.grid, trap, Q, external, cfg)
-    v = np.array(u0.values, dtype=complex, order="C")
-    fine = v.copy()
-    prop.step(fine)
-    prop.step(fine)
-    prop.set_dt(2.0 * cfg.dt)
-    prop.step(v)
-    fine -= v
-    return u0.grid.norm(fine) / 3.0 * cfg.t_final / (2.0 * cfg.dt)
+    return (records, [Wavefunction(u0.grid, taken[s]) for s in steps],
+            Wavefunction(u0.grid, v), error)
 
 
 def boost(u: Wavefunction, v: float) -> Wavefunction:

@@ -38,8 +38,11 @@ class PhysicalParams:
 
 
 def oscillator_length(p: PhysicalParams) -> float:
-    """Radial oscillator length a0 = sqrt(hbar/(m*omega)) in meters, omega = 2*pi*nu."""
-    return math.sqrt(HBAR / (p.atom_mass_m * (2.0 * math.pi * p.radial_frequency_nu)))
+    """Radial oscillator length a0 = sqrt(hbar/(m*omega)) in meters, omega = 2*pi*nu;
+    DomainError unless a0 is a finite number > 0 (m*omega may leave the float range)."""
+    m_omega = p.atom_mass_m * (2.0 * math.pi * p.radial_frequency_nu)
+    a0 = math.sqrt(HBAR / m_omega) if m_omega else math.inf
+    return require("oscillator length a0", a0, gt=0)
 
 
 def q_from_n(p: PhysicalParams) -> float:

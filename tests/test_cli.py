@@ -371,6 +371,22 @@ def test_one_eigendecomposition_per_grid(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_one_propagator_per_evolve_run(tmp_path, monkeypatch):
+    # the time error's steps and the partial step of the snapshot between two steps
+    # run on the propagator of the run
+    from gpesoliton import dynamics
+
+    built, init = [], dynamics._Propagator.__init__
+    monkeypatch.setattr(dynamics._Propagator, "__init__",
+                        lambda self, *a: built.append(1) or init(self, *a))
+    argv = ["evolve", "--geometry", "line", "--n-s", "64", "--initial", "composite",
+            "--t-final", "0.05", "--snapshot-times", "0.015", "--quiet",
+            "--out", str(tmp_path / "e.csv")]
+    assert cli.main(argv) == 0
+    assert (tmp_path / "e.snapshot_0.015.csv").exists()
+    assert len(built) == 1
+
+
 def test_lambda_scan_runs_on_the_manifest_grid(tmp_path, monkeypatch):
     from gpesoliton import collapse
 
@@ -768,10 +784,19 @@ _EVOLVE = ["evolve", "--geometry", "line", "--n-s", "64", "--initial", "composit
      "--r-max"),
     (["ground", "--geometry", "line", "--n-s", "64", "--q", "5", "--lambda-z", "nan"],
      "--lambda-z"),
+    # finite values whose a0 or step count is not: m*omega underflows to 0 (a0 would
+    # be inf), or overflows (a0 would be 0, and N = 0 for Q = 5), or 1e308 / dt does
+    (["units", "--n", "5", "--nu", "1e-310"],
+     "error: oscillator length a0 must be a finite number > 0, got inf\n"),
+    (["units", "--q", "5", "--nu", "1e300", "--mass-u", "1e300"],
+     "error: oscillator length a0 must be a finite number > 0, got 0.0\n"),
+    (_EVOLVE + ["--t-final", "0.05", "--snapshot-times", "1e308"],
+     "error: snapshot time / dt must be a finite number, got inf\n"),
 ], ids=["collapse-tol", "evolve-t-final-nan", "evolve-t-final-inf", "evolve-dt",
         "evolve-snapshot-times", "evolve-param-inf", "evolve-param-nan", "analytic-lambda-z",
         "analytic-q", "units-n", "ground-q", "ground-s-extent", "ground-r-max",
-        "ground-lambda-z"])
+        "ground-lambda-z", "units-nu-underflow", "units-mass-nu-overflow",
+        "evolve-snapshot-1e308"])
 def test_non_finite_value_fails_naming_the_flag(tmp_path, capsys, argv, flag):
     assert cli.main(argv + ["--out", str(tmp_path / "o.csv")]) == 1
     err = capsys.readouterr().err

@@ -9,7 +9,7 @@ from gpesoliton.collapse import find_threshold
 from gpesoliton import grid as grid_module
 from gpesoliton.dynamics import (SPONGE_STRENGTH, EhrenfestReport, PropagationConfig,
                                  _Propagator, _fit_oscillation, _sponge_mask, _taylor_terms,
-                                 boost, displace, ehrenfest_check, propagate, time_error)
+                                 boost, displace, ehrenfest_check, propagate)
 from gpesoliton.energy import TrapSpec, hamiltonian, quartic_coefficient
 from gpesoliton.errors import BlowupError, DomainError
 from gpesoliton.grid import (Geometry, Wavefunction, cylindrical_grid, default_half_extent_s,
@@ -40,7 +40,7 @@ class TestStationaryStates:
     def test_eigenstate_density_frozen(self, relaxed_iso):
         u0 = relaxed_iso.wavefunction.normalized()
         cfg = PropagationConfig(t_final=0.05, dt=2e-5, observe_every=250)
-        _, fin = propagate(u0, TrapSpec(1.0), 0.0, None, cfg)
+        _, _, fin, _ = propagate(u0, TrapSpec(1.0), 0.0, None, cfg)
         drift = np.max(np.abs(np.abs(fin.values) - np.abs(u0.values)))
         assert drift < 1e-8
 
@@ -52,7 +52,7 @@ class TestStationaryStates:
         res = relax(default_initial(g, trap, 0.0), trap, 0.0, DescentConfig(residual_tol=1e-12))
         assert res.converged
         u0 = res.wavefunction.normalized()
-        _, fin = propagate(u0, trap, 0.0, None, PropagationConfig(t_final=1.0))
+        _, _, fin, _ = propagate(u0, trap, 0.0, None, PropagationConfig(t_final=1.0))
         drift = np.max(np.abs(np.abs(fin.values) - np.abs(u0.values)))
         assert drift <= 1e-12 * np.max(np.abs(u0.values))
 
@@ -61,7 +61,7 @@ class TestStationaryStates:
         mu = relaxed_iso.energy.chemical_potential
         tau = 0.5
         cfg = PropagationConfig(t_final=tau, dt=1e-4, observe_every=1000)
-        _, fin = propagate(u0, TrapSpec(1.0), 0.0, None, cfg)
+        _, _, fin, _ = propagate(u0, TrapSpec(1.0), 0.0, None, cfg)
         i0 = np.unravel_index(np.argmax(np.abs(u0.values)), u0.values.shape)
         phase = -np.angle(fin.values[i0] / u0.values[i0])
         assert phase == pytest.approx(mu * tau, rel=1e-3)
@@ -69,13 +69,13 @@ class TestStationaryStates:
     def test_norm_conservation_per_1000_steps(self):
         u0 = boost(line_soliton(), 0.3).normalized()
         cfg = PropagationConfig(t_final=1.0, dt=1e-3, observe_every=1000)
-        records, _ = propagate(u0, TrapSpec(0.0), 5.0, None, cfg)
+        records, *_ = propagate(u0, TrapSpec(0.0), 5.0, None, cfg)
         assert abs(records[-1].norm - 1.0) < 1e-8
 
     def test_energy_conservation(self):
         u0 = line_soliton()
         cfg = PropagationConfig(t_final=2.0, dt=5e-4, observe_every=100)
-        records, _ = propagate(u0, TrapSpec(0.0), 5.0, None, cfg)
+        records, *_ = propagate(u0, TrapSpec(0.0), 5.0, None, cfg)
         energies = [r.energy.total for r in records]
         drift = max(abs(e - energies[0]) for e in energies) / abs(energies[0])
         assert drift < 1e-6
@@ -89,7 +89,7 @@ class TestStationaryStates:
                     DescentConfig(residual_tol=1e-8))
         assert res.converged
         u0 = res.wavefunction.normalized()
-        _, fin = propagate(u0, trap, 5.0, None, PropagationConfig(t_final=2.0))
+        _, _, fin, _ = propagate(u0, trap, 5.0, None, PropagationConfig(t_final=2.0))
         peak = np.abs(u0.values).max()
         drift = np.max(np.abs(np.abs(fin.values) - np.abs(u0.values)))
         assert drift < 1e-6 * peak
@@ -159,20 +159,33 @@ class TestStrangStep:
         u0 = small_soliton(cylindrical)
         trap = TrapSpec(0.3)
         cfg = PropagationConfig(t_final=0.2, dt=1e-3, observe_every=50, sponge_width=sponge)
-        _, fin = propagate(u0, trap, 5.0, None, cfg)
+        _, _, fin, _ = propagate(u0, trap, 5.0, None, cfg)
         ref = reference_strang(u0, trap, 5.0, cfg, 200)
         if sponge:
             assert fin.norm() < 1.0 - 1e-6  # the sponge layer was reached
         assert np.max(np.abs(fin.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("sponge", [0.0, 4.0], ids=["free", "sponge"])
+    @pytest.mark.parametrize("cylindrical", [False, True], ids=["line", "cylindrical"])
+    def test_time_error_is_the_step_doubling_formula(self, cylindrical, sponge):
+        # |two steps of dt - one of 2 dt| / 3, scaled from 2 dt to t_final
+        u0, trap = small_soliton(cylindrical), TrapSpec(0.3)
+        cfg = PropagationConfig(t_final=0.2, sponge_width=sponge)
+        *_, estimate = propagate(u0, trap, 5.0, None, cfg)
+        fine = reference_strang(u0, trap, 5.0, cfg, 2)
+        coarse = reference_strang(u0, trap, 5.0, PropagationConfig(
+            t_final=0.2, dt=2.0 * cfg.dt, sponge_width=sponge), 1)
+        expected = u0.grid.norm(fine - coarse) / 3.0 * cfg.t_final / (2.0 * cfg.dt)
+        assert estimate == pytest.approx(expected, rel=1e-12)
+
     def test_records_on_cadence_and_at_the_end(self):
         u0 = small_soliton(False)
         cfg = PropagationConfig(t_final=21 * 5e-4, dt=5e-4, observe_every=4)
-        records, fin = propagate(u0, TrapSpec(0.0), 5.0, None, cfg)
+        records, _, fin, _ = propagate(u0, TrapSpec(0.0), 5.0, None, cfg)
         assert [r.tau for r in records] == [k * 5e-4 for k in (0, 4, 8, 12, 16, 20, 21)]
         # a record's bits do not depend on the cadence: the every-step run holds them
-        every, fin_every = propagate(u0, TrapSpec(0.0), 5.0, None,
-                                     PropagationConfig(t_final=21 * 5e-4, dt=5e-4))
+        every, _, fin_every, _ = propagate(u0, TrapSpec(0.0), 5.0, None,
+                                           PropagationConfig(t_final=21 * 5e-4, dt=5e-4))
         assert np.array_equal([r.csv_row() for r in records],
                               [every[k].csv_row() for k in (0, 4, 8, 12, 16, 20, 21)],
                               equal_nan=True)
@@ -247,7 +260,7 @@ def test_scipy_fallback_propagates_like_the_bundled_lapack(monkeypatch, cylindri
         if not bundled:
             monkeypatch.setattr(grid_module, "_bundled_lapack", lambda: None)
         runs.append(propagate(u0, TrapSpec(0.3), 5.0, None, cfg, [0.025]))
-    (rec_a, snap_a, fin_a), (rec_b, snap_b, fin_b) = runs
+    (rec_a, [snap_a], fin_a, _), (rec_b, [snap_b], fin_b, _) = runs
     for a, b in ((snap_a, snap_b), (fin_a, fin_b)):
         assert np.max(np.abs(a.values - b.values)) <= 1e-13 * np.max(np.abs(a.values))
     assert np.allclose([r.csv_row() for r in rec_a], [r.csv_row() for r in rec_b],
@@ -260,9 +273,10 @@ class TestSnapshots:
     @pytest.mark.parametrize("k", [8, 13], ids=["on-cadence", "off-cadence"])
     def test_snapshot_is_the_state_of_the_run_stopped_there(self, k):
         u0 = small_soliton(True)
-        _, snap, _ = propagate(u0, TrapSpec(0.3), 5.0, None, self.CFG, [k * 1e-3])
-        _, stopped = propagate(u0, TrapSpec(0.3), 5.0, None,
-                               PropagationConfig(t_final=k * 1e-3, dt=1e-3, observe_every=4))
+        _, [snap], _, _ = propagate(u0, TrapSpec(0.3), 5.0, None, self.CFG, [k * 1e-3])
+        _, _, stopped, _ = propagate(u0, TrapSpec(0.3), 5.0, None,
+                                     PropagationConfig(t_final=k * 1e-3, dt=1e-3,
+                                                       observe_every=4))
         assert np.array_equal(snap.values, stopped.values)
 
     def test_on_cadence_snapshots_change_no_record(self):
@@ -271,10 +285,10 @@ class TestSnapshots:
         u0 = small_soliton(True)
         for every in (1, 4):
             cfg = PropagationConfig(t_final=22 * 1e-3, dt=1e-3, observe_every=every)
-            plain, fin = propagate(u0, TrapSpec(0.3), 5.0, None, cfg)
+            plain, _, fin, _ = propagate(u0, TrapSpec(0.3), 5.0, None, cfg)
             for steps in ([4, 12, 20], [13], [13.25], [0.5, 13, 13.25, 20]):
-                records, *_, fin_snap = propagate(u0, TrapSpec(0.3), 5.0, None, cfg,
-                                                  [s * 1e-3 for s in steps])
+                records, _, fin_snap, _ = propagate(u0, TrapSpec(0.3), 5.0, None, cfg,
+                                                    [s * 1e-3 for s in steps])
                 assert np.array_equal([r.csv_row() for r in records],
                                       [r.csv_row() for r in plain], equal_nan=True)
                 assert np.array_equal(fin_snap.values, fin.values)
@@ -283,25 +297,26 @@ class TestSnapshots:
     def test_fractional_snapshot_is_the_stopped_run_one_partial_step_on(self, cylindrical):
         u0 = small_soliton(cylindrical)
         trap = TrapSpec(0.3)
-        plain, fin = propagate(u0, trap, 5.0, None, self.CFG)
+        plain, _, fin, _ = propagate(u0, trap, 5.0, None, self.CFG)
         times = [s * 1e-3 for s in (12.25, 0.5, 13.5, 12.25, 20.75)]
-        records, *snaps, fin_snap = propagate(u0, trap, 5.0, None, self.CFG, times)
+        records, snaps, fin_snap, _ = propagate(u0, trap, 5.0, None, self.CFG, times)
         assert np.array_equal([r.csv_row() for r in records], [r.csv_row() for r in plain],
                               equal_nan=True)
         assert np.array_equal(fin_snap.values, fin.values)
         for t, snap in zip(sorted(times), snaps):
             k = math.floor(t / 1e-3)
-            _, stopped = propagate(u0, trap, 5.0, None,
-                                   PropagationConfig(t_final=k * 1e-3, dt=1e-3,
-                                                     observe_every=4))
+            _, _, stopped, _ = propagate(u0, trap, 5.0, None,
+                                         PropagationConfig(t_final=k * 1e-3, dt=1e-3,
+                                                           observe_every=4))
             h = (t / 1e-3 - k) * 1e-3  # the remainder as `propagate` forms it
-            _, partial = propagate(stopped, trap, 5.0, None, PropagationConfig(t_final=h, dt=h))
+            _, _, partial, _ = propagate(stopped, trap, 5.0, None,
+                                         PropagationConfig(t_final=h, dt=h))
             assert np.array_equal(snap.values, partial.values)
 
     def test_one_state_per_step_in_order(self):
         u0 = small_soliton(False)
-        records, *snaps, fin = propagate(u0, TrapSpec(0.0), 5.0, None, self.CFG,
-                                         [0.022, 0.005, 0.0, 0.005])
+        records, snaps, fin, _ = propagate(u0, TrapSpec(0.0), 5.0, None, self.CFG,
+                                           [0.022, 0.005, 0.0, 0.005])
         assert len(snaps) == 4
         assert np.array_equal(snaps[0].values, u0.values)
         assert np.array_equal(snaps[1].values, snaps[2].values)
@@ -314,7 +329,8 @@ class TestSnapshots:
             propagate(small_soliton(False), TrapSpec(0.0), 5.0, None, self.CFG, [0.023])
 
     def test_no_step_is_taken_twice(self, monkeypatch):
-        # 22 steps, plus one partial step for the snapshot at 13.25, on one propagator
+        # the time error's 3 steps, 22 steps and one partial step for the snapshot at
+        # 13.25, on one propagator
         built, kinetic = [], []
         init, step = _Propagator.__init__, _Propagator._kinetic
         monkeypatch.setattr(_Propagator, "__init__",
@@ -323,14 +339,14 @@ class TestSnapshots:
                             lambda self, v: kinetic.append(1) or step(self, v))
         propagate(small_soliton(True), TrapSpec(0.3), 5.0, None, self.CFG,
                   [0.004, 0.013, 0.01325, 0.01325, 0.022])
-        assert (len(built), len(kinetic)) == (1, 23)
+        assert (len(built), len(kinetic)) == (1, 26)
 
 
 class TestGalileanTransport:
     def test_boosted_soliton_rides_at_v(self):
         u0 = boost(line_soliton(half=40.0, n=1024), 0.5).normalized()
         cfg = PropagationConfig(t_final=5.0, dt=5e-4, observe_every=100)
-        records, fin = propagate(u0, TrapSpec(0.0), 5.0, None, cfg)
+        records, _, fin, _ = propagate(u0, TrapSpec(0.0), 5.0, None, cfg)
         assert records[-1].x_s == pytest.approx(0.5 * 5.0, rel=0.01)
         # shape preserved in the comoving frame
         shifted = displace(fin, -records[-1].x_s)
@@ -340,7 +356,7 @@ class TestGalileanTransport:
     def test_free_soliton_stays_put(self):
         u0 = line_soliton()
         cfg = PropagationConfig(t_final=2.0, dt=5e-4, observe_every=100)
-        records, _ = propagate(u0, TrapSpec(0.0), 5.0, None, cfg)
+        records, *_ = propagate(u0, TrapSpec(0.0), 5.0, None, cfg)
         assert abs(records[-1].x_s) < 1e-6
 
 
@@ -371,8 +387,8 @@ class TestDefaultStep:
             cfg = PropagationConfig(t_final=self.T, dt=dt / k,
                                     observe_every=PropagationConfig.observe_every * k)
             out[k] = propagate(u0, TrapSpec(0.0), 5.0, None, cfg)
-        cfg = PropagationConfig(t_final=self.T)
-        return g, out, time_error(u0, TrapSpec(0.0), 5.0, None, cfg)
+        # the k = 1 run is the default step's, and its estimate is the one `evolve` reports
+        return g, out, out[1][3]
 
     def test_centroid_time_error_below_a_thousandth_of_the_lattice(self, runs):
         g, out, _ = runs
@@ -384,8 +400,8 @@ class TestDefaultStep:
         cfg = PropagationConfig(t_final=self.T)
         ref_cfg = PropagationConfig(t_final=self.T, dt=cfg.dt / 8,
                                     observe_every=8 * cfg.observe_every)
-        records, _ = propagate(u0, TrapSpec(0.0), 5.0, None, cfg)
-        ref, _ = propagate(u0, TrapSpec(0.0), 5.0, None, ref_cfg)
+        records, *_ = propagate(u0, TrapSpec(0.0), 5.0, None, cfg)
+        ref, *_ = propagate(u0, TrapSpec(0.0), 5.0, None, ref_cfg)
         self.assert_centroid_within_criterion(g, v, records, ref)
 
     def test_records_stay_at_a_hundredth(self):
@@ -394,9 +410,9 @@ class TestDefaultStep:
 
     def test_second_order_and_estimate(self, runs):
         g, out, estimate = runs
-        diff = {k: g.norm(out[k][1].values - out[2 * k][1].values) for k in (1, 2)}
+        diff = {k: g.norm(out[k][2].values - out[2 * k][2].values) for k in (1, 2)}
         assert 1.8 <= math.log2(diff[1] / diff[2]) <= 2.2
-        measured = g.norm(out[1][1].values - out[8][1].values)
+        measured = g.norm(out[1][2].values - out[8][2].values)
         assert measured / 1.5 <= estimate <= 1.5 * measured
 
 
@@ -412,7 +428,7 @@ class TestNoExpansion:
         assert res.converged
         # the trap switched off; records at tau = 0 and t_final only
         cfg = PropagationConfig(t_final=20.0, observe_every=10 ** 6)
-        records, _ = propagate(res.wavefunction.normalized(), TrapSpec(0.0), Q, None, cfg)
+        records, *_ = propagate(res.wavefunction.normalized(), TrapSpec(0.0), Q, None, cfg)
         return records[-1].w_s / records[0].w_s
 
     def test_soliton_keeps_its_width(self):
@@ -459,7 +475,7 @@ class TestQuasiparticle:
         # a record every tau = 1 at the default step
         cfg = PropagationConfig(t_final=60.0, observe_every=round(1.0 / PropagationConfig.dt))
         well = ExternalPotential(parse("-0.02*sech((s-4)/3)^2"), {})
-        records, _ = propagate(u0, trap, Q, well, cfg)
+        records, *_ = propagate(u0, trap, Q, well, cfg)
         x_s = np.array([r.x_s for r in records])
         rho0 = g.weights * u0.density()
         rigid = self.rk4(lambda x: float(self.force(g.s + x) @ rho0), x_s[0], 60.0)
@@ -546,7 +562,7 @@ class TestEhrenfest:
         period = 2 * math.pi / lz
         # two periods, on the dt lattice
         cfg = PropagationConfig(t_final=round(2 * period, 3), dt=1e-3, observe_every=50)
-        records, _ = propagate(u0, trap, 5.0, None, cfg)
+        records, *_ = propagate(u0, trap, 5.0, None, cfg)
         rep = ehrenfest_check(records, trap)
         assert rep.fitted_frequency == pytest.approx(lz, rel=0.01)
         assert rep.fitted_amplitude == pytest.approx(2.0, rel=0.02)
@@ -556,7 +572,7 @@ class TestEhrenfest:
         u0 = line_soliton(half=40.0, n=1024)
         tilt = ExternalPotential(parse("F*s"), {"F": F})
         cfg = PropagationConfig(t_final=10.0, dt=1e-3, observe_every=100)
-        records, _ = propagate(u0, TrapSpec(0.0), 5.0, tilt, cfg)
+        records, *_ = propagate(u0, TrapSpec(0.0), 5.0, tilt, cfg)
         rep = ehrenfest_check(records, TrapSpec(0.0), tilt)
         assert rep.max_force_mismatch < 0.01 * F
         # centroid follows -F tau^2 / 2
@@ -566,7 +582,7 @@ class TestEhrenfest:
     def test_free_motion_zero_acceleration(self):
         u0 = boost(line_soliton(half=40.0, n=1024), 0.2).normalized()
         cfg = PropagationConfig(t_final=4.0, dt=1e-3, observe_every=100)
-        records, _ = propagate(u0, TrapSpec(0.0), 5.0, None, cfg)
+        records, *_ = propagate(u0, TrapSpec(0.0), 5.0, None, cfg)
         rep = ehrenfest_check(records, TrapSpec(0.0))
         assert rep.max_force_mismatch < 1e-4
         assert rep.max_velocity_mismatch < 1e-4
@@ -581,7 +597,7 @@ class TestEhrenfest:
 
         def residual(dt):
             cfg = PropagationConfig(t_final=40.0, dt=dt, observe_every=50)
-            records, _ = propagate(u0, trap, 5.0, None, cfg)
+            records, *_ = propagate(u0, trap, 5.0, None, cfg)
             rep = ehrenfest_check(records, trap)
             return rep.max_velocity_mismatch
 
@@ -640,8 +656,9 @@ GUARDED_CALLS = {
     "hamiltonian": lambda x: hamiltonian(line_soliton(n=64), TrapSpec(0.0), x).total,
     "default_initial": lambda x: default_initial(line_grid(-30.0, 30.0, 64), TrapSpec(0.0), x),
     "default_half_extent_s": lambda x: default_half_extent_s(5.0, x),
-    "time_error": lambda x: time_error(line_soliton(n=64), TrapSpec(0.0), x, None,
-                                       PropagationConfig(t_final=0.05)),
+    # the Q of the run, whose propagator also takes the time error's steps
+    "time_error": lambda x: propagate(line_soliton(n=64), TrapSpec(0.0), x, None,
+                                      PropagationConfig(t_final=0.05)),
     "q_from_n": lambda x: q_from_n(PhysicalParams(x, x, x, x)),
     "q_from_n-N": lambda x: q_from_n(_li7(N=x)),
     "n_from_q": lambda x: n_from_q(x, _li7()),
@@ -674,16 +691,27 @@ class TestGuards:
             propagate(doubled, TrapSpec(0.0), 5.0, None,
                       PropagationConfig(t_final=0.1))
 
-    @pytest.mark.parametrize("run, scale", [(propagate, math.nan), (time_error, math.nan),
-                                            (time_error, 3.0)],
+    @pytest.mark.parametrize("scale, t_final", [(math.nan, 0.1), (math.nan, 0.0), (3.0, 0.0)],
                              ids=["propagate-nan", "time_error-nan", "time_error-3"])
-    def test_unit_norm_required_by_every_entry(self, run, scale):
-        # a NaN norm is no norm of 1 either: it must not reach the first record;
-        # test_requires_unit_norm covers propagate on a finite norm
+    def test_unit_norm_required_by_every_entry(self, scale, t_final):
+        # a NaN norm is no norm of 1 either: it must not reach the first record, nor
+        # the time error's steps, the only steps of a run to t_final = 0;
+        # test_requires_unit_norm covers a norm of 2
         u = line_soliton()
         with pytest.raises(DomainError, match="norm 1"):
-            run(Wavefunction(u.grid, scale * u.values), TrapSpec(0.0), 5.0, None,
-                PropagationConfig(t_final=0.1))
+            propagate(Wavefunction(u.grid, scale * u.values), TrapSpec(0.0), 5.0, None,
+                      PropagationConfig(t_final=t_final))
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda: PropagationConfig(t_final=1e300, dt=1e-10), "t_final"),
+        (lambda: PropagationConfig(t_final=0.05, dt=1e-320), "t_final"),
+        (lambda: propagate(line_soliton(n=64), TrapSpec(0.0), 5.0, None,
+                           PropagationConfig(t_final=0.05), [1e308]), "snapshot time"),
+    ], ids=["t_final-1e300", "dt-1e-320", "snapshot-1e308"])
+    def test_step_count_beyond_the_float_range_rejected(self, make, name):
+        # t / dt overflows to inf, which has no whole number of steps
+        with pytest.raises(DomainError, match=f"^{name} / dt must be a finite number, got inf$"):
+            make()
 
     def test_off_lattice_t_final_rejected(self):
         with pytest.raises(DomainError, match="t_final 0.0149 is off the dt = 0.01 lattice; "
@@ -693,7 +721,7 @@ class TestGuards:
     def test_sponge_absorbs_without_error(self):
         u0 = boost(line_soliton(half=20.0, n=512), 1.0).normalized()
         cfg = PropagationConfig(t_final=20.0, dt=1e-3, observe_every=200, sponge_width=4.0)
-        records, _ = propagate(u0, TrapSpec(0.0), 5.0, None, cfg)
+        records, *_ = propagate(u0, TrapSpec(0.0), 5.0, None, cfg)
         assert records[-1].norm < 0.9  # most of the pulse got eaten
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -724,7 +752,7 @@ class TestGuards:
             propagate(u, TrapSpec(1.0), 0.0, None, PropagationConfig(t_final=0.1))
 
     @pytest.mark.parametrize("call", [
-        lambda u: time_error(u, TrapSpec(1.0), 0.0, None, PropagationConfig(t_final=0.1)),
+        lambda u: propagate(u, TrapSpec(1.0), 0.0, None, PropagationConfig(t_final=0.1)),
         lambda u: propagate(u, TrapSpec(1.0), 0.0, None,
                             PropagationConfig(t_final=0.1, sponge_width=1.0)),
         lambda u: boost(u, 0.5),
@@ -765,7 +793,7 @@ class TestEhrenfestReportShape:
     def test_report_fields(self):
         u0 = line_soliton()
         cfg = PropagationConfig(t_final=0.5, dt=1e-3, observe_every=25)
-        records, _ = propagate(u0, TrapSpec(0.0), 5.0, None, cfg)
+        records, *_ = propagate(u0, TrapSpec(0.0), 5.0, None, cfg)
         rep = ehrenfest_check(records, TrapSpec(0.0))
         assert isinstance(rep, EhrenfestReport)
         assert rep.fitted_frequency is None

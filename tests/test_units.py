@@ -44,6 +44,18 @@ class TestOscillatorLength:
         with pytest.raises(DomainError):
             units.PhysicalParams(-1e-9, 1e-26, 0.0, 1.0)
 
+    # m*omega underflows to 0 (a0 would be infinite) or overflows to inf (a0 would be 0,
+    # and N = 0 for any Q)
+    @pytest.mark.parametrize("mass_u, nu, got", [(units.LI7_MASS_U, 1e-310, "inf"),
+                                                 (1e300, 1e300, "0.0")],
+                             ids=["underflow", "overflow"])
+    def test_a0_outside_the_float_range_rejected(self, mass_u, nu, got):
+        p = units.PhysicalParams(units.LI7_SCATTERING_LENGTH, mass_u * units.ATOMIC_MASS, nu, 5.0)
+        for call in (units.oscillator_length, units.q_from_n, lambda p: units.n_from_q(5.0, p)):
+            with pytest.raises(DomainError, match=f"oscillator length a0 must be a finite "
+                                                  f"number > 0, got {got}$"):
+                call(p)
+
 
 class TestInteractionStrength:
     def test_q10_matches_lithium_population(self):
