@@ -8,7 +8,7 @@ from .grid import Geometry, Grid, Wavefunction, cylindrical_grid, line_grid, sph
 from .groundstate import DescentConfig, GroundStateResult, default_initial, relax
 from .dynamics import PropagationConfig, boost, displace, ehrenfest_check, propagate
 from .observables import ObservableRecord, moments
-from .potentials import ExternalPotential, parse
+from .potentials import parse
 from .collapse import ThresholdResult, find_threshold, optimality_scan
 from .units import PhysicalParams, n_from_q, oscillator_length, q_from_n
 
@@ -18,7 +18,7 @@ __all__ = [
     "DescentConfig", "GroundStateResult", "default_initial", "relax",
     "PropagationConfig", "boost", "displace", "ehrenfest_check", "propagate",
     "ObservableRecord", "moments",
-    "ExternalPotential", "parse",
+    "parse",
     "ThresholdResult", "find_threshold", "optimality_scan",
     "PhysicalParams", "n_from_q", "oscillator_length", "q_from_n",
 ]

@@ -36,7 +36,7 @@ from .grid import (Geometry, Grid, Wavefunction, cylindrical_grid,
                    default_half_extent_s, line_grid, spherical_grid)
 from .groundstate import DescentConfig, analytic_state, default_initial, relax
 from .observables import ObservableRecord, moments
-from .potentials import FUNCTIONS, ExternalPotential, parse as parse_potential
+from .potentials import FUNCTIONS, parse as parse_potential
 
 log = logging.getLogger("gpesoliton.cli")  # also when run as __main__
 
@@ -321,13 +321,11 @@ def cmd_evolve(args):
     Q, lambda_z = args.q, args.lambda_z
     grid = build_run_grid(args, Q, lambda_z)
     trap = TrapSpec(lambda_z)
-    # sampled before the initial state, so that a bad potential costs no relaxation;
-    # the one propagator reuses the samples
-    ext = None
+    # V and dV/ds, sampled once and before the initial state, so that a bad potential
+    # costs no relaxation; the propagator and the Ehrenfest check take these samples
+    external = None
     if args.potential:
-        ext = ExternalPotential(parse_potential(args.potential), parse_params(args.param))
-        ext.sample(grid)
-        ext.sample_gradient_s(grid)
+        external = parse_potential(args.potential).sample(grid, parse_params(args.param))
     if args.initial == "ground":
         res = relax(default_initial(grid, trap, Q), trap, Q, _from_args(DescentConfig, args))
         if not res.converged:
@@ -343,14 +341,14 @@ def cmd_evolve(args):
     if args.boost:
         u0 = boost(u0, args.boost)
     u0 = u0.normalized()
-    records, snapshots, _, err = propagate(u0, trap, Q, ext, cfg, snap_times)
+    records, snapshots, _, err = propagate(u0, trap, Q, external, cfg, snap_times)
     out = Path(args.out)
     for t, u in zip(snap_times, snapshots):
         write_state_csv(out.parent / f"{out.stem}.{_snapshot_name(t)}.csv", u)
     write_csv(out, ObservableRecord.csv_columns(), [r.csv_row() for r in records])
     write_manifest(out, args, time_error=err)
     try:
-        rep = ehrenfest_check(records, trap, ext)
+        rep = ehrenfest_check(records, trap, external)
         log.info("ehrenfest: |dX/dt - <P>| <= %.3e, |d2X/dt2 + <dV/ds>| <= %.3e%s",
                  rep.max_velocity_mismatch, rep.max_force_mismatch,
                  "" if rep.fitted_frequency is None else

@@ -14,13 +14,13 @@ eigenstate (Q = 0) only turns its phase.
 
 A step is a half-step kick, the linear step and a half-step kick.  A kick
 multiplies by the nonlinear phase exp(i*phi), phi = dt/2*c|v|^2, and, where
-there is one, by exp(-i*dt/2*V_ext) * damping for an external potential and the
-sponge, one factor built once per dt.  phi is small (~4e-4 for a Q = 5 soliton
-at the default dt), so its cos and sin are Taylor polynomials (three terms each
-there), evaluated on contiguous real buffers to below half an ulp; past
-|phi| ~ 0.1 the kick falls back to np.cos and np.sin.  Kicks and linear steps
-work in place on the state and two scratch fields held by the propagator, so a
-step allocates no grid-sized array.
+there is one, by exp(-i*dt/2*V_ext) * damping for an external potential (its
+samples (V_ext, dV_ext/ds) on the grid) and the sponge, one factor built once
+per dt.  phi is small (~4e-4 for a Q = 5 soliton at the default dt), so its cos
+and sin are Taylor polynomials (three terms each there), evaluated on contiguous
+real buffers to below half an ulp; past |phi| ~ 0.1 the kick falls back to
+np.cos and np.sin.  Kicks and linear steps work in place on the state and two
+scratch fields held by the propagator, so a step allocates no grid-sized array.
 
 `PropagationConfig` owns the time lattice: t_final must be a whole number of
 steps, and a time within 1e-9 dt of step k is step k.  `propagate` returns
@@ -35,9 +35,9 @@ centroid moves off its dt/8 path by 3.0e-4 (v = 0.4) to 4.6e-4 (v = 0.6) of
 the lattice deficit 2 (v ds)^2/6 v tau on a 96 x 384 cylinder.  Each run
 estimates its own time error by step doubling.
 
-Optional sponge layers of width `sponge_width` damp outgoing radiation near the
-axial edges at the rate SPONGE_STRENGTH; they intentionally absorb norm, so runs
-with a sponge skip the norm-drift guard.
+Optional sponge layers of width `sponge_width`, at most half the axial extent,
+damp outgoing radiation near the axial edges at the rate SPONGE_STRENGTH; they
+absorb norm on purpose, so runs with a sponge skip the norm-drift guard.
 
 `displace` (its natural cubic spline) and the Ehrenfest frequency fit are
 numpy and `TridiagonalFactor` only: importing scipy.interpolate or
@@ -55,7 +55,6 @@ from .energy import TrapSpec, hamiltonian, quartic_coefficient, trap_terms
 from .errors import BlowupError, DomainError, StepSizeError, require
 from .grid import Grid, TridiagonalFactor, Wavefunction
 from .observables import moments
-from .potentials import ExternalPotential
 
 NORM_DRIFT_LIMIT = 1e-6
 SPONGE_STRENGTH = 5.0  # damping rate at the outer edge of a sponge layer
@@ -91,6 +90,9 @@ class PropagationConfig:
 def _sponge_mask(grid: Grid, width: float):
     s = grid.s_coords()
     lo, hi = s[0] - 0.5 * grid.ds, s[-1] + 0.5 * grid.ds
+    if 2.0 * width > hi - lo:
+        raise DomainError(f"sponge layers of width {width:g} overlap in the axial extent "
+                          f"{hi - lo:g}")
     left = np.clip((lo + width - s) / width, 0.0, 1.0)
     right = np.clip((s - (hi - width)) / width, 0.0, 1.0)
     return left ** 2 + right ** 2  # along s, so it broadcasts over the rho rows
@@ -110,8 +112,7 @@ def _taylor_terms(x_max):
 
 
 class _Propagator:
-    def __init__(self, grid: Grid, trap: TrapSpec, Q: float,
-                 external: ExternalPotential | None, cfg: PropagationConfig):
+    def __init__(self, grid: Grid, trap: TrapSpec, Q: float, external, cfg: PropagationConfig):
         grid.s_coords()  # DomainError on a grid with no s axis to propagate along
         self.grid = grid
         self.trap = trap
@@ -120,11 +121,9 @@ class _Propagator:
         # so the cubic coefficient is c itself; the flow then conserves
         # hamiltonian(...).total
         self.c3 = quartic_coefficient(grid.kind, Q)
-        self.ext_samples = None
-        self.ext_grad = None
-        if external is not None:
-            self.ext_samples = external.sample(grid)
-            self.ext_grad = external.sample_gradient_s(grid)
+        # V and dV/ds of an external potential, or None
+        self.ext_samples, self.ext_grad = (None, None) if external is None else (
+            grid.check(f, "external potential") for f in external)
         self.sponge = None
         if cfg.sponge_width > 0:
             self.sponge = SPONGE_STRENGTH * _sponge_mask(grid, cfg.sponge_width)
@@ -227,10 +226,11 @@ class _Propagator:
         return rec
 
 
-def propagate(u0: Wavefunction, trap: TrapSpec, Q: float,
-              external: ExternalPotential | None, cfg: PropagationConfig, snapshot_times=()):
+def propagate(u0: Wavefunction, trap: TrapSpec, Q: float, external, cfg: PropagationConfig,
+              snapshot_times=()):
     """Propagate a unit-norm state; returns (records, snapshots, final state, time error).
 
+    `external` is None or the (V, dV/ds) pair of `PotentialExpr.sample` on u0's grid.
     `snapshots` lists a state per entry of `snapshot_times` (in [0, t_final]), in
     ascending order of time, duplicates kept.  Records are taken at tau = k * dt
     for k = 0, every `observe_every` steps and the final step (off that cadence
@@ -244,8 +244,10 @@ def propagate(u0: Wavefunction, trap: TrapSpec, Q: float,
     of dt from u0 differ from one of 2*dt by 3x the two steps' error
     (Richardson), extrapolated linearly to t_final.
 
-    Raises StepSizeError when the norm drifts beyond 1e-6 (never expected with this
-    unitary scheme unless inputs are broken) and BlowupError on non-finite values.
+    Raises GridMismatchError for samples of another grid's shape and DomainError
+    for overlapping sponge layers, both before any step; StepSizeError when the
+    norm drifts beyond 1e-6 (never expected with this unitary scheme unless inputs
+    are broken) and BlowupError on non-finite values.
     """
     u0.require_unit_norm()
     n_steps = _step("t_final", cfg.t_final, cfg.dt)
@@ -373,8 +375,7 @@ def _fit_oscillation(tau, x):
     return w, math.hypot(a, b)
 
 
-def ehrenfest_check(records, trap: TrapSpec,
-                    external: ExternalPotential | None = None) -> EhrenfestReport:
+def ehrenfest_check(records, trap: TrapSpec, external=None) -> EhrenfestReport:
     """Centroid-law diagnostics on a recorded trajectory.
 
     Velocity: finite-difference dX/dtau against the recorded <P>.  Force:

@@ -8,15 +8,15 @@ them into rows, so the three geometries share one code path, and an absent
 axis has no couplings.
 
 Every axis is n equal cells over its extent (`_cells`), and the constructors
-raise DomainError for an extent that is reversed, NaN or infinite, and for an
-n that is not an integer of at least MIN_RESOLUTION.  Nodes are cell-centered:
-radial nodes sit at half-integer offsets (rho_i = (i + 1/2) * d_rho) so none
-touches the coordinate axis.  Quadrature weights are the exact integrals of
-the geometric measure over each cell, which makes integrate(1) match the
-analytic domain volume to round-off.  The Laplacian is the matching
-finite-volume stencil: symmetric negative semidefinite under the weight inner
-product, with homogeneous Dirichlet (zero ghost) beyond the outer edges and
-the axis handled by the vanishing inner face area.
+raise DomainError for an extent that is reversed, NaN or infinite, for an n
+that is not an integer of at least MIN_RESOLUTION, and for cells whose 1/d^2
+or measure leaves the float range.  Nodes are cell-centered: radial nodes sit
+at half-integer offsets (rho_i = (i + 1/2) * d_rho) so none touches the axis.
+Quadrature weights are the exact integrals of the geometric measure over each
+cell, which makes integrate(1) match the analytic domain volume to round-off.
+The Laplacian is the matching finite-volume stencil: symmetric negative
+semidefinite under the weight inner product, with homogeneous Dirichlet (zero
+ghost) beyond the outer edges, and no flux through the axis face, of zero area.
 
 Tridiagonal LU (LAPACK gttrf/gttrs) is called through ctypes in the OpenBLAS
 that the numpy wheel bundles and has already loaded, so importing this module
@@ -358,13 +358,19 @@ class TridiagonalFactor:
         return self._lu.solve(b, b.size // self.size)
 
 
-def _cells(lo, hi, n, axis, n_name):
-    """(nodes, spacing) of n equal cells over [lo, hi], the nodes at their centres;
-    DomainError unless lo < hi are finite and n is an integer >= MIN_RESOLUTION."""
+def _cells(lo, hi, n, axis, n_name, dim=1):
+    """(nodes, spacing d) of n equal cells over [lo, hi], the nodes at their centres;
+    DomainError unless lo < hi are finite, n is an integer >= MIN_RESOLUTION, and the
+    stencil's 1/d^2 and the measure d^dim (dim 1, 2, 3 for s, rho, r) are finite > 0."""
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"the {axis} axis needs finite ends lo < hi, got [{lo}, {hi}]")
     require(n_name, n, ge=MIN_RESOLUTION, integer=True)
     d = (hi - lo) / n
+    with np.errstate(all="ignore"):
+        inv_d2, measure = 1.0 / np.float64(d) ** 2, np.float64(d) ** dim
+    if not (0.0 < inv_d2 < math.inf and 0.0 < measure < math.inf):
+        raise DomainError(f"the {axis} axis's cells of size {d:g} put 1/d^2 = {inv_d2:g} or "
+                          f"d^{dim} = {measure:g} outside the float range")
     return lo + (np.arange(n) + 0.5) * d, d
 
 
@@ -376,7 +382,7 @@ def line_grid(s_min: float, s_max: float, n_s: int) -> Grid:
 
 def cylindrical_grid(rho_max: float, s_min: float, s_max: float,
                      n_rho: int, n_s: int) -> Grid:
-    rho, drho = _cells(0.0, rho_max, n_rho, "rho", "n_rho")
+    rho, drho = _cells(0.0, rho_max, n_rho, "rho", "n_rho", 2)
     s, ds = _cells(s_min, s_max, n_s, "s", "n_s")
     # midpoint value x cell size is the exact cell integral of 2*pi*rho drho ds
     weights = (2.0 * math.pi * rho * drho * ds)[:, None] * np.ones(n_s)[None, :]
@@ -386,7 +392,7 @@ def cylindrical_grid(rho_max: float, s_min: float, s_max: float,
 
 
 def spherical_grid(r_max: float, n_r: int) -> Grid:
-    r, dr = _cells(0.0, r_max, n_r, "r", "n_r")
+    r, dr = _cells(0.0, r_max, n_r, "r", "n_r", 3)
     i = np.arange(n_r, dtype=float)
     # exact shell volumes (4*pi/3)((i+1)^3 - i^3) dr^3
     weights = (4.0 * math.pi / 3.0) * ((i + 1.0) ** 3 - i ** 3) * dr ** 3

@@ -27,6 +27,8 @@ evaluator runs on complex s, and with no difference of two samples there is no
 cancellation, so h can be tiny and the derivative is exact to round-off
 (Squire & Trapp, SIAM Rev. 40, 110, 1998).  abs and sech take analytic,
 overflow-free forms off the real axis; on it they are the plain numpy ones.
+`PotentialExpr.sample` evaluates V and dV/ds on a grid, each once per call, and
+caches nothing: a caller that needs them again keeps the pair.
 """
 
 from __future__ import annotations
@@ -151,14 +153,35 @@ class PotentialExpr:
 
     root: ast.expr  # admitted by parse; each Constant holds the float of its text
     source: str
-    names: frozenset[str]  # the free parameters
-
-    def parameters(self) -> frozenset[str]:
-        return self.names
+    parameters: frozenset[str]  # the free ones, bound at evaluation time
 
     def __call__(self, s=None, rho=None, params=None):
         env = {k: np.asarray(v, dtype=float) for k, v in (("s", s), ("rho", rho)) if v is not None}
         return _eval(self.root, env, dict(params or {}))
+
+    def sample(self, grid: Grid, params):
+        """(V, dV/ds) at every node of `grid`, read-only and of its shape; each field
+        evaluated once, both before either is checked.  UnboundParameterError for a
+        parameter missing from `params`, then DomainError on a grid with no s axis or
+        naming the first node where either field is non-finite."""
+        missing = self.parameters - set(params)
+        if missing:
+            raise UnboundParameterError(missing)
+        s = grid.s_coords()
+        env = {} if grid.rho is None else {"rho": grid.rho_coords()}
+        with np.errstate(over="ignore"):  # an overflow is a non-finite sample, named below
+            fields = (_eval(self.root, {**env, "s": s}, params),
+                      np.imag(_eval(self.root, {**env, "s": s + 1j * _COMPLEX_STEP}, params))
+                      / _COMPLEX_STEP)
+        samples = tuple(np.broadcast_to(np.asarray(f, dtype=float), grid.shape).copy()
+                        for f in fields)
+        for values, source in zip(samples, (self.source, f"d/ds({self.source})")):
+            values.setflags(write=False)
+            if not np.all(np.isfinite(values)):
+                *i, j = np.argwhere(~np.isfinite(values))[0]
+                where = "".join(f"rho = {grid.rho[k]:g}, " for k in i) + f"s = {grid.s[j]:g}"
+                raise DomainError(f"potential '{source}' is non-finite at node ({where})")
+        return samples
 
 
 def _eval(root, env, params):
@@ -188,51 +211,3 @@ def _eval(root, env, params):
             else:  # a function or the negation, on the value below
                 values.append(node(values.pop()))
     return values.pop()
-
-
-def _sample(expr: PotentialExpr, grid: Grid, params, step=0.0):
-    """Samples of expr, or with step > 0 of d(expr)/ds by a complex step of that size."""
-    env = {"s": grid.s_coords() + 1j * step if step else grid.s_coords()}
-    if grid.rho is not None:
-        env["rho"] = grid.rho_coords()
-    values = _eval(expr.root, env, params)
-    if step:
-        values = np.imag(values) / step
-    values = np.broadcast_to(np.asarray(values, dtype=float), grid.shape).copy()
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        idx = tuple(int(k[0]) for k in np.nonzero(bad))
-        where = f"s = {grid.s[idx[-1]]:g}"
-        if grid.rho is not None:
-            where = f"rho = {grid.rho[idx[0]]:g}, {where}"
-        source = f"d/ds({expr.source})" if step else expr.source
-        raise DomainError(f"potential '{source}' is non-finite at node ({where})")
-    return values
-
-
-@dataclass(frozen=True)
-class ExternalPotential:
-    """A parsed expression with every parameter bound, ready to sample on grids;
-    each field is evaluated once per grid, into read-only samples."""
-
-    expr: PotentialExpr
-    params: dict
-
-    def __post_init__(self):
-        missing = self.expr.parameters() - set(self.params)
-        if missing:
-            raise UnboundParameterError(missing)
-        object.__setattr__(self, "_samples", {})  # (grid, step) -> samples
-
-    def _sampled(self, grid: Grid, step):
-        if (grid, step) not in self._samples:
-            self._samples[grid, step] = _sample(self.expr, grid, self.params, step)
-            self._samples[grid, step].setflags(write=False)
-        return self._samples[grid, step]
-
-    def sample(self, grid: Grid):
-        """Vectorized samples at every node; rejects non-finite values with coordinates."""
-        return self._sampled(grid, 0.0)
-
-    def sample_gradient_s(self, grid: Grid):
-        return self._sampled(grid, _COMPLEX_STEP)

@@ -349,6 +349,17 @@ def test_non_finite_potential_fails_before_the_relaxation(tmp_path, monkeypatch,
     assert calls == []
 
 
+@pytest.mark.parametrize("width", ["100", "1e300"])
+def test_overlapping_sponge_layers_fail_with_no_csv(tmp_path, capsys, width):
+    # the default box of Q = 5 is 54.7 long: these layers would damp the soliton itself
+    argv = ["evolve", "--geometry", "line", "--n-s", "64", "--initial", "composite",
+            "--t-final", "0.05", "--sponge-width", width, "--out", str(tmp_path / "e.csv")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (f"error: sponge layers of width {float(width):g} "
+                                       "overlap in the axial extent 54.7029\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_evolve_evaluates_the_potential_once_per_field(tmp_path, monkeypatch):
     # V and dV/ds, for the time-error estimate and the run alike
     calls, evaluate = [], potentials._eval
@@ -792,11 +803,27 @@ _EVOLVE = ["evolve", "--geometry", "line", "--n-s", "64", "--initial", "composit
      "error: oscillator length a0 must be a finite number > 0, got 0.0\n"),
     (_EVOLVE + ["--t-final", "0.05", "--snapshot-times", "1e308"],
      "error: snapshot time / dt must be a finite number, got inf\n"),
+    # finite extents whose cells' 1/d^2 or measure d^dim (dim = 1 along s, 2 for rho,
+    # 3 for r) is not: the grid names the axis
+    (["ground", "--geometry", "line", "--n-s", "64", "--q", "5", "--s-extent", "1e-200"],
+     "error: the s axis's cells of size 3.125e-202 put 1/d^2 = inf or d^1 = 3.125e-202 "
+     "outside the float range\n"),
+    (["ground", "--geometry", "line", "--n-s", "64", "--q", "5", "--s-extent", "1e200"],
+     "error: the s axis's cells of size 3.125e+198 put 1/d^2 = 0 or d^1 = 3.125e+198 "
+     "outside the float range\n"),
+    (["ground", "--geometry", "spherical", "--n-r", "32", "--q", "5", "--r-max", "1e200"],
+     "error: the r axis's cells of size 3.125e+198 put 1/d^2 = 0 or d^3 = inf "
+     "outside the float range\n"),
+    (["ground", "--geometry", "cylindrical", "--n-rho", "16", "--n-s", "32", "--q", "5",
+      "--rho-max", "1e-200"],
+     "error: the rho axis's cells of size 6.25e-202 put 1/d^2 = inf or d^2 = 0 "
+     "outside the float range\n"),
 ], ids=["collapse-tol", "evolve-t-final-nan", "evolve-t-final-inf", "evolve-dt",
         "evolve-snapshot-times", "evolve-param-inf", "evolve-param-nan", "analytic-lambda-z",
         "analytic-q", "units-n", "ground-q", "ground-s-extent", "ground-r-max",
         "ground-lambda-z", "units-nu-underflow", "units-mass-nu-overflow",
-        "evolve-snapshot-1e308"])
+        "evolve-snapshot-1e308", "ground-s-extent-tiny", "ground-s-extent-huge",
+        "ground-r-max-huge", "ground-rho-max-tiny"])
 def test_non_finite_value_fails_naming_the_flag(tmp_path, capsys, argv, flag):
     assert cli.main(argv + ["--out", str(tmp_path / "o.csv")]) == 1
     err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,12 +12,12 @@ from gpesoliton.dynamics import (SPONGE_STRENGTH, EhrenfestReport, PropagationCo
                                  _Propagator, _fit_oscillation, _sponge_mask, _taylor_terms,
                                  boost, displace, ehrenfest_check, propagate)
 from gpesoliton.energy import TrapSpec, hamiltonian, quartic_coefficient
-from gpesoliton.errors import BlowupError, DomainError
+from gpesoliton.errors import BlowupError, DomainError, GridMismatchError
 from gpesoliton.grid import (Geometry, Wavefunction, cylindrical_grid, default_half_extent_s,
                              line_grid, spherical_grid)
 from gpesoliton.groundstate import DescentConfig, default_initial, relax
 from gpesoliton.observables import moments
-from gpesoliton.potentials import ExternalPotential, parse
+from gpesoliton.potentials import parse
 from gpesoliton.units import PhysicalParams, n_from_q, q_from_n
 
 
@@ -201,10 +202,6 @@ class TestStrangStep:
             assert abs(u0.grid.norm(v) - before) <= 1e-13
 
 
-def strong_well():
-    return ExternalPotential(parse("-40*sech(s/2)^2"), {})
-
-
 class TestKick:
     """One half-step kick against v * exp(1j*theta) * damping, theta = h*(c*|v|^2 - V_ext),
     h = dt/2."""
@@ -212,7 +209,7 @@ class TestKick:
     CASES = {
         "line": (False, TrapSpec(0.3), 5.0, None, {}),
         "cylindrical-sponge": (True, TrapSpec(0.3), 5.0, None, {"sponge_width": 4.0}),
-        "cylindrical-external": (True, TrapSpec(0.0), 5.0, strong_well(), {}),
+        "cylindrical-external": (True, TrapSpec(0.0), 5.0, parse("-40*sech(s/2)^2"), {}),
         # phases h*cubic*|v|^2 up to 0.08, near the top of the polynomial's range
         "line-near-bound": (False, TrapSpec(0.3), 200.0, None, {"dt": 0.05}),
         # and up to 0.8, far beyond it
@@ -221,9 +218,10 @@ class TestKick:
 
     @pytest.mark.parametrize("case", list(CASES), ids=[f"{case}-half" for case in CASES])
     def test_matches_exp(self, case):
-        cylindrical, trap, Q, external, extra = self.CASES[case]
+        cylindrical, trap, Q, well, extra = self.CASES[case]
         u0 = small_soliton(cylindrical)
         cfg = PropagationConfig(t_final=1.0, **extra)
+        external = None if well is None else well.sample(u0.grid, {})
         prop = _Propagator(u0.grid, trap, Q, external, cfg)
         v = np.array(u0.values, dtype=complex)
         h, c = 0.5 * cfg.dt, quartic_coefficient(u0.grid.kind, Q)
@@ -231,7 +229,7 @@ class TestKick:
         if cfg.sponge_width > 0:
             damping = np.exp(-h * SPONGE_STRENGTH * _sponge_mask(u0.grid, cfg.sponge_width))
         # the trap is in the kinetic step: the kick's potential is the external one
-        potential = 0.0 if external is None else external.sample(u0.grid)
+        potential = 0.0 if external is None else external[0]
         density = np.abs(v) ** 2
         ref = v * np.exp(1j * h * (c * density - potential)) * damping
         phi_max = float(np.max(h * c * density))
@@ -474,7 +472,7 @@ class TestQuasiparticle:
         u0 = res.wavefunction.normalized()
         # a record every tau = 1 at the default step
         cfg = PropagationConfig(t_final=60.0, observe_every=round(1.0 / PropagationConfig.dt))
-        well = ExternalPotential(parse("-0.02*sech((s-4)/3)^2"), {})
+        well = parse("-0.02*sech((s-4)/3)^2").sample(g, {})
         records, *_ = propagate(u0, trap, Q, well, cfg)
         x_s = np.array([r.x_s for r in records])
         rho0 = g.weights * u0.density()
@@ -570,7 +568,7 @@ class TestEhrenfest:
     def test_linear_tilt_constant_force(self):
         F = 0.01
         u0 = line_soliton(half=40.0, n=1024)
-        tilt = ExternalPotential(parse("F*s"), {"F": F})
+        tilt = parse("F*s").sample(u0.grid, {"F": F})
         cfg = PropagationConfig(t_final=10.0, dt=1e-3, observe_every=100)
         records, *_ = propagate(u0, TrapSpec(0.0), 5.0, tilt, cfg)
         rep = ehrenfest_check(records, TrapSpec(0.0), tilt)
@@ -724,6 +722,27 @@ class TestGuards:
         records, *_ = propagate(u0, TrapSpec(0.0), 5.0, None, cfg)
         assert records[-1].norm < 0.9  # most of the pulse got eaten
 
+    @pytest.mark.parametrize("width", [100.0, 1e300, 27.35 + 1e-12])
+    def test_overlapping_sponge_layers_rejected(self, width):
+        # two layers wider than the box would damp the condensate itself; layers that
+        # almost meet are still allowed
+        u0 = default_initial(line_grid(-27.35, 27.35, 64), TrapSpec(0.0), 5.0)
+        with pytest.raises(DomainError, match=re.escape(
+                f"sponge layers of width {width:g} overlap in the axial extent 54.7") + "$"):
+            propagate(u0, TrapSpec(0.0), 5.0, None, PropagationConfig(t_final=0.05,
+                                                                       sponge_width=width))
+        propagate(u0, TrapSpec(0.0), 5.0, None, PropagationConfig(t_final=0.05,
+                                                                  sponge_width=27.3))
+
+    def test_samples_of_another_grid_rejected_before_any_step(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(_Propagator, "step", lambda *a: steps.append(a))
+        u0 = default_initial(line_grid(-27.35, 27.35, 64), TrapSpec(0.0), 5.0)
+        external = parse("0.01*s^2").sample(line_grid(-27.35, 27.35, 128), {})
+        with pytest.raises(GridMismatchError, match="external potential shape"):
+            propagate(u0, TrapSpec(0.0), 5.0, external, PropagationConfig(t_final=0.05))
+        assert steps == []
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("make", [
         lambda x: PropagationConfig(t_final=x),
@@ -758,10 +777,8 @@ class TestGuards:
         lambda u: boost(u, 0.5),
         lambda u: displace(u, 0.5),
         lambda u: displace(u, 0.0),
-        lambda u: ExternalPotential(parse("s^2"), {}).sample(u.grid),
-        lambda u: ExternalPotential(parse("s^2"), {}).sample_gradient_s(u.grid),
-    ], ids=["time_error", "sponge", "boost", "displace", "displace_by_0", "sample",
-            "sample_gradient_s"])
+        lambda u: parse("s^2").sample(u.grid, {}),
+    ], ids=["time_error", "sponge", "boost", "displace", "displace_by_0", "sample"])
     def test_spherical_rejected_by_every_s_consumer(self, call):
         # a spherical grid has no s axis; Grid.s_coords says so for each consumer
         g = spherical_grid(6.0, 64)

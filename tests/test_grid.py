@@ -43,6 +43,17 @@ class TestConstruction:
             for i, x in bad:
                 with pytest.raises(DomainError):
                     make(*args[:i], x, *args[i + 1:])
+        # finite extents whose cells put 1/d^2 or the measure d^dim (dim = 1 along s,
+        # 2 for rho, 3 for r) outside the float range; the error names the axis
+        for make, args, axis in [(line_grid, (-1e-200, 1e-200, 64), "s"),
+                                 (line_grid, (-1e200, 1e200, 64), "s"),
+                                 (cylindrical_grid, (1e-200, -1.0, 1.0, 16, 32), "rho"),
+                                 (cylindrical_grid, (2.0, -1e-200, 1e-200, 16, 32), "s"),
+                                 (spherical_grid, (1e200, 32), "r"),
+                                 (spherical_grid, (1e110, 32), "r"),  # d^3 alone overflows
+                                 (spherical_grid, (1e-120, 32), "r")]:  # d^3 alone underflows
+            with pytest.raises(DomainError, match=f"the {axis} axis's cells of size"):
+                make(*args)
 
     def test_default_extent_rule(self):
         # trap-free axis follows the soliton width; trapped axis the Gaussian width

@@ -1,5 +1,6 @@
 import ast
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,12 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from gpesoliton.errors import (DomainError, ParseError, UnboundParameterError,
                                UnknownIdentifierError)
-from gpesoliton.grid import cylindrical_grid, line_grid
-from gpesoliton.potentials import ExternalPotential, parse
+from gpesoliton import potentials
+from gpesoliton.grid import cylindrical_grid, line_grid, spherical_grid
+from gpesoliton.potentials import parse
 
 
 def sample(text, g, **params):
-    return ExternalPotential(parse(text), params).sample(g)
+    return parse(text).sample(g, params)[0]
 
 
 class TestParsing:
@@ -83,7 +85,7 @@ class TestEvaluation:
         assert np.max(np.abs(vals - 1 / np.cosh(g.s) ** 2)) < 1e-15
 
     def test_unbound_parameter(self):
-        # the evaluator's own check, for a PotentialExpr called without ExternalPotential
+        # the evaluator's own check, for a PotentialExpr called rather than sampled
         g = line_grid(-1.0, 1.0, 16)
         with pytest.raises(UnboundParameterError) as err:
             parse("a*s")(s=g.s)
@@ -120,7 +122,7 @@ class TestDerivative:
     @pytest.mark.parametrize("text,params", [c[:2] for c in GRADIENT_CASES[:5]])
     def test_matches_finite_differences(self, text, params):
         g = line_grid(-5.0, 5.0, 64)
-        got = ExternalPotential(parse(text), params).sample_gradient_s(g)
+        got = parse(text).sample(g, params)[1]
         expr, h = parse(text), 1e-6
         fd = (expr(s=g.s + h, params=params) - expr(s=g.s - h, params=params)) / (2 * h)
         assert got == pytest.approx(fd, rel=1e-6, abs=1e-9)
@@ -132,7 +134,7 @@ class TestDerivative:
                              ids=[c[0] for c in GRADIENT_CASES])
     def test_matches_closed_form(self, text, params, closed_form, make_grid):
         g = make_grid()
-        got = ExternalPotential(parse(text), params).sample_gradient_s(g)
+        got = parse(text).sample(g, params)[1]
         want = np.broadcast_to(closed_form(g.s_coords()), g.shape)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -140,23 +142,49 @@ class TestDerivative:
         # 1/cosh of a complex argument is nan beyond |s| ~ 710; the gradient
         # must stay finite out there and equal -tanh(s)/cosh(s), which is 0
         g = line_grid(-1000.0, 1000.0, 1024)
-        got = ExternalPotential(parse("sech(s)"), {}).sample_gradient_s(g)
+        got = parse("sech(s)").sample(g, {})[1]
         with np.errstate(over="ignore"):
             want = -np.tanh(g.s) / np.cosh(g.s)
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-class TestExternalPotential:
+class TestSample:
     def test_requires_bound_parameters(self):
-        with pytest.raises(UnboundParameterError):
-            ExternalPotential(parse("F*s"), {})
+        # before any other check: a spherical grid has no s axis to sample along
+        for g in (line_grid(-5.0, 5.0, 64), spherical_grid(2.0, 32)):
+            with pytest.raises(UnboundParameterError):
+                parse("F*s").sample(g, {})
 
     def test_sampling_and_gradient(self):
         g = line_grid(-5.0, 5.0, 64)
-        pot = ExternalPotential(parse("F*s"), {"F": 0.01})
-        assert np.allclose(pot.sample(g), 0.01 * g.s)
-        assert np.allclose(pot.sample_gradient_s(g), 0.01)
+        v, dv_ds = parse("F*s").sample(g, {"F": 0.01})
+        assert np.allclose(v, 0.01 * g.s)
+        assert np.allclose(dv_ds, 0.01)
+
+    @pytest.mark.parametrize("text", ["s^2", "0.5", "rho^2 + s", "rho"])
+    def test_read_only_and_of_the_grid_shape(self, text):
+        # a constant, or a field along one axis, still fills the grid
+        g = cylindrical_grid(2.0, -1.0, 1.0, 16, 24)
+        for field in parse(text).sample(g, {}):
+            assert field.shape == g.shape
+            assert not field.flags.writeable
+            with pytest.raises(ValueError):
+                field[0, 0] = 1.0
+
+    def test_non_finite_value_names_its_node_on_a_cylinder(self):
+        g = cylindrical_grid(2.0, -1.0, 1.0, 16, 17)  # s = 0 is the middle node
+        with pytest.raises(DomainError, match=r"potential '1/s \+ rho' is non-finite at "
+                                              r"node \(rho = 0.0625, s = 0\)"):
+            parse("1/s + rho").sample(g, {})
+
+    def test_non_finite_gradient_names_its_node(self):
+        # V = 1e300 sin(1e10 s) is finite; dV/ds = 1e310 cos(1e10 s) overflows
+        g = line_grid(-0.5, 0.5, 16)
+        with pytest.raises(
+                DomainError, match=r"potential 'd/ds\(1e300\*sin\(1e10\*s\)\)' is "
+                                   r"non-finite at node \(s = -0.46875\)"):
+            parse("1e300*sin(1e10*s)").sample(g, {})
 
 
 # --- the language at its edges ------------------------------------------------
@@ -199,7 +227,7 @@ LANGUAGE = [
 def test_language(text, verdict, value):
     if isinstance(verdict, set):
         expr = parse(text)
-        assert expr.parameters() == verdict
+        assert expr.parameters == verdict
         assert float(expr(s=2.0, params={n: 1.0 for n in verdict})) == value
         return
     with pytest.raises(ParseError) as err:
@@ -311,7 +339,7 @@ def _reference_eval(tree, s, params):
 @settings(max_examples=200, deadline=None)
 def test_vectorized_eval_matches_reference(tree, s):
     expr = parse(_render(tree))
-    params = {n: 1.5 for n in expr.parameters()}
+    params = {n: 1.5 for n in expr.parameters}
     with np.errstate(all="ignore"):
         got = expr(s=s, params=params)
     want = _reference_eval(tree, s, params)
@@ -341,10 +369,13 @@ def test_parse_is_total(text):
     except ParseError as err:
         assert 0 <= err.offset <= len(text)
         return
-    pot = ExternalPotential(expr, {n: 1.5 for n in expr.parameters()})
-    g = line_grid(-1.0, 1.0, 16)
-    for sample_on in (pot.sample, pot.sample_gradient_s):
+    # both fields, V and dV/ds, are evaluated before either is checked; on a
+    # cylinder both coordinates exist, so the evaluation itself raises nothing
+    calls, evaluate = [], potentials._eval
+    g = cylindrical_grid(1.0, -1.0, 1.0, 16, 16)
+    with mock.patch.object(potentials, "_eval", lambda *a: calls.append(a) or evaluate(*a)):
         try:
-            sample_on(g)
+            expr.sample(g, {n: 1.5 for n in expr.parameters})
         except DomainError:
             pass
+    assert len(calls) == 2
